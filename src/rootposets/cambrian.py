@@ -189,17 +189,8 @@ class CambrianClass:
         return f"[{format_word(self.bottom.word())}, {format_word(self.top.word())}]"
 
 
-def cambrian_classes(c, facial=False, cosets=None):
-    """The fibers of the projections, as weak-order intervals partitioning W.
-
-    With facial=True, returns the facial congruence classes over the
-    given cosets (all standard parabolic cosets when omitted).
-    """
-    if facial:
-        if cosets is None:
-            from .weyl import enumerate_cosets
-            cosets = enumerate_cosets(c.group)
-        return facial_cambrian_classes(c, cosets)
+def cambrian_classes(c):
+    """The fibers of the projections, as weak-order intervals partitioning W."""
     _ensure_projection_tables(c)
     group = c.group
     buckets = {}
@@ -326,38 +317,6 @@ def _snakes(c, rset, max_len):
         for start in members:
             if system.is_positive(start) == first_positive:
                 yield from extend([start], template)
-
-
-def snake_exists(c, rset, alpha, max_len=None, coeff_bound=None):
-    """Does root alpha decompose over some c-snake of R?
-
-    A decomposition is alpha = sum_i e_i * l_i * a_i with l_i natural,
-    signs e_i strictly alternating along the snake, and a global sign
-    flip allowed (the type-A model: a zigzag path traversed either way).
-    """
-    system = c.group.system
-    if (rset.bits >> alpha) & 1:
-        return True
-    if not system.crystallographic:
-        raise ContractViolationError("snake search needs integer coordinates")
-    if max_len is None:
-        max_len = 2 * system.rank + 2
-    if coeff_bound is None:
-        coeff_bound = max(abs(x) for row in system.int_coords for x in row)
-    target = system.int_coords[alpha]
-    rank = system.rank
-    zero = tuple([0] * rank)
-
-    for snake in _snakes(c, rset, max_len):
-        vecs = []
-        for p, idx in enumerate(snake):
-            sign = 1 if p % 2 == 0 else -1
-            vecs.append(tuple(sign * x for x in system.int_coords[idx]))
-        for flip in (1, -1):
-            goal = tuple(flip * t for t in target)
-            if _bounded_combo(vecs, goal, coeff_bound):
-                return True
-    return False
 
 
 def _bounded_combo(vecs, goal, bound):

@@ -9,15 +9,18 @@ closed / posets backtracking over roots ordered by absolute height, with
                 forced-inclusion propagation: once two included roots sum
                 to a root, that sum is either already decided (checked) or
                 forced into the set at its own position
-posets, small   independent sign-vector sweep (3^N) used as an oracle
 
-Every enumeration visits candidates in one fixed order, so counts and
+level_members lists the sets of one level: every subset for all, the 3^N
+sign choices for antisym, closed subsets of Phi^+ times closed subsets of
+Phi^- for semiclosed, and the backtracking for closed and posets.  Every
+enumeration visits candidates in one fixed order, so counts and
 checksums are identical across reruns.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,7 +29,10 @@ from . import cambrian as camb
 from . import families as fam
 from . import weakorder as wo
 from .errors import ContractViolationError, ResourceCapError
-from .rootset import RootSet, classify, closure_deletion, is_convex, parse_set_literal
+from .rootset import (
+    RootSet, _indices, classify, closure_deletion, format_set_literal, is_convex,
+    parse_set_literal,
+)
 from .rootsys import build_from_label
 from .weyl import weyl_group
 
@@ -43,13 +49,18 @@ class CensusResult:
     checksum: str
 
 
-def _dfs_closed_count(system, indices, antisymmetric, collect=None):
+class _Full(Exception):
+    """The collector holds more sets than asked for."""
+
+
+def _dfs_closed_count(system, indices, antisymmetric, collect=None, limit=None):
     """Count subsets of `indices` closed under root sums, by backtracking.
 
     Roots are processed by increasing absolute height so that, for any
     summable pair, the pair's sum is decided no later than needed: same
     sign pairs force sums at a later position, mixed-sign pairs have
-    their sum decided before the later summand.
+    their sum decided before the later summand.  With a ``limit`` the
+    search stops once ``collect`` holds more than ``limit`` sets.
     """
     order = sorted(indices, key=lambda i: (system.abs_height(i), i))
     pos_of = {r: p for p, r in enumerate(order)}
@@ -68,6 +79,8 @@ def _dfs_closed_count(system, indices, antisymmetric, collect=None):
             digest.update(included_mask.to_bytes(16, "little"))
             if collect is not None:
                 collect.append(included_mask)
+                if limit is not None and len(collect) > limit:
+                    raise _Full
             return
         r = order[p]
         rbit = 1 << r
@@ -98,93 +111,95 @@ def _dfs_closed_count(system, indices, antisymmetric, collect=None):
         if not (forced & rbit):
             rec(p + 1, forced, forbidden)
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    except _Full:
+        pass
     return count, digest.hexdigest()
 
 
-def _poset_sweep(system):
-    """All posets by the 3^N sign-vector sweep; independent of the DFS."""
+def _require_dfs(system, level):
+    if system.num_roots > CLOSED_BITSET_LIMIT:
+        raise ResourceCapError(
+            f"{level.value} backtracking capped at |Phi| <= {CLOSED_BITSET_LIMIT}")
+
+
+def level_members(system, level, cap=None):
+    """Every set of one level of the weak order, as RootSets.
+
+    Closed and posets come in DFS order.  A level of more than ``cap``
+    sets is refused before its sets are built; the backtracking stops as
+    soon as it has found enough sets to exceed the cap.
+    """
     n = system.num_positive
-    out = []
-    for code in range(3 ** n):
-        bits = 0
-        c = code
+    if level is wo.Level.ALL:
+        size = 1 << system.num_roots
+    elif level is wo.Level.ANTISYM:
+        size = 3 ** n
+    elif level is wo.Level.SEMICLOSED:
+        halves = []  # closed subsets of Phi^+; their negations are those of Phi^-
+        _dfs_closed_count(system, range(n), False, collect=halves,
+                          limit=None if cap is None else math.isqrt(cap))
+        size = len(halves) ** 2
+    else:
+        _require_dfs(system, level)
+        found = []
+        _dfs_closed_count(system, range(system.num_roots),
+                          level is wo.Level.POSETS, collect=found, limit=cap)
+        size = len(found)
+    if cap is not None and size > cap:
+        raise ResourceCapError(
+            f"{level.value} level of {system.label} has more than {cap} sets")
+    if level is wo.Level.ALL:
+        found = range(size)
+    elif level is wo.Level.ANTISYM:
+        found = [0]
         for i in range(n):
-            c, s = divmod(c, 3)
-            if s == 1:
-                bits |= 1 << i
-            elif s == 2:
-                bits |= 1 << (i + n)
-        r = RootSet(system, bits)
-        if _closed_fast(system, bits):
-            out.append(r)
-    return out
-
-
-def _closed_fast(system, bits):
-    from .rootset import _closed_bits
-    return _closed_bits(system, bits)
+            found = [b | s for b in found for s in (0, 1 << i, 1 << (i + n))]
+    elif level is wo.Level.SEMICLOSED:
+        negs = [system.negate_bits(h) for h in halves]
+        found = [p | q for p in halves for q in negs]
+    return [RootSet(system, b) for b in found]
 
 
 def enumerate_posets(system):
     """Deterministic list of all posets of the system (DFS order)."""
-    if system.num_roots > CLOSED_BITSET_LIMIT:
-        raise ResourceCapError(
-            f"poset enumeration capped at |Phi| <= {CLOSED_BITSET_LIMIT}")
-    acc = []
-    _dfs_closed_count(system, range(system.num_roots), True, collect=acc)
-    return [RootSet(system, b) for b in acc]
+    return level_members(system, wo.Level.POSETS)
 
 
 def count_family(system, family, group=None):
-    """Exact count of one family over the system, with method and checksum."""
+    """Exact count of one family over the system, with method and checksum.
+
+    ``family`` is a level name other than all, a family name such as
+    'COIP(bip)', or a FamilyId.
+    """
     t0 = time.time()
-    if isinstance(family, str) and family in (
-            "antisym", "semiclosed", "closed", "posets"):
-        if family == "antisym":
-            count = 3 ** system.num_positive
-            digest = hashlib.sha256(str(count).encode()).hexdigest()
-            method = "closed-form"
-        elif family == "semiclosed":
-            half, _ = _dfs_closed_count(
-                system, range(system.num_positive), False)
-            count = half * half
-            digest = hashlib.sha256(str(count).encode()).hexdigest()
-            method = "backtracking"
-        else:
-            if system.num_roots > CLOSED_BITSET_LIMIT:
-                raise ResourceCapError(
-                    f"{family} count capped at |Phi| <= {CLOSED_BITSET_LIMIT}")
-            count, digest = _dfs_closed_count(
-                system, range(system.num_roots), family == "posets")
-            method = "backtracking"
-        return CensusResult(system.label, family, count,
-                            time.time() - t0, method, digest)
-    # constructed family
-    if isinstance(family, str):
-        family = _family_from_name(family)
-    group = group or weyl_group(system)
-    members = fam.construct_family(group, family)
-    digest = hashlib.sha256()
-    for r in members:
-        digest.update(r.bits.to_bytes(16, "little"))
-    return CensusResult(system.label, _family_name(family), len(members),
-                        time.time() - t0, "exhaustive", digest.hexdigest())
-
-
-def _family_from_name(name):
-    if name.startswith("COIP(") or name.startswith("COEP(") or name.startswith("COFP("):
-        tag, spec = name[:4], name[5:-1]
-        return fam.FamilyId(tag, spec)
-    return fam.FamilyId(name)
-
-
-def _family_name(family):
-    if family.tag in fam.CAMBRIAN_TAGS and family.coxeter is not None:
-        c = family.coxeter
-        label = c if isinstance(c, str) else c.label()
-        return f"{family.tag}({label})"
-    return family.tag
+    level = wo.Level.named(family)
+    digest = None
+    if level is wo.Level.ANTISYM:
+        count, method = 3 ** system.num_positive, "closed-form"
+    elif level is wo.Level.SEMICLOSED:
+        half, _ = _dfs_closed_count(system, range(system.num_positive), False)
+        count, method = half * half, "backtracking"
+    elif level in (wo.Level.CLOSED, wo.Level.POSETS):
+        _require_dfs(system, level)
+        count, digest = _dfs_closed_count(
+            system, range(system.num_roots), level is wo.Level.POSETS)
+        method = "backtracking"
+    else:
+        if isinstance(family, str):
+            family = fam.FamilyId.parse(family)
+        group = group or weyl_group(system)
+        members = fam.construct_family(group, family)
+        h = hashlib.sha256()
+        for r in members:
+            h.update(r.bits.to_bytes(16, "little"))
+        return CensusResult(system.label, str(family), len(members),
+                            time.time() - t0, "exhaustive", h.hexdigest())
+    if digest is None:
+        digest = hashlib.sha256(str(count).encode()).hexdigest()
+    return CensusResult(system.label, level.value, count,
+                        time.time() - t0, method, digest)
 
 
 # -- Table 1 reference data ---------------------------------------------------
@@ -195,25 +210,25 @@ def _family_name(family):
 # regression goldens in the tests record the computed resolution).
 
 TABLE1 = {
-    "antisym": {
+    wo.Level.ANTISYM.value: {
         "A": {1: 3, 2: 27, 3: 729, 4: 3 ** 10},
         "B": {1: 3, 2: 81, 3: 3 ** 9},
         "C": {1: 3, 2: 81, 3: 3 ** 9},
         "D": {4: 3 ** 12},
     },
-    "semiclosed": {
+    wo.Level.SEMICLOSED.value: {
         "A": {1: 4, 2: 49, 3: 1600, 4: 127449},
         "B": {1: 4, 2: 144, 3: 29584, 4: {"B": 5310 ** 2, "C": 5318 ** 2}},
         "C": {1: 4, 2: 144, 3: 29584, 4: {"B": 5310 ** 2, "C": 5318 ** 2}},
         "D": {4: 888 ** 2},
     },
-    "closed": {
+    wo.Level.CLOSED.value: {
         "A": {1: 4, 2: 29, 3: 355, 4: 6942},
         "B": {1: 4, 2: 55, 3: {"B": 1785, "C": 1803}},
         "C": {1: 4, 2: 55, 3: {"B": 1785, "C": 1803}},
         "D": {4: 18291},
     },
-    "posets": {
+    wo.Level.POSETS.value: {
         "A": {1: 3, 2: 19, 3: 219, 4: 4231},
         "B": {1: 3, 2: 37, 3: {"B": 1235, "C": 1225}},
         "C": {1: 3, 2: 37, 3: {"B": 1235, "C": 1225}},
@@ -312,8 +327,7 @@ def table1_rows(system_labels, family_names):
         system = build_from_label(label)
         group = None
         for name in family_names:
-            if name not in ("antisym", "semiclosed", "closed", "posets") \
-                    and group is None:
+            if wo.Level.named(name) is None and group is None:
                 group = weyl_group(system)
             res = count_family(system, name, group)
             ref = reference_count(label, name)
@@ -345,6 +359,8 @@ def check_sublattice(members, level, op=None):
     members = wo.canonical_sort(members)
     have = {r.bits for r in members}
     system = members[0].system if members else None
+    if op is None and system is not None:
+        wo.require_lattice_ops(system, level)
     for i, r in enumerate(members):
         for s in members[i + 1:]:
             for direction in ("meet", "join"):
@@ -398,10 +414,16 @@ def check_conjecture(conj_id, system, coxeter_spec="lin", rank_cap=3):
     tag = "COEP" if conj_id == "coep-sublattice" else "COIP"
     members = fam.construct_family(group, fam.FamilyId(tag, c))
     rep = check_sublattice(members, wo.Level.POSETS)
+    if rep.closed_under_ops:
+        detail = f"{rep.size} members, all pairwise meets and joins inside"
+    else:
+        r, s, direction, out = rep.witness
+        detail = (f"{rep.size} members; the {direction} of "
+                  f"{{{format_set_literal(r)}}} and {{{format_set_literal(s)}}} "
+                  f"is {{{format_set_literal(out)}}}, outside the family")
     return ConjectureReport(
         conj_id, system.label, label, rep.closed_under_ops,
-        detail=f"{rep.size} members, all pairwise meets and joins inside",
-        witness=rep.witness)
+        detail=detail, witness=rep.witness)
 
 
 # -- published counterexamples -------------------------------------------------
@@ -578,8 +600,8 @@ def _sandwich_candidates(system, lowers, uppers):
         neg_must |= r.bits & system.neg_mask
     if pos_must & ~pos_may or neg_must & ~neg_may:
         return
-    pos_free = _bits_list(pos_may & system.pos_mask & ~pos_must)
-    neg_free = _bits_list(neg_may & system.neg_mask & ~neg_must)
+    pos_free = _indices(pos_may & system.pos_mask & ~pos_must)
+    neg_free = _indices(neg_may & system.neg_mask & ~neg_must)
     base = pos_must | neg_must
     free = pos_free + neg_free
     for mask in range(1 << len(free)):
@@ -588,15 +610,6 @@ def _sandwich_candidates(system, lowers, uppers):
             if (mask >> i) & 1:
                 extra |= 1 << b
         yield RootSet(system, base | extra)
-
-
-def _bits_list(bits):
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 def _sandwich_closed_exists(system, lowers, uppers):

@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 reproduced-claim mismatch, 2 usage error,
-3 resource cap exceeded.  All outputs are deterministic; --seed is
-accepted for interface stability but ignored (nothing is randomized).
+3 resource cap exceeded.  All outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import argparse
 import csv
 import io
 import json
-import os
+import re
 import sys
 
 from . import __version__
@@ -19,12 +18,12 @@ from . import census as cns
 from . import families as fam
 from . import weakorder as wo
 from .errors import ContractViolationError, ResourceCapError, RootPosetError
-from .rootset import RootSet, format_set_literal, parse_set_literal
+from .rootset import format_set_literal, parse_set_literal
 from .rootsys import build_from_label
 from .weyl import weyl_group
 
-DEFAULT_TABLE1_FAMILIES = [
-    "antisym", "semiclosed", "closed", "posets",
+DEFAULT_TABLE1_FAMILIES = [level.value for level in wo.Level
+                           if level is not wo.Level.ALL] + [
     "WOEP", "WOIP", "WOFP", "COEP", "COIP(lin)", "COIP(bip)", "COFP",
     "BOEP", "BOIP",
 ]
@@ -33,10 +32,14 @@ DEFAULT_TABLE1_FAMILIES = [
 def _emit(payload, out_path=None):
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise ContractViolationError(
+                f"cannot write {out_path}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -56,10 +59,12 @@ def _expand_types(spec):
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            lo, hi = chunk.split("..")
-            fam_letter = lo[0]
-            for rank in range(int(lo[1:]), int(hi[1:]) + 1):
-                out.append(f"{fam_letter}{rank}")
+            m = re.fullmatch(r"([A-Z])(\d+)\.\.([A-Z])(\d+)", chunk)
+            if m is None or m[1] != m[3]:
+                raise ContractViolationError(
+                    f"bad type range {chunk!r}; expected e.g. A1..A4")
+            for rank in range(int(m[2]), int(m[4]) + 1):
+                out.append(f"{m[1]}{rank}")
         elif chunk:
             out.append(chunk)
     return out
@@ -82,10 +87,9 @@ def cmd_rootsys_info(args):
 def cmd_families_build(args):
     system = build_from_label(args.system)
     group = weyl_group(system)
-    tag = args.family.upper()
-    family = fam.FamilyId(tag, args.coxeter if tag in fam.CAMBRIAN_TAGS else None)
+    family = fam.FamilyId.parse(args.family.upper(), args.coxeter)
     members = fam.construct_family(group, family)
-    payload = _json_result(system.label, cns._family_name(family),
+    payload = _json_result(system.label, str(family),
                            [format_set_literal(r) for r in members])
     _emit(payload, args.out)
     return 0
@@ -104,37 +108,21 @@ def cmd_order_compare(args):
     return 0
 
 
-def _level_or_family_members(system, group, name, coxeter):
-    if name in ("all", "antisym", "semiclosed", "closed", "posets"):
-        if name == "posets":
-            return cns.enumerate_posets(system), wo.Level.POSETS
-        if name == "all":
-            members = [RootSet(system, b) for b in range(1 << system.num_roots)]
-            return members, wo.Level.ALL
-        from .rootset import classify
-        members = []
-        for bits in range(1 << system.num_roots):
-            flags = classify(RootSet(system, bits))
-            keep = {"antisym": flags.antisymmetric,
-                    "semiclosed": flags.semiclosed,
-                    "closed": flags.closed}[name]
-            if keep:
-                members.append(RootSet(system, bits))
-        level = {"antisym": wo.Level.ANTISYM,
-                 "semiclosed": wo.Level.SEMICLOSED,
-                 "closed": wo.Level.CLOSED}[name]
-        return members, level
-    tag = name.upper()
-    family = fam.FamilyId(tag, coxeter if tag in fam.CAMBRIAN_TAGS else None)
-    return fam.construct_family(group, family), None
+def _members(system, name, coxeter, cap):
+    """The sets a --family name denotes, and the level it names (or None).
+
+    A level of more than ``cap`` sets is refused before it is built.
+    """
+    level = wo.Level.named(name)
+    if level is not None:
+        return cns.level_members(system, level, cap), level
+    family = fam.FamilyId.parse(name.upper(), coxeter)
+    return fam.construct_family(weyl_group(system), family), None
 
 
 def cmd_lattice_verify(args):
     system = build_from_label(args.system)
-    group = weyl_group(system) if args.family not in (
-        "antisym", "semiclosed", "closed", "posets", "all") else None
-    members, level = _level_or_family_members(
-        system, group, args.family, args.coxeter)
+    members, level = _members(system, args.family, args.coxeter, args.cap)
     formula = None
     if args.formula:
         formula = wo.Level(args.formula)
@@ -157,10 +145,7 @@ def cmd_lattice_verify(args):
 
 def cmd_hasse(args):
     system = build_from_label(args.system)
-    group = weyl_group(system) if args.family not in (
-        "antisym", "semiclosed", "closed", "posets", "all") else None
-    members, _ = _level_or_family_members(
-        system, group, args.family, args.coxeter)
+    members, _ = _members(system, args.family, args.coxeter, wo.HASSE_CAP)
     doc = wo.export_hasse(members, args.format)
     _emit(doc, args.out)
     return 0
@@ -216,15 +201,6 @@ def cmd_counterexample(args):
     return 0 if report.reproduced else 1
 
 
-def _common_flags(leaf):
-    leaf.add_argument("--seed", type=int, default=None,
-                      help="reserved; all computations are deterministic")
-    leaf.add_argument("--jobs", type=int,
-                      default=int(os.environ.get("ROOTPOSETS_JOBS", "1")),
-                      help="parallelism degree (sequential backend)")
-    return leaf
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rootposets",
@@ -235,16 +211,14 @@ def build_parser():
 
     p = sub.add_parser("rootsys", help="root system utilities")
     rsub = p.add_subparsers(dest="subcommand", required=True)
-    pi = _common_flags(rsub.add_parser(
-        "info", help="print root count, Cartan matrix, |W|"))
+    pi = rsub.add_parser("info", help="print root count, Cartan matrix, |W|")
     pi.add_argument("system")
     pi.add_argument("--out")
     pi.set_defaults(func=cmd_rootsys_info)
 
     p = sub.add_parser("families", help="family construction")
     fsub = p.add_subparsers(dest="subcommand", required=True)
-    pb = _common_flags(fsub.add_parser(
-        "build", help="build a family as set literals"))
+    pb = fsub.add_parser("build", help="build a family as set literals")
     pb.add_argument("--type", dest="system", required=True)
     pb.add_argument("--family", required=True)
     pb.add_argument("--coxeter", default="lin")
@@ -253,8 +227,7 @@ def build_parser():
 
     p = sub.add_parser("order", help="weak order queries")
     osub = p.add_subparsers(dest="subcommand", required=True)
-    pc = _common_flags(osub.add_parser(
-        "compare", help="compare two set literals"))
+    pc = osub.add_parser("compare", help="compare two set literals")
     pc.add_argument("--type", dest="system", required=True)
     pc.add_argument("left")
     pc.add_argument("right")
@@ -264,19 +237,18 @@ def build_parser():
 
     p = sub.add_parser("lattice", help="lattice verification")
     lsub = p.add_subparsers(dest="subcommand", required=True)
-    pv = _common_flags(lsub.add_parser(
-        "verify", help="brute-force certify a family"))
+    pv = lsub.add_parser("verify", help="brute-force certify a family")
     pv.add_argument("--type", dest="system", required=True)
     pv.add_argument("--family", required=True,
-                    help="level name (antisym/semiclosed/closed/posets/all) "
-                         "or family tag (WOEP, COIP, ...)")
+                    help="level name (" + "/".join(l.value for l in wo.Level)
+                         + ") or family tag (WOEP, COIP, ...)")
     pv.add_argument("--coxeter", default="lin")
     pv.add_argument("--formula", choices=[l.value for l in wo.Level])
     pv.add_argument("--cap", type=int, default=wo.VERIFY_CAP)
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_lattice_verify)
 
-    p = _common_flags(sub.add_parser("hasse", help="Hasse diagram export"))
+    p = sub.add_parser("hasse", help="Hasse diagram export")
     p.add_argument("--type", dest="system", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--coxeter", default="lin")
@@ -286,15 +258,13 @@ def build_parser():
 
     p = sub.add_parser("census", help="counting and Table 1 reproduction")
     csub = p.add_subparsers(dest="subcommand", required=True)
-    pt = _common_flags(csub.add_parser(
-        "table1", help="reproduce reference counts as CSV"))
+    pt = csub.add_parser("table1", help="reproduce reference counts as CSV")
     pt.add_argument("--types", required=True, help="e.g. A1..A4,B2,B3")
     pt.add_argument("--families", help="comma-separated; default all rows")
     pt.add_argument("--out")
     pt.set_defaults(func=cmd_census_table1)
 
-    p = _common_flags(sub.add_parser(
-        "check-conjecture", help="exhaustive conjecture checks"))
+    p = sub.add_parser("check-conjecture", help="exhaustive conjecture checks")
     p.add_argument("conjecture", choices=list(cns.CONJECTURE_IDS))
     p.add_argument("--type", dest="system", required=True)
     p.add_argument("--coxeter", default="lin")
@@ -302,8 +272,7 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_check_conjecture)
 
-    p = _common_flags(sub.add_parser(
-        "counterexample", help="reproduce published failures"))
+    p = sub.add_parser("counterexample", help="reproduce published failures")
     p.add_argument("case", choices=list(cns.COUNTEREXAMPLE_IDS))
     p.add_argument("--out")
     p.set_defaults(func=cmd_counterexample)

@@ -31,6 +31,25 @@ class FamilyId:
         if self.tag not in FAMILY_TAGS:
             raise ContractViolationError(f"unknown family tag {self.tag!r}")
 
+    @classmethod
+    def parse(cls, name, coxeter=None):
+        """Inverse of str(): 'WOIP', 'COIP(bip)', 'COIP(s2s1s3)'.
+
+        A bare Cambrian tag takes ``coxeter``; other tags ignore it.
+        """
+        tag, paren, spec = name.partition("(")
+        if paren:
+            if tag not in CAMBRIAN_TAGS or not spec.endswith(")"):
+                raise ContractViolationError(f"malformed family name {name!r}")
+            coxeter = spec[:-1]
+        return cls(tag, coxeter if tag in CAMBRIAN_TAGS else None)
+
+    def __str__(self):
+        c = self.coxeter
+        if self.tag in CAMBRIAN_TAGS and c is not None:
+            return f"{self.tag}({c if isinstance(c, str) else c.label()})"
+        return self.tag
+
     def normalized_tag(self):
         # BOFP is the same family as BOIP
         return "BOIP" if self.tag == "BOFP" else self.tag

@@ -5,7 +5,8 @@ index i of the owning system, so the positive part, negative part and
 negation are single mask operations.  The closure operator, the negative
 and positive closure deletions, convexity, and the classification
 predicates (symmetric / antisymmetric / closed / semiclosed / poset)
-all live here, together with independent oracles used by the tests.
+all live here; the exhaustive closure deletion doubles as the tests'
+oracle for the fast one.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ class RootSet:
         self._check_same(other)
         return RootSet(self.system, self.bits & other.bits)
 
-    def difference(self, other):
-        self._check_same(other)
-        return RootSet(self.system, self.bits & ~other.bits)
-
     def negation(self):
         """The set {-a : a in R}."""
         return RootSet(self.system, self.system.negate_bits(self.bits))
@@ -81,9 +78,6 @@ class RootSet:
     def add(self, index):
         return RootSet(self.system, self.bits | (1 << index))
 
-    def remove(self, index):
-        return RootSet(self.system, self.bits & ~(1 << index))
-
     def grade(self):
         """|R^-| - |R^+|, the rank function of the graded weak-order levels."""
         neg = (self.bits & self.system.neg_mask).bit_count()
@@ -93,11 +87,7 @@ class RootSet:
         return (self.bits >> index) & 1 == 1
 
     def __iter__(self):
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter(_indices(self.bits))
 
     def __len__(self):
         return self.bits.bit_count()
@@ -112,11 +102,6 @@ class RootSet:
 
     def __repr__(self):
         return f"RootSet({self.system.label}, {{{format_set_literal(self)}}})"
-
-
-def split_signs(rset):
-    """(R^+, R^-) with R = R^+ | R^-."""
-    return rset.positive_part(), rset.negative_part()
 
 
 @dataclass(frozen=True)
@@ -197,45 +182,6 @@ def closure(rset):
         raise UnsupportedOperationError(
             "closure is only the pairwise fixpoint on crystallographic systems")
     return RootSet(rset.system, closure_bits(rset.system, rset.bits))
-
-
-def nspan_oracle(rset, slack=1):
-    """Independent oracle for NR intersect Phi via bounded lattice reachability.
-
-    Explores the monoid generated by R inside a coordinate box wide
-    enough (Steinitz-style reordering bound) that some addition order
-    reaching any representable root stays inside.  Tests compare this
-    against the pairwise fixpoint, so an insufficient box would surface
-    as a mismatch there rather than pass silently.
-    """
-    system = rset.system
-    if not system.crystallographic:
-        raise UnsupportedOperationError("oracle requires integer coordinates")
-    rank = system.rank
-    gens = [system.int_coords[i] for i in rset]
-    if not gens:
-        return RootSet(system, 0)
-    cmax = max(abs(c) for coords in system.int_coords for c in coords)
-    bound = cmax * (1 + slack * rank)
-    seen = {tuple([0] * rank)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for point in frontier:
-            for g in gens:
-                q = tuple(p + c for p, c in zip(point, g))
-                if q in seen or any(abs(c) > bound for c in q):
-                    continue
-                seen.add(q)
-                nxt.append(q)
-        frontier = nxt
-    bits = 0
-    lookup = system.index_of_int_coords
-    for point in seen:
-        k = lookup.get(point)
-        if k is not None:
-            bits |= 1 << k
-    return RootSet(system, bits)
 
 
 # -- closure deletions ------------------------------------------------------
@@ -406,9 +352,13 @@ def parse_set_literal(system, text):
         sign = text[pos]
         if sign not in "+-":
             raise ContractViolationError(f"expected sign at {text[pos:]!r}")
-        open_b = text.index("[", pos)
-        close_b = text.index("]", open_b)
-        coords = tuple(Coeff(int(t)) for t in text[open_b + 1:close_b].split(","))
+        try:
+            open_b = text.index("[", pos)
+            close_b = text.index("]", open_b)
+            coords = tuple(Coeff(int(t)) for t in text[open_b + 1:close_b].split(","))
+        except ValueError:
+            raise ContractViolationError(
+                f"malformed set literal at {text[pos:]!r}") from None
         if len(coords) != system.rank:
             raise ContractViolationError(
                 f"coordinate vector of length {len(coords)} for rank {system.rank}")

@@ -170,7 +170,6 @@ class RootSystem:
             c.is_integer() for row in self.cartan for c in row)
         self._build_roots()
         self._build_tables()
-        self._pairing_table = None
         self._group = None  # lazily attached by weyl.weyl_group
 
     # -- construction --------------------------------------------------
@@ -285,16 +284,6 @@ class RootSystem:
     def pairing(self, i, j):
         """Cartan pairing <alpha_i^vee, alpha_j> = 2 (a_i, a_j) / (a_i, a_i)."""
         return 2 * self.inner(i, j) / self._norms[i]
-
-    @property
-    def pairing_table(self):
-        """Full (i, j) -> <alpha_i^vee, alpha_j> table, built on first use."""
-        if self._pairing_table is None:
-            n2 = self.num_roots
-            self._pairing_table = {
-                (i, j): self.pairing(i, j)
-                for i in range(n2) for j in range(n2)}
-        return self._pairing_table
 
     def reflect(self, mirror, target):
         """Index of s_mirror(target); always a valid root index."""

@@ -23,6 +23,7 @@ from .errors import ContractViolationError, ResourceCapError, UnsupportedOperati
 from .rootset import RootSet, classify, closure_bits, closure_deletion, _indices
 
 VERIFY_CAP = 5000
+HASSE_CAP = 10_000
 
 
 class Level(enum.Enum):
@@ -31,6 +32,14 @@ class Level(enum.Enum):
     SEMICLOSED = "semiclosed"
     CLOSED = "closed"
     POSETS = "posets"
+
+    @classmethod
+    def named(cls, name):
+        """The level called ``name``, or None when it names no level."""
+        try:
+            return cls(name)
+        except ValueError:
+            return None
 
 
 def weak_le(rset, sset):
@@ -82,14 +91,23 @@ def lattice_op_bits(system, level, direction, rbits, sbits):
     raise ContractViolationError("direction must be 'meet' or 'join'")
 
 
-def lattice_op(level, direction, rset, sset, check_membership=True):
-    """Meet/join of two sets inside the given level of the weak order."""
-    rset._check_same(sset)
-    system = rset.system
+def require_lattice_ops(system, level):
+    """Refuse the level's meet/join formulas where their theory fails.
+
+    The closure in the semiclosed, closed and posets formulas is the
+    pairwise-sum fixpoint, which is cl(R) only on crystallographic systems.
+    """
     if level in (Level.SEMICLOSED, Level.CLOSED, Level.POSETS):
         if not system.crystallographic:
             raise UnsupportedOperationError(
                 f"{level.value} lattice operations need a crystallographic system")
+
+
+def lattice_op(level, direction, rset, sset, check_membership=True):
+    """Meet/join of two sets inside the given level of the weak order."""
+    rset._check_same(sset)
+    system = rset.system
+    require_lattice_ops(system, level)
     if check_membership:
         for x in (rset, sset):
             if not _level_member(system, x.bits, level):
@@ -169,27 +187,51 @@ def canonical_sort(family):
 
 
 def _below_masks(system, bits_list):
-    k = len(bits_list)
-    pos, neg = system.pos_mask, system.neg_mask
-    keys = [(b & pos, b & neg) for b in bits_list]
-    below = [0] * k  # below[i] bit j set iff family[j] <= family[i]
-    above = [0] * k
-    for i in range(k):
-        pi, ni = keys[i]
-        for j in range(k):
-            pj, nj = keys[j]
-            if (pj | pi) == pj and (nj & ni) == nj:  # j <= i
-                below[i] |= 1 << j
-                above[j] |= 1 << i
+    """below[i] / above[i]: masks of the j with family[j] <= / >= family[i].
+
+    R <= S iff R xor Phi+ is a subset of S xor Phi+, so each bound is an
+    intersection of one family mask per root.
+    """
+    keys = [b ^ system.pos_mask for b in bits_list]
+    having = [0] * system.num_roots  # having[r] bit j set iff r in keys[j]
+    for j, key in enumerate(keys):
+        for r in _indices(key):
+            having[r] |= 1 << j
+    full = (1 << len(keys)) - 1
+    below, above = [], []
+    for key in keys:
+        lo = hi = full
+        for r in _indices(system.full_mask & ~key):
+            lo &= ~having[r]
+        for r in _indices(key):
+            hi &= having[r]
+        below.append(lo)
+        above.append(hi)
     return below, above
+
+
+def _cover_masks(below):
+    """covers[i] bit j set iff family[j] is covered by family[i]."""
+    strict = [b & ~(1 << i) for i, b in enumerate(below)]
+    out = []
+    for s in strict:
+        between = 0
+        for j in _indices(s):
+            between |= strict[j]
+        out.append(s & ~between)
+    return out
 
 
 def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     """Brute-force lattice certification of a family under the weak order.
 
-    When ``formula`` names a level, additionally checks that the level's
-    meet/join formulas agree with the brute-force result on every pair.
-    Gradedness is read off the cover graph of the family.
+    A strict step in the weak order raises the grade, so in canonical
+    order the only possible glb of a pair is its last common lower bound
+    and the only possible lub its first common upper bound; each candidate
+    is accepted only if it bounds every common bound.  When ``formula``
+    names a level, additionally checks that the level's meet/join formulas
+    return exactly those two sets on every pair.  Gradedness is read off
+    the cover graph of the family.
     """
     family = canonical_sort(family)
     k = len(family)
@@ -198,6 +240,8 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     if k == 0:
         return LatticeReport(0, True, None if formula is None else True, True)
     system = family[0].system
+    if formula is not None:
+        require_lattice_ops(system, formula)
     bits_list = [r.bits for r in family]
     index_of = {b: i for i, b in enumerate(bits_list)}
     if len(index_of) != k:
@@ -208,159 +252,58 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     is_lattice = True
     formula_ok = None if formula is None else True
     witness = None
-
-    def bruteforce_extremum(common, masks):
-        # unique element of `common` dominating (resp. dominated by) all of it
-        best, best_grade = -1, None
-        m = common
-        while m:
-            low = m & -m
-            idx = low.bit_length() - 1
-            m ^= low
-            if best_grade is None or grades[idx] > best_grade:
-                best, best_grade = idx, grades[idx]
-        if best < 0:
-            return None
-        return best if common & ~masks[best] == 0 else None
-
     for i in range(k):
-        bi = below[i]
-        ai = above[i]
+        bi, ai = below[i], above[i]
         for j in range(i + 1, k):
-            lows = bi & below[j]
-            highs = ai & above[j]
+            lows, highs = bi & below[j], ai & above[j]
+            glb = lows.bit_length() - 1
+            lub = (highs & -highs).bit_length() - 1
+            pair_ok = (glb >= 0 and lub >= 0 and not lows & ~below[glb]
+                       and not highs & ~above[lub])
             if formula is not None:
-                mbits = lattice_op_bits(system, formula, "meet",
-                                        bits_list[i], bits_list[j])
-                jbits = lattice_op_bits(system, formula, "join",
-                                        bits_list[i], bits_list[j])
-                mi = index_of.get(mbits)
-                ji = index_of.get(jbits)
-                ok = (
-                    mi is not None and ji is not None
-                    and (lows >> mi) & 1 and (highs >> ji) & 1
-                    and lows & ~below[mi] == 0
-                    and highs & ~above[ji] == 0
-                )
-                if not ok:
-                    formula_ok = False
-                    is_lattice = is_lattice and _slow_pair_check(
-                        grades, below, above, lows, highs)
-                    if witness is None:
-                        witness = (family[i], family[j])
+                meet = lattice_op_bits(system, formula, "meet",
+                                       bits_list[i], bits_list[j])
+                join = lattice_op_bits(system, formula, "join",
+                                       bits_list[i], bits_list[j])
+                if (pair_ok and index_of.get(meet) == glb
+                        and index_of.get(join) == lub):
                     continue
-            else:
-                glb = bruteforce_extremum(lows, below)
-                if glb is None:
-                    is_lattice = False
-                    if witness is None:
-                        witness = (family[i], family[j])
-                    continue
-                lub = _lub(grades, highs, above)
-                if lub is None:
-                    is_lattice = False
-                    if witness is None:
-                        witness = (family[i], family[j])
+                formula_ok = False
+            elif pair_ok:
+                continue
+            is_lattice = is_lattice and pair_ok
+            if witness is None:
+                witness = (family[i], family[j])
 
-    cover_count, graded = _cover_graph(k, below, grades)
+    cover_masks = _cover_masks(below)
+    graded = all(grades[i] - grades[j] == 1
+                 for i, c in enumerate(cover_masks) for j in _indices(c))
     return LatticeReport(
         family_size=k,
         is_lattice=is_lattice,
         formula_matches_bruteforce=formula_ok,
         graded=graded,
         witness=witness,
-        cover_count=cover_count,
+        cover_count=sum(c.bit_count() for c in cover_masks),
         level=formula,
     )
-
-
-def _lub(grades, highs, above):
-    best, best_grade = -1, None
-    m = highs
-    while m:
-        low = m & -m
-        idx = low.bit_length() - 1
-        m ^= low
-        if best_grade is None or grades[idx] < best_grade:
-            best, best_grade = idx, grades[idx]
-    if best < 0:
-        return None
-    return best if highs & ~above[best] == 0 else None
-
-
-def _slow_pair_check(grades, below, above, lows, highs):
-    glb = None
-    m = lows
-    best_grade = None
-    while m:
-        low = m & -m
-        idx = low.bit_length() - 1
-        m ^= low
-        if best_grade is None or grades[idx] > best_grade:
-            glb, best_grade = idx, grades[idx]
-    if glb is None or lows & ~below[glb]:
-        return False
-    lub = _lub(grades, highs, above)
-    return lub is not None
-
-
-def _cover_graph(k, below, grades):
-    """Count covers by transitive reduction and check grade steps of 1."""
-    cover_count = 0
-    graded = True
-    for i in range(k):
-        strict_below = below[i] & ~(1 << i)
-        m = strict_below
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
-            if _exists_between(below, j, i, strict_below):
-                continue
-            cover_count += 1
-            if grades[i] - grades[j] != 1:
-                graded = False
-    return cover_count, graded
-
-
-def _exists_between(below, j, i, strict_below_i):
-    # some x != i, j with j <= x <= i
-    m = strict_below_i & ~(1 << j)
-    while m:
-        low = m & -m
-        x = low.bit_length() - 1
-        m ^= low
-        if (below[x] >> j) & 1:
-            return True
-    return False
 
 
 def hasse_edges(family):
     """Transitive reduction of weak_le on the family; deterministic order."""
     family = canonical_sort(family)
-    k = len(family)
-    if k == 0:
+    if not family:
         return family, []
-    system = family[0].system
-    below, _ = _below_masks(system, [r.bits for r in family])
-    edges = []
-    for i in range(k):
-        strict = below[i] & ~(1 << i)
-        m = strict
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
-            if not _exists_between(below, j, i, strict):
-                edges.append((j, i))
-    edges.sort()
+    below, _ = _below_masks(family[0].system, [r.bits for r in family])
+    edges = sorted((j, i) for i, c in enumerate(_cover_masks(below))
+                   for j in _indices(c))
     return family, edges
 
 
 def export_hasse(family, fmt="dot"):
     """DOT or JSON document of the Hasse diagram of the family."""
-    if len(family) > 10_000:
-        raise ResourceCapError("hasse export capped at 10^4 nodes")
+    if len(family) > HASSE_CAP:
+        raise ResourceCapError(f"hasse export capped at {HASSE_CAP} nodes")
     from .rootset import format_set_literal
     nodes, edges = hasse_edges(family)
     labels = [format_set_literal(r) for r in nodes]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, InvariantError, ResourceCapError
-from .rootset import RootSet
+from .rootset import RootSet, _indices
 
 GROUP_CAP = 50_000
 
@@ -259,11 +259,6 @@ def weyl_group(system, cap=GROUP_CAP):
     return system._group
 
 
-def inversions_and_descents(w):
-    """(inv(w) as a RootSet, left descent positions)."""
-    return RootSet(w.group.system, w.inv_bits), set(w.descents())
-
-
 @dataclass(frozen=True)
 class ParabolicCoset:
     """Standard parabolic coset xW_I with x its minimal-length representative."""
@@ -330,24 +325,9 @@ def coset_poset(group, coset):
     span_bits, _ = group.parabolic_data(coset.subset)
     bits = 0
     perm = coset.x.perm
-    keep = system.pos_mask & ~span_bits
-    while keep:
-        low = keep & -keep
-        i = low.bit_length() - 1
-        keep ^= low
+    for i in _indices(system.pos_mask & ~span_bits):
         bits |= 1 << perm[i]
     return RootSet(system, bits)
-
-
-def poset_of(group, kind, *args):
-    """Dispatch for the element / interval / coset poset constructions."""
-    if kind == "element":
-        return element_poset(group, *args)
-    if kind == "interval":
-        return interval_poset(group, *args)
-    if kind == "coset":
-        return coset_poset(group, *args)
-    raise ContractViolationError(f"unknown poset kind {kind!r}")
 
 
 # -- facial weak order ---------------------------------------------------------
@@ -391,13 +371,3 @@ def facial_join(group, a, b):
     if coset.w_long.perm != z.perm:
         raise InvariantError("facial join maximum mismatch")
     return coset
-
-
-def facial_order_op(group, mode, a, b):
-    if mode == "le":
-        return facial_le(a, b)
-    if mode == "meet":
-        return facial_meet(group, a, b)
-    if mode == "join":
-        return facial_join(group, a, b)
-    raise ContractViolationError(f"unknown facial mode {mode!r}")

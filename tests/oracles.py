@@ -1,0 +1,111 @@
+"""Independent reference implementations the tests compare the library to.
+
+Each one takes the slow, literal route: the N-span by lattice reachability,
+the posets by a sign-vector sweep, lattice bounds and covers straight from
+their definitions.  None of them is used by the library.
+"""
+
+from rootposets.errors import UnsupportedOperationError
+from rootposets.rootset import RootSet, classify
+from rootposets.weakorder import canonical_sort, lattice_op, weak_le
+
+
+def nspan_oracle(rset, slack=1):
+    """NR intersect Phi via bounded lattice reachability.
+
+    Explores the monoid generated by R inside a coordinate box wide
+    enough (Steinitz-style reordering bound) that some addition order
+    reaching any representable root stays inside.  Tests compare this
+    against the pairwise fixpoint, so an insufficient box would surface
+    as a mismatch there rather than pass silently.
+    """
+    system = rset.system
+    if not system.crystallographic:
+        raise UnsupportedOperationError("oracle requires integer coordinates")
+    rank = system.rank
+    gens = [system.int_coords[i] for i in rset]
+    if not gens:
+        return RootSet(system, 0)
+    cmax = max(abs(c) for coords in system.int_coords for c in coords)
+    bound = cmax * (1 + slack * rank)
+    seen = {tuple([0] * rank)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for point in frontier:
+            for g in gens:
+                q = tuple(p + c for p, c in zip(point, g))
+                if q in seen or any(abs(c) > bound for c in q):
+                    continue
+                seen.add(q)
+                nxt.append(q)
+        frontier = nxt
+    bits = 0
+    lookup = system.index_of_int_coords
+    for point in seen:
+        k = lookup.get(point)
+        if k is not None:
+            bits |= 1 << k
+    return RootSet(system, bits)
+
+
+def poset_sweep(system):
+    """All posets by the 3^N sign-vector sweep; shares no code with the DFS."""
+    n = system.num_positive
+    out = []
+    for code in range(3 ** n):
+        bits = 0
+        c = code
+        for i in range(n):
+            c, s = divmod(c, 3)
+            if s == 1:
+                bits |= 1 << i
+            elif s == 2:
+                bits |= 1 << (i + n)
+        r = RootSet(system, bits)
+        if classify(r).closed:
+            out.append(r)
+    return out
+
+
+def naive_lattice_report(family, formula=None):
+    """verify_lattice's fields, from the definitions and weak_le alone.
+
+    The glb of a pair is the common lower bound above every common lower
+    bound, the lub the mirror image; j is covered by i when nothing lies
+    strictly between.  Pairs are visited in canonical order, which fixes
+    the witness.  Returns (family_size, is_lattice,
+    formula_matches_bruteforce, graded, witness, cover_count, covers).
+    """
+    fam = canonical_sort(family)
+    k = len(fam)
+    le = [[weak_le(a, b) for b in fam] for a in fam]
+    index = {r.bits: i for i, r in enumerate(fam)}
+    is_lattice, witness = True, None
+    formula_ok = None if formula is None else True
+    for i in range(k):
+        for j in range(i + 1, k):
+            lows = [x for x in range(k) if le[x][i] and le[x][j]]
+            highs = [x for x in range(k) if le[i][x] and le[j][x]]
+            glb = next((x for x in lows if all(le[y][x] for y in lows)), None)
+            lub = next((x for x in highs if all(le[x][y] for y in highs)), None)
+            pair_ok = glb is not None and lub is not None
+            bad = not pair_ok
+            if formula is not None:
+                meet = lattice_op(formula, "meet", fam[i], fam[j],
+                                  check_membership=False)
+                join = lattice_op(formula, "join", fam[i], fam[j],
+                                  check_membership=False)
+                if not (pair_ok and index.get(meet.bits) == glb
+                        and index.get(join.bits) == lub):
+                    formula_ok, bad = False, True
+            if bad:
+                is_lattice = is_lattice and pair_ok
+                if witness is None:
+                    witness = (fam[i], fam[j])
+    covers = sorted(
+        (j, i) for i in range(k) for j in range(k)
+        if j != i and le[j][i]
+        and not any(x not in (i, j) and le[j][x] and le[x][i] for x in range(k)))
+    graded = all(fam[i].grade() - fam[j].grade() == 1 for j, i in covers)
+    return (k, is_lattice, formula_ok, graded, witness, len(covers), covers)

@@ -19,13 +19,13 @@ from rootposets.families import (
     FamilyId, boip_op, coip_op, construct_family, woip_op,
 )
 from rootposets.rootset import (
-    RootSet, classify, closure, closure_bits, closure_deletion, nspan_oracle,
-    parse_set_literal,
+    RootSet, classify, closure, closure_bits, closure_deletion, parse_set_literal,
 )
 from rootposets.weakorder import Level, lattice_op, verify_lattice
 from rootposets.weyl import coset_poset, enumerate_cosets, facial_meet
 
 from conftest import group, system
+from oracles import nspan_oracle
 
 
 def _report(num, elapsed, detail):

@@ -3,7 +3,7 @@ import pytest
 from rootposets.cambrian import (
     cambrian_classes, cambrian_project, c_root_order,
     coxeter_element, facial_cambrian_classes, is_c_aligned, is_sortable,
-    snake_decomposable_roots, snake_exists, sorting_word,
+    snake_decomposable_roots, sorting_word,
 )
 from rootposets.errors import ContractViolationError
 from rootposets.rootset import RootSet, parse_set_literal
@@ -171,10 +171,9 @@ def test_aligned_iff_sortable(label, spec):
 def test_snake_trivial_cases(a2):
     c = cox("A2")
     r = RootSet.positive_roots(a2)
-    for alpha in range(a2.num_positive):
-        assert snake_exists(c, r, alpha)
+    assert set(range(a2.num_positive)) <= snake_decomposable_roots(c, r)
     member = parse_set_literal(a2, "+[1,1]")
-    assert snake_exists(c, member, next(iter(member)))
+    assert next(iter(member)) in snake_decomposable_roots(c, member)
 
 
 def test_snake_separates_coep_from_coip(a2):

@@ -2,15 +2,19 @@ import pytest
 
 from rootposets.census import (
     CONJECTURE_IDS, COUNTEREXAMPLE_IDS, check_conjecture, check_sublattice,
-    count_family, enumerate_posets, reference_count, reproduce_counterexample,
-    table1_rows, _poset_sweep,
+    count_family, enumerate_posets, level_members, reference_count,
+    reproduce_counterexample, table1_rows,
 )
-from rootposets.errors import ContractViolationError, ResourceCapError
+from rootposets import families as fam
+from rootposets.errors import (
+    ContractViolationError, ResourceCapError, UnsupportedOperationError,
+)
 from rootposets.families import FamilyId, construct_family
-from rootposets.rootset import parse_set_literal
+from rootposets.rootset import RootSet, classify, parse_set_literal
 from rootposets.weakorder import Level
 
 from conftest import group, system
+from oracles import poset_sweep
 
 
 @pytest.mark.parametrize("label,family,count", [
@@ -60,7 +64,35 @@ def test_poset_dfs_matches_sign_sweep():
     for label in ("A2", "B2", "G2", "A3"):
         rs = system(label)
         assert ({r.bits for r in enumerate_posets(rs)}
-                == {r.bits for r in _poset_sweep(rs)})
+                == {r.bits for r in poset_sweep(rs)})
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_level_members_match_classify_sweep(label):
+    rs = system(label)
+    flags = [(bits, classify(RootSet(rs, bits))) for bits in range(1 << rs.num_roots)]
+    keep = {Level.ALL: lambda f: True,
+            Level.ANTISYM: lambda f: f.antisymmetric,
+            Level.SEMICLOSED: lambda f: f.semiclosed,
+            Level.CLOSED: lambda f: f.closed,
+            Level.POSETS: lambda f: f.poset}
+    for level, pred in keep.items():
+        got = [r.bits for r in level_members(rs, level)]
+        assert len(got) == len(set(got))
+        assert set(got) == {bits for bits, f in flags if pred(f)}, level
+        if level is not Level.ALL:
+            assert len(got) == count_family(rs, level.value).count
+
+
+def test_level_members_cap_fires_before_building():
+    d4 = system("D4")
+    for level in Level:
+        with pytest.raises(ResourceCapError):
+            level_members(d4, level, cap=200)
+    assert len(level_members(d4, Level.POSETS, cap=12361)) == 12361
+    # E6 has too many closed subsets of Phi^+ to list; the search stops early
+    with pytest.raises(ResourceCapError):
+        level_members(system("E6"), Level.SEMICLOSED, cap=5000)
 
 
 def test_resource_caps():
@@ -104,6 +136,35 @@ def test_sublattice_checker_finds_the_woip_witness(a2):
                     parse_set_literal(a2, "+[0,1],+[1,1]").bits}
     assert direction == "join"
     assert result == parse_set_literal(a2, "+[1,1]")
+
+
+@pytest.mark.parametrize("label,conj", [("H2", "coip-sublattice"),
+                                        ("H2", "coep-sublattice"),
+                                        ("H3", "coip-sublattice")])
+def test_sublattice_conjectures_refuse_noncrystallographic(label, conj):
+    """The posets formulas are only proved on crystallographic systems."""
+    with pytest.raises(UnsupportedOperationError):
+        check_conjecture(conj, system(label))
+
+
+def test_failed_sublattice_conjecture_names_the_pair(a2, monkeypatch):
+    woip = construct_family(group("A2"), FamilyId("WOIP"))
+    monkeypatch.setattr(fam, "construct_family", lambda g, f: woip)
+    report = check_conjecture("coip-sublattice", a2)
+    assert not report.verified
+    assert report.detail == (
+        "17 members; the join of {+[0,1],+[1,1]} and {+[1,0],+[1,1]} "
+        "is {+[1,1]}, outside the family")
+
+
+def test_family_names_round_trip():
+    for name in ("WOIP", "BOFP", "COIP", "COIP(bip)", "COEP(s2s1)", "COFP(lin)"):
+        assert str(FamilyId.parse(name)) == name
+    assert FamilyId.parse("COIP", "bip") == FamilyId("COIP", "bip")
+    assert FamilyId.parse("WOIP", "bip") == FamilyId("WOIP")
+    for bad in ("WOIP(lin)", "COIP(lin", "woip", "all"):
+        with pytest.raises(ContractViolationError):
+            FamilyId.parse(bad)
 
 
 def test_sublattice_checker_passes_on_woep(a2):

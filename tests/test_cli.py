@@ -120,6 +120,20 @@ def test_resource_cap_exit_code(capsys):
     assert code == 3
 
 
-def test_seed_flag_is_accepted(capsys):
-    code, _ = run(capsys, "rootsys", "info", "A2", "--seed", "7", "--jobs", "2")
-    assert code == 0
+@pytest.mark.parametrize("argv,code", [
+    (["order", "compare", "--type", "A2", "+[1,", "+[1,0]"], 2),
+    (["order", "compare", "--type", "A2", "+[a,0]", "+[1,0]"], 2),
+    (["rootsys", "info", "A2", "--out", "{missing}/x.json"], 2),
+    (["census", "table1", "--types", "A1..B2"], 2),
+    (["check-conjecture", "coip-sublattice", "--type", "H2"], 2),
+    (["lattice", "verify", "--type", "H2", "--family", "posets"], 2),
+    (["lattice", "verify", "--type", "D4", "--family", "all"], 3),
+])
+def test_exit_code_contract(capsys, tmp_path, argv, code):
+    """Bad input exits 2 and an oversized level exits 3, with a one-line
+    message, no traceback and nothing on stdout."""
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err

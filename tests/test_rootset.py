@@ -6,12 +6,13 @@ from rootposets.coeff import Coeff, PSI
 from rootposets.errors import ContractViolationError, UnsupportedOperationError
 from rootposets.rootset import (
     RootSet, classify, closure, closure_bits, closure_deletion, format_set_literal,
-    is_convex, linear_extensions, nspan_oracle, parse_set_literal, split_signs,
+    is_convex, linear_extensions, parse_set_literal,
 )
 from rootposets.weakorder import weak_le
 from rootposets.census import enumerate_posets
 
 from conftest import group, system
+from oracles import nspan_oracle
 
 
 def lit(rs, text):
@@ -25,13 +26,12 @@ def all_subsets(rs):
 
 def test_split_signs(a2):
     full = RootSet.all_roots(a2)
-    pos, neg = split_signs(full)
-    assert pos == RootSet.positive_roots(a2)
-    assert neg == RootSet.negative_roots(a2)
-    empty_pos, empty_neg = split_signs(RootSet(a2, 0))
-    assert len(empty_pos) == 0 and len(empty_neg) == 0
+    assert full.positive_part() == RootSet.positive_roots(a2)
+    assert full.negative_part() == RootSet.negative_roots(a2)
+    empty = RootSet(a2, 0)
+    assert len(empty.positive_part()) == 0 and len(empty.negative_part()) == 0
     r = lit(a2, "+[1,0],-[0,1]")
-    pos, neg = split_signs(r)
+    pos, neg = r.positive_part(), r.negative_part()
     assert format_set_literal(pos) == "+[1,0]"
     assert format_set_literal(neg) == "-[0,1]"
     assert pos.union(neg) == r

@@ -77,11 +77,11 @@ def test_crystallographic_pairings_are_small_integers():
     assert {-3, 3} <= values  # G2 realizes the extremes
 
 
-def test_pairing_table_matches_pointwise(b2):
-    table = b2.pairing_table
-    for i in range(b2.num_roots):
-        for j in range(b2.num_roots):
-            assert table[(i, j)] == b2.pairing(i, j)
+def test_pairing_on_simple_roots_is_cartan(b2):
+    simple = b2.simple_indices()
+    for i, si in enumerate(simple):
+        for j, sj in enumerate(simple):
+            assert b2.pairing(si, sj) == b2.cartan[i][j]
 
 
 def test_reflection_examples():

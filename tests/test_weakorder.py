@@ -9,6 +9,7 @@ from rootposets.weakorder import (
 from rootposets.census import enumerate_posets
 
 from conftest import system
+from oracles import naive_lattice_report
 
 
 def lit(rs, text):
@@ -193,6 +194,14 @@ def test_covers_match_reduction_a3_posets(a3):
         assert got == expected.get(i, set())
 
 
+def test_verify_lattice_refuses_formulas_without_theory(h2):
+    """On H2 the pairwise fixpoint is not the closure, so a formula
+    mismatch there would be a false claim."""
+    with pytest.raises(UnsupportedOperationError):
+        verify_lattice(enumerate_posets(h2), Level.POSETS)
+    assert verify_lattice(enumerate_posets(h2)).is_lattice
+
+
 def test_verify_lattice_cap():
     rs = system("A2")
     members = [RootSet(rs, b) for b in range(1 << rs.num_roots)]
@@ -231,3 +240,30 @@ def test_canonical_sort_deterministic(a2):
         [r.bits for r in canonical_sort(posets)]
     assert canonical_sort(posets)[0] == RootSet.positive_roots(a2)
     assert canonical_sort(posets)[-1] == RootSet.negative_roots(a2)
+
+
+def _report_fields(rep):
+    return (rep.family_size, rep.is_lattice, rep.formula_matches_bruteforce,
+            rep.graded, rep.witness, rep.cover_count)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_verify_lattice_matches_naive_oracle(label):
+    """Every report field, the witness included, and the Hasse edges agree
+    with bounds and covers found from the definitions, on seeded random
+    subfamilies of the posets (lattices and non-lattices both)."""
+    import random
+    rng = random.Random(label)
+    posets = enumerate_posets(system(label))
+    outcomes = set()
+    for trial in range(60):
+        size = rng.randint(1, min(24, len(posets)))
+        family = rng.sample(posets, size)
+        for formula in (None, Level.POSETS):
+            want = naive_lattice_report(family, formula)
+            rep = verify_lattice(family, formula)
+            assert _report_fields(rep) == want[:6], (label, trial, formula)
+            outcomes.add((rep.is_lattice, rep.formula_matches_bruteforce))
+        assert hasse_edges(family)[1] == want[6]
+    assert (False, None) in outcomes and (True, None) in outcomes
+    assert (True, False) in outcomes or (False, False) in outcomes

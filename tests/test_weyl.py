@@ -5,8 +5,7 @@ from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weakorder import weak_le
 from rootposets.weyl import (
     WeylGroup, coset_poset, element_poset, enumerate_cosets, facial_join,
-    facial_le, facial_meet, format_word, interval_poset, inversions_and_descents,
-    make_coset, poset_of,
+    facial_le, facial_meet, format_word, interval_poset, make_coset,
 )
 
 from conftest import group, system
@@ -39,20 +38,16 @@ def test_identity_first_and_deterministic(a2):
 def test_a1_inversion(a2):
     g = group("A1")
     s1 = g.generator(0)
-    inv, des = inversions_and_descents(s1)
-    assert list(inv) == [0] and des == {0}
+    assert s1.inv_bits == 1 and s1.descents() == {0}
 
 
 def test_inversions_and_descents(a2):
     g = group("A2")
-    inv, des = inversions_and_descents(g.identity)
-    assert len(inv) == 0 and des == set()
-    inv, des = inversions_and_descents(g.longest)
-    assert inv == RootSet.positive_roots(a2) and des == {0, 1}
+    assert g.identity.inv_bits == 0 and g.identity.descents() == set()
+    assert g.longest.inv_bits == a2.pos_mask and g.longest.descents() == {0, 1}
     s1 = g.generator(0)
-    inv, des = inversions_and_descents(s1)
     simple = a2.simple_indices()
-    assert list(inv) == [simple[0]] and des == {0}
+    assert s1.inv_bits == 1 << simple[0] and s1.descents() == {0}
 
 
 def test_element_permutation_invariants(b2):
@@ -110,7 +105,6 @@ def test_coset_poset_example(a2):
     g = group("A2")
     coset = make_coset(g, g.identity, {0})
     assert coset_poset(g, coset) == lit(a2, "+[0,1],+[1,1]")
-    assert poset_of(g, "coset", coset) == lit(a2, "+[0,1],+[1,1]")
 
 
 def test_coset_poset_is_interval_poset(b2):
@@ -189,15 +183,14 @@ def test_facial_le_examples(a2):
     assert facial_le(edge, edge)
 
 
-def test_facial_order_op_dispatch(a2):
-    from rootposets.weyl import facial_order_op
+def test_facial_ops_on_vertex_below_edge(a2):
     g = group("A2")
     bottom = make_coset(g, g.identity, frozenset())
     edge = make_coset(g, g.identity, {0})
-    assert facial_order_op(g, "le", bottom, edge) is True
-    m = facial_order_op(g, "meet", bottom, edge)
+    assert facial_le(bottom, edge) is True
+    m = facial_meet(g, bottom, edge)
     assert m.x.id == bottom.x.id and m.subset == bottom.subset
-    j = facial_order_op(g, "join", bottom, edge)
+    j = facial_join(g, bottom, edge)
     assert j.x.id == edge.x.id and j.subset == edge.subset
 
 
