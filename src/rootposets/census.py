@@ -119,7 +119,8 @@ def _dfs_closed_count(system, indices, antisymmetric, collect=None, limit=None):
 
 
 def _require_dfs(system, level):
-    if system.num_roots > CLOSED_BITSET_LIMIT:
+    if level in (wo.Level.CLOSED, wo.Level.POSETS) and (
+            system.num_roots > CLOSED_BITSET_LIMIT):
         raise ResourceCapError(
             f"{level.value} backtracking capped at |Phi| <= {CLOSED_BITSET_LIMIT}")
 
@@ -173,7 +174,7 @@ def count_family(system, family, group=None):
     ``family`` is a level name other than all, a family name such as
     'COIP(bip)', or a FamilyId.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     level = wo.Level.named(family)
     digest = None
     if level is wo.Level.ANTISYM:
@@ -195,11 +196,11 @@ def count_family(system, family, group=None):
         for r in members:
             h.update(r.bits.to_bytes(16, "little"))
         return CensusResult(system.label, str(family), len(members),
-                            time.time() - t0, "exhaustive", h.hexdigest())
+                            time.perf_counter() - t0, "exhaustive", h.hexdigest())
     if digest is None:
         digest = hashlib.sha256(str(count).encode()).hexdigest()
     return CensusResult(system.label, level.value, count,
-                        time.time() - t0, method, digest)
+                        time.perf_counter() - t0, method, digest)
 
 
 # -- Table 1 reference data ---------------------------------------------------
@@ -322,9 +323,12 @@ class Table1Row:
 
 
 def table1_rows(system_labels, family_names):
+    systems = [build_from_label(label) for label in system_labels]
+    for system in systems:  # refuse an oversized row before counting any row
+        for name in family_names:
+            _require_dfs(system, wo.Level.named(name))
     rows = []
-    for label in system_labels:
-        system = build_from_label(label)
+    for label, system in zip(system_labels, systems):
         group = None
         for name in family_names:
             if wo.Level.named(name) is None and group is None:
@@ -361,12 +365,13 @@ def check_sublattice(members, level, op=None):
     system = members[0].system if members else None
     if op is None and system is not None:
         wo.require_lattice_ops(system, level)
+    memos = {"meet": {}, "join": {}}
     for i, r in enumerate(members):
         for s in members[i + 1:]:
             for direction in ("meet", "join"):
                 if op is None:
                     out = wo.lattice_op_bits(system, level, direction,
-                                             r.bits, s.bits)
+                                             r.bits, s.bits, memos[direction])
                 else:
                     out = op(direction, r, s).bits
                 if out not in have:

@@ -266,6 +266,22 @@ def _deletable_fast(system, bits, alpha, source_indices):
     return False
 
 
+def deletion_bits(system, bits, side, fast):
+    """closure_deletion on raw bits; ``fast`` picks the chain search, which
+    is complete only on semiclosed input of a crystallographic system."""
+    if side == "negative":
+        victims, sources = bits & system.neg_mask, bits & system.pos_mask
+    else:
+        victims, sources = bits & system.pos_mask, bits & system.neg_mask
+    test = _deletable_fast if fast else _deletable_exhaustive
+    sources = _indices(sources)
+    out = bits
+    for alpha in _indices(victims):
+        if test(system, bits, alpha, sources):
+            out &= ~(1 << alpha)
+    return out
+
+
 def closure_deletion(rset, side, method="auto"):
     """ncd (side='negative') or pcd (side='positive') of a subset.
 
@@ -276,24 +292,15 @@ def closure_deletion(rset, side, method="auto"):
     if side not in ("negative", "positive"):
         raise ContractViolationError("side must be 'negative' or 'positive'")
     system, bits = rset.system, rset.bits
-    if side == "negative":
-        victims = _indices(bits & system.neg_mask)
-        sources = _indices(bits & system.pos_mask)
-    else:
-        victims = _indices(bits & system.pos_mask)
-        sources = _indices(bits & system.neg_mask)
     if method == "auto":
-        ok_fast = system.crystallographic and classify(rset).semiclosed
-        method = "fast" if ok_fast else "exhaustive"
-    elif method == "fast":
-        if not system.crystallographic:
+        fast = (system.crystallographic
+                and _closed_bits(system, bits & system.pos_mask)
+                and _closed_bits(system, bits & system.neg_mask))
+    else:
+        fast = method == "fast"
+        if fast and not system.crystallographic:
             raise ContractViolationError("fast path requires a crystallographic system")
-    test = _deletable_fast if method == "fast" else _deletable_exhaustive
-    out = bits
-    for alpha in victims:
-        if test(system, bits, alpha, sources):
-            out &= ~(1 << alpha)
-    return RootSet(system, out)
+    return RootSet(system, deletion_bits(system, bits, side, fast))
 
 
 # -- convexity ---------------------------------------------------------------

@@ -10,7 +10,11 @@ Level formulas (meet shown; join is the mirror image):
 
 verify_lattice certifies lattice-ness of an explicit family by brute
 force and optionally checks a level formula against the brute-force
-meets and joins, pair by pair.
+meets and joins, pair by pair, running the closure and deletion once per
+mask combination such as (R+ u S+) | (R- n S-).  On level members the set
+handed to ncd/pcd is semiclosed by construction (a closure on one side, an
+intersection of closed sets on the other), so the fast deletion applies
+after checking the one half, with no full classification.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
-from .rootset import RootSet, classify, closure_bits, closure_deletion, _indices
+from .rootset import RootSet, _closed_bits, _indices, classify, closure_bits, deletion_bits
 
 VERIFY_CAP = 5000
 HASSE_CAP = 10_000
@@ -67,28 +71,31 @@ def _level_member(system, bits, level):
     return flags.poset
 
 
-def lattice_op_bits(system, level, direction, rbits, sbits):
-    """Meet or join at a level, raw-bits variant without membership checks."""
-    pos, neg = system.pos_mask, system.neg_mask
+def lattice_op_bits(system, level, direction, rbits, sbits, memo=None):
+    """Meet or join at a level, raw-bits variant without membership checks.
+
+    ``memo``: an optional dict from mask combinations to results, kept by
+    the caller for one system, level and direction.
+    """
     if direction == "meet":
-        p = (rbits | sbits) & pos
-        n = rbits & sbits & neg
-        if level in (Level.SEMICLOSED, Level.CLOSED, Level.POSETS):
-            p = closure_bits(system, p)
-        out = p | n
-        if level in (Level.CLOSED, Level.POSETS):
-            out = closure_deletion(RootSet(system, out), "negative").bits
-        return out
-    if direction == "join":
-        p = rbits & sbits & pos
-        n = (rbits | sbits) & neg
-        if level in (Level.SEMICLOSED, Level.CLOSED, Level.POSETS):
-            n = closure_bits(system, n)
-        out = p | n
-        if level in (Level.CLOSED, Level.POSETS):
-            out = closure_deletion(RootSet(system, out), "positive").bits
-        return out
-    raise ContractViolationError("direction must be 'meet' or 'join'")
+        grown, kept, side = system.pos_mask, system.neg_mask, "negative"
+    elif direction == "join":
+        grown, kept, side = system.neg_mask, system.pos_mask, "positive"
+    else:
+        raise ContractViolationError("direction must be 'meet' or 'join'")
+    key = ((rbits | sbits) & grown) | (rbits & sbits & kept)
+    if level in (Level.ALL, Level.ANTISYM):
+        return key
+    if memo is not None and key in memo:
+        return memo[key]
+    out = closure_bits(system, key & grown) | (key & kept)
+    if level in (Level.CLOSED, Level.POSETS):
+        # the grown half is closed: the fast deletion is complete iff the kept one is
+        fast = system.crystallographic and _closed_bits(system, key & kept)
+        out = deletion_bits(system, out, side, fast)
+    if memo is not None:
+        memo[key] = out
+    return out
 
 
 def require_lattice_ops(system, level):
@@ -252,6 +259,7 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     is_lattice = True
     formula_ok = None if formula is None else True
     witness = None
+    meets, joins = {}, {}
     for i in range(k):
         bi, ai = below[i], above[i]
         for j in range(i + 1, k):
@@ -260,11 +268,12 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
             lub = (highs & -highs).bit_length() - 1
             pair_ok = (glb >= 0 and lub >= 0 and not lows & ~below[glb]
                        and not highs & ~above[lub])
-            if formula is not None:
+            # after the first mismatch the witness is fixed; only pair_ok counts
+            if formula_ok:
                 meet = lattice_op_bits(system, formula, "meet",
-                                       bits_list[i], bits_list[j])
+                                       bits_list[i], bits_list[j], meets)
                 join = lattice_op_bits(system, formula, "join",
-                                       bits_list[i], bits_list[j])
+                                       bits_list[i], bits_list[j], joins)
                 if (pair_ok and index_of.get(meet) == glb
                         and index_of.get(join) == lub):
                     continue

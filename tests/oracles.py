@@ -2,12 +2,13 @@
 
 Each one takes the slow, literal route: the N-span by lattice reachability,
 the posets by a sign-vector sweep, lattice bounds and covers straight from
-their definitions.  None of them is used by the library.
+their definitions, the level formulas with a full classification before
+each deletion.  None of them is used by the library.
 """
 
 from rootposets.errors import UnsupportedOperationError
-from rootposets.rootset import RootSet, classify
-from rootposets.weakorder import canonical_sort, lattice_op, weak_le
+from rootposets.rootset import RootSet, classify, closure_bits, closure_deletion
+from rootposets.weakorder import Level, canonical_sort, weak_le
 
 
 def nspan_oracle(rset, slack=1):
@@ -68,6 +69,27 @@ def poset_sweep(system):
     return out
 
 
+def lattice_op_reference(system, level, direction, rbits, sbits):
+    """A level's meet or join, one pair at a time with no memo.
+
+    The closure and the deletion are applied as the formula reads; the
+    fast deletion is chosen only when ``classify`` finds the whole
+    intermediate set semiclosed.
+    """
+    pos, neg = system.pos_mask, system.neg_mask
+    if direction == "meet":
+        grown, kept, side = (rbits | sbits) & pos, rbits & sbits & neg, "negative"
+    else:
+        grown, kept, side = (rbits | sbits) & neg, rbits & sbits & pos, "positive"
+    if level in (Level.SEMICLOSED, Level.CLOSED, Level.POSETS):
+        grown = closure_bits(system, grown)
+    rset = RootSet(system, grown | kept)
+    if level in (Level.CLOSED, Level.POSETS):
+        fast = system.crystallographic and classify(rset).semiclosed
+        rset = closure_deletion(rset, side, "fast" if fast else "exhaustive")
+    return rset.bits
+
+
 def naive_lattice_report(family, formula=None):
     """verify_lattice's fields, from the definitions and weak_le alone.
 
@@ -92,12 +114,11 @@ def naive_lattice_report(family, formula=None):
             pair_ok = glb is not None and lub is not None
             bad = not pair_ok
             if formula is not None:
-                meet = lattice_op(formula, "meet", fam[i], fam[j],
-                                  check_membership=False)
-                join = lattice_op(formula, "join", fam[i], fam[j],
-                                  check_membership=False)
-                if not (pair_ok and index.get(meet.bits) == glb
-                        and index.get(join.bits) == lub):
+                system, a, b = fam[i].system, fam[i].bits, fam[j].bits
+                meet = lattice_op_reference(system, formula, "meet", a, b)
+                join = lattice_op_reference(system, formula, "join", a, b)
+                if not (pair_ok and index.get(meet) == glb
+                        and index.get(join) == lub):
                     formula_ok, bad = False, True
             if bad:
                 is_lattice = is_lattice and pair_ok

@@ -1,14 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Counts are exact integers (tolerance zero).  Criterion 9 is a stretch
-run gated behind ROOTPOSETS_STRETCH=1; everything else always runs.
+Counts are exact integers (tolerance zero).
 """
 
-import os
 import random
 import time
-
-import pytest
 
 from rootposets.cambrian import coxeter_element, is_c_aligned, is_sortable
 from rootposets.census import (
@@ -247,8 +243,6 @@ def test_criterion_8_oracle_equivalences():
             "closure oracle, 10^4 rank-3 ncd/pcd samples, B3 sortability")
 
 
-@pytest.mark.skipif(not os.environ.get("ROOTPOSETS_STRETCH"),
-                    reason="stretch census; set ROOTPOSETS_STRETCH=1 to run")
 def test_criterion_9_stretch_b4_c4():
     t0 = time.time()
     results = {}

@@ -120,6 +120,16 @@ def test_resource_cap_exit_code(capsys):
     assert code == 3
 
 
+def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
+    """F4 closed is over the backtracking cap, so no row is counted."""
+    import rootposets.census as cns
+    counted = []
+    monkeypatch.setattr(cns, "count_family",
+                        lambda *args: counted.append(args))
+    code, out = run(capsys, "census", "table1", "--types", "B4,C4,F4")
+    assert (code, out, counted) == (3, "", [])
+
+
 @pytest.mark.parametrize("argv,code", [
     (["order", "compare", "--type", "A2", "+[1,", "+[1,0]"], 2),
     (["order", "compare", "--type", "A2", "+[a,0]", "+[1,0]"], 2),

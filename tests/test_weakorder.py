@@ -2,14 +2,15 @@ import pytest
 
 from rootposets.errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
 from rootposets.rootset import RootSet, classify, parse_set_literal, format_set_literal
+import rootposets.weakorder as wo
 from rootposets.weakorder import (
     Level, canonical_sort, covers, export_hasse, hasse_edges, lattice_op,
-    verify_lattice, weak_le,
+    lattice_op_bits, verify_lattice, weak_le,
 )
 from rootposets.census import enumerate_posets
 
 from conftest import system
-from oracles import naive_lattice_report
+from oracles import lattice_op_reference, naive_lattice_report
 
 
 def lit(rs, text):
@@ -267,3 +268,87 @@ def test_verify_lattice_matches_naive_oracle(label):
         assert hasse_edges(family)[1] == want[6]
     assert (False, None) in outcomes and (True, None) in outcomes
     assert (True, False) in outcomes or (False, False) in outcomes
+
+
+def _check_formula_pairs(rs, level, pairs):
+    memos = {"meet": {}, "join": {}}
+    for a, b in pairs:
+        for direction in ("meet", "join"):
+            want = lattice_op_reference(rs, level, direction, a, b)
+            assert lattice_op_bits(rs, level, direction, a, b) == want, \
+                (rs.label, level, direction, a, b)
+            assert lattice_op_bits(rs, level, direction, a, b,
+                                   memos[direction]) == want, \
+                (rs.label, level, direction, a, b)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_lattice_op_bits_matches_reference_on_levels(label):
+    """Every pair of each level whose formula closes or deletes, with and
+    without a memo, against the formulas applied one pair at a time."""
+    rs = system(label)
+    for level in (Level.SEMICLOSED, Level.CLOSED, Level.POSETS):
+        bits = [r.bits for r in level_members(rs, level)]
+        _check_formula_pairs(rs, level, [(a, b) for i, a in enumerate(bits)
+                                         for b in bits[i:]])
+
+
+def test_lattice_op_bits_matches_reference_sampled_a3():
+    import random
+    rng = random.Random("A3 formulas")
+    rs = system("A3")
+    for level in (Level.SEMICLOSED, Level.CLOSED, Level.POSETS):
+        bits = [r.bits for r in level_members(rs, level)]
+        _check_formula_pairs(rs, level, [(rng.choice(bits), rng.choice(bits))
+                                         for _ in range(3000)])
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_lattice_op_bits_matches_reference_off_level(label):
+    """Antisymmetric inputs are not all semiclosed, so the closed and
+    posets formulas reach the exhaustive deletion on some pairs."""
+    import random
+    rng = random.Random(label)
+    rs = system(label)
+    bits = [r.bits for r in level_members(rs, Level.ANTISYM)]
+    pairs = [(rng.choice(bits), rng.choice(bits)) for _ in range(4000)]
+    for level in (Level.CLOSED, Level.POSETS):
+        _check_formula_pairs(rs, level, pairs)
+
+
+def test_lattice_op_bits_deletes_exhaustively_without_theory():
+    """Off the crystallographic types the chain search is incomplete, so the
+    raw formula must take the exhaustive deletion (the guarded entry
+    points refuse these systems)."""
+    import random
+    rng = random.Random("H2")
+    rs = system("H2")
+    bits = [r.bits for r in level_members(rs, Level.ANTISYM)]
+    _check_formula_pairs(rs, Level.CLOSED, [(rng.choice(bits), rng.choice(bits))
+                                            for _ in range(300)])
+
+
+@pytest.mark.parametrize("label,family_level,formula", [
+    ("A2", Level.ANTISYM, Level.POSETS),
+    ("B2", Level.ANTISYM, Level.POSETS),
+    ("B2", Level.ANTISYM, Level.CLOSED),
+    ("B2", Level.SEMICLOSED, Level.POSETS),
+])
+def test_formula_stops_after_first_mismatch(monkeypatch, label, family_level,
+                                            formula):
+    """The report equals the oracle's, which evaluates the formula on every
+    pair, while verify_lattice stops evaluating at the witness pair."""
+    family = level_members(system(label), family_level)
+    want = naive_lattice_report(family, formula)
+    calls = []
+    real = wo.lattice_op_bits
+    monkeypatch.setattr(wo, "lattice_op_bits",
+                        lambda *args: calls.append(args) or real(*args))
+    rep = verify_lattice(family, formula)
+    assert _report_fields(rep) == want[:6]
+    assert rep.formula_matches_bruteforce is False
+    order = canonical_sort(family)
+    k = len(order)
+    i, j = order.index(rep.witness[0]), order.index(rep.witness[1])
+    witness_pair = sum(k - 1 - a for a in range(i)) + (j - i - 1)
+    assert len(calls) == 2 * (witness_pair + 1)
