@@ -1,9 +1,13 @@
 """Coxeter elements, sortable elements, Cambrian classes, snakes.
 
-The Cambrian projections are computed by brute-force extremum over the
-sortable (resp. antisortable) elements rather than by the inductive
-recursion; at desk scale this is cheap and the uniqueness assertions
-double as tests of the cited theory.
+Each (group, word) has one CoxeterElement, which builds its tables once:
+the sortable and antisortable flags, the projections pi_down / pi_up and
+the c-order on the positive roots.  The projections come from the cover
+recursion: every sortable element below w lies below some lower cover
+of w, so pi_down(w) is the largest of the lower covers' images, and the
+recursion checks that it lies above all of them (dually for pi_up).  By
+induction this local check proves the uniqueness the cited theory
+asserts.
 """
 
 from __future__ import annotations
@@ -16,7 +20,12 @@ from .weyl import ParabolicCoset, facial_le, format_word
 
 
 class CoxeterElement:
-    """A Coxeter element given by an ordering of the simple reflections."""
+    """A Coxeter element given by an ordering of the simple reflections.
+
+    Tables indexed by element id: ``sortable``, ``antisortable`` (flags),
+    ``down``, ``up`` (ids of the projections).  ``c_order`` lists the
+    positive-root indices in c-order and ``c_position`` inverts it.
+    """
 
     def __init__(self, group, word):
         word = tuple(word)
@@ -25,16 +34,18 @@ class CoxeterElement:
                 "a Coxeter element uses every simple reflection exactly once")
         self.group = group
         self.word = word
-        self.element = group.from_word(word)
-        self._sorting_cache = {}
-        self._c_order = None
-        self._sortable_ids = None
-        self._antisortable_ids = None
-        self._down_ids = None
-        self._up_ids = None
-
-    def inverse(self):
-        return CoxeterElement(self.group, tuple(reversed(self.word)))
+        els = group.elements
+        self.sortable = [_is_sortable(group, word, w) for w in els]
+        # w is antisortable iff w w0 is sortable for the reversed word
+        self.antisortable = [
+            _is_sortable(group, word[::-1], group.mult(w, group.longest))
+            for w in els]
+        self.down = _cover_projection(group, self.sortable, "down")
+        self.up = _cover_projection(group, self.antisortable, "up")
+        self.c_order = _c_root_order(group, word)
+        self.c_position = [0] * len(self.c_order)
+        for rank_, idx in enumerate(self.c_order):
+            self.c_position[idx] = rank_
 
     def label(self):
         return "".join(f"s{i + 1}" for i in self.word)
@@ -44,25 +55,26 @@ class CoxeterElement:
 
 
 def coxeter_element(group, spec):
-    """Build a Coxeter element from a word spec, or the aliases lin / bip.
+    """The group's Coxeter element for a word spec, or the aliases lin / bip.
 
-    lin is s1 s2 ... sn except in types B/C/F/G where the special vertex
-    (the one on the multiple edge, highest index in Bourbaki numbering
-    for B/C) goes first; bip multiplies one part of the diagram
-    bipartition, then the other.
+    lin is s1 s2 ... sn, except sn ... s1 in types B/C (the special
+    vertex, on the double edge, goes first) and s(n-1) sn s(n-2) ... s1
+    in type D; bip multiplies one part of the diagram bipartition, then
+    the other.  Specs naming the same word give the same object, so its
+    tables are built once per group.
     """
-    n = group.system.rank
-    family = group.system.family
     if isinstance(spec, CoxeterElement):
         return spec
+    n = group.system.rank
+    family = group.system.family
     if spec == "lin":
         if family in ("B", "C"):
-            return CoxeterElement(group, range(n - 1, -1, -1))
-        if family == "D":
-            return CoxeterElement(group,
-                                  [n - 2, n - 1] + list(range(n - 3, -1, -1)))
-        return CoxeterElement(group, range(n))
-    if spec == "bip":
+            word = range(n - 1, -1, -1)
+        elif family == "D":
+            word = [n - 2, n - 1] + list(range(n - 3, -1, -1))
+        else:
+            word = range(n)
+    elif spec == "bip":
         cartan = group.system.cartan
         color = [None] * n
         for start in range(n):
@@ -78,21 +90,48 @@ def coxeter_element(group, spec):
                         stack.append(j)
         word = [i for i in range(n) if color[i] == 0]
         word += [i for i in range(n) if color[i] == 1]
-        return CoxeterElement(group, word)
-    if isinstance(spec, str):
+    elif isinstance(spec, str):
         parts = spec.replace(" ", "")
         word = []
         i = 0
         while i < len(parts):
-            if parts[i] != "s":
-                raise ContractViolationError(f"bad Coxeter word {spec!r}")
             j = i + 1
             while j < len(parts) and parts[j].isdigit():
                 j += 1
+            if parts[i] != "s" or j == i + 1:
+                raise ContractViolationError(f"bad Coxeter word {spec!r}")
             word.append(int(parts[i + 1:j]) - 1)
             i = j
-        return CoxeterElement(group, word)
-    return CoxeterElement(group, spec)
+    else:
+        word = spec
+    word = tuple(word)
+    got = group._coxeter_elements.get(word)
+    if got is None:
+        got = group._coxeter_elements[word] = CoxeterElement(group, word)
+    return got
+
+
+def _sorting_word(group, word, w):
+    simples = group.simple_root_indices
+    letters = []
+    blocks = []
+    u = w
+    while u.length:
+        block = set()
+        for i in word:
+            if (u.inv_bits >> simples[i]) & 1:  # left descent at i
+                u = group.mult_gen_left(i, u)
+                letters.append(i)
+                block.add(i)
+        if not block:
+            raise InvariantError("sorting scan made no progress")
+        blocks.append(frozenset(block))
+    return letters, blocks
+
+
+def _is_sortable(group, word, w):
+    _, blocks = _sorting_word(group, word, w)
+    return all(blocks[i] >= blocks[i + 1] for i in range(len(blocks) - 1))
 
 
 def sorting_word(c, w):
@@ -101,81 +140,55 @@ def sorting_word(c, w):
     Greedy scan of c^infinity taking every letter that shortens w from
     the left; the letters taken during one pass over c form one block.
     """
-    got = c._sorting_cache.get(w.id)
-    if got is not None:
-        return got
-    group = c.group
-    simples = group.simple_root_indices
-    letters = []
-    blocks = []
-    u = w
-    while u.length:
-        block = set()
-        for i in c.word:
-            if (u.inv_bits >> simples[i]) & 1:  # left descent at i
-                u = group.mult_gen_left(i, u)
-                letters.append(i)
-                block.add(i)
-        if not block:
-            raise InvariantError("sorting scan made no progress")
-        blocks.append(frozenset(block))
-    out = (letters, blocks)
-    c._sorting_cache[w.id] = out
-    return out
+    return _sorting_word(c.group, c.word, w)
 
 
 def is_sortable(c, w, kind="sortable"):
-    """Nested-block test for sortable; w*w0 (c^-1)-sortable for antisortable."""
+    """Is w c-sortable (nested blocks), or c-antisortable (w*w0 is
+    c^-1-sortable)?  Read from c's tables."""
+    if kind == "sortable":
+        return c.sortable[w.id]
     if kind == "antisortable":
-        group = c.group
-        return is_sortable(c.inverse(), group.mult(w, group.longest), "sortable")
-    if kind != "sortable":
-        raise ContractViolationError("kind must be 'sortable' or 'antisortable'")
-    _, blocks = sorting_word(c, w)
-    return all(blocks[i] >= blocks[i + 1] for i in range(len(blocks) - 1))
+        return c.antisortable[w.id]
+    raise ContractViolationError("kind must be 'sortable' or 'antisortable'")
 
 
-def _ensure_projection_tables(c):
-    if c._down_ids is not None:
-        return
-    group = c.group
-    sortable = [w.id for w in group.elements if is_sortable(c, w)]
-    anti = [w.id for w in group.elements if is_sortable(c, w, "antisortable")]
-    c._sortable_ids = sortable
-    c._antisortable_ids = anti
-    els = group.elements
-    down = [None] * len(els)
-    up = [None] * len(els)
-    for w in els:
-        best = None
-        for sid in sortable:
-            s = els[sid]
-            if s.weak_le(w) and (best is None or best.weak_le(s)):
-                best = s
-        # uniqueness of the maximum below w
-        for sid in sortable:
-            s = els[sid]
-            if s.weak_le(w) and not s.weak_le(best):
-                raise InvariantError("no unique maximal sortable element below w")
-        down[w.id] = best.id
-        best = None
-        for aid in anti:
-            a = els[aid]
-            if w.weak_le(a) and (best is None or a.weak_le(best)):
-                best = a
-        for aid in anti:
-            a = els[aid]
-            if w.weak_le(a) and not best.weak_le(a):
-                raise InvariantError("no unique minimal antisortable element above w")
-        up[w.id] = best.id
-    c._down_ids = down
-    c._up_ids = up
+def _cover_projection(group, keep, direction):
+    """Ids of the largest kept element below each w ("down"), or of the
+    smallest kept element above it ("up"), by the cover recursion.
+
+    Raises InvariantError where the lower (upper) covers' images have no
+    largest (smallest) element among them.
+    """
+    down = direction == "down"
+    els = group.elements  # sorted by length
+    out = [None] * len(els)
+    for w in (els if down else reversed(els)):
+        if keep[w.id]:
+            out[w.id] = w.id
+            continue
+        descents = w.right_descents()
+        images = [els[out[group.mult_gen_right(w, i).id]]
+                  for i in range(group.system.rank) if (i in descents) == down]
+        if down:
+            best = max(images, key=lambda x: x.length)
+            ok = all(x.weak_le(best) for x in images)
+        else:
+            best = min(images, key=lambda x: x.length)
+            ok = all(best.weak_le(x) for x in images)
+        if not ok:
+            raise InvariantError(
+                f"{group.system.label}: no unique "
+                f"{'largest' if down else 'smallest'} kept element "
+                f"{'below' if down else 'above'} {w!r}; covers project to "
+                f"{sorted(images, key=lambda x: x.id)!r}")
+        out[w.id] = best.id
+    return out
 
 
 def cambrian_project(c, w, direction="down"):
     """pi_down (maximal sortable below) or pi_up (minimal antisortable above)."""
-    _ensure_projection_tables(c)
-    table = c._down_ids if direction == "down" else c._up_ids
+    table = c.down if direction == "down" else c.up
     return c.group.elements[table[w.id]]
 
 
@@ -191,15 +204,14 @@ class CambrianClass:
 
 def cambrian_classes(c):
     """The fibers of the projections, as weak-order intervals partitioning W."""
-    _ensure_projection_tables(c)
     group = c.group
     buckets = {}
     for w in group.elements:
-        buckets.setdefault(c._down_ids[w.id], []).append(w)
+        buckets.setdefault(c.down[w.id], []).append(w)
     classes = []
     for bottom_id, members in sorted(buckets.items()):
         bottom = group.elements[bottom_id]
-        tops = {c._up_ids[w.id] for w in members}
+        tops = {c.up[w.id] for w in members}
         if len(tops) != 1:
             raise InvariantError("Cambrian class has inconsistent top")
         top = group.elements[tops.pop()]
@@ -215,25 +227,12 @@ def cambrian_classes(c):
     return classes
 
 
-def class_of(c, w):
-    _ensure_projection_tables(c)
-    return c._down_ids[w.id]
-
-
-def cambrian_le(c, x_class, y_class):
-    """X <= Y in the Cambrian lattice via the sortable bottoms."""
-    return x_class.bottom.weak_le(y_class.bottom)
-
-
 # -- the c-order on positive roots and alignment ------------------------------
 
-def c_root_order(c):
+def _c_root_order(group, word):
     """Total order on positive-root indices from the c-sorting word of w0."""
-    if c._c_order is not None:
-        return c._c_order
-    group = c.group
     system = group.system
-    letters, _ = sorting_word(c, group.longest)
+    letters, _ = _sorting_word(group, word, group.longest)
     if len(letters) != system.num_positive:
         raise InvariantError("sorting word of w0 has wrong length")
     order = []
@@ -244,16 +243,7 @@ def c_root_order(c):
         prefix = group.mult(prefix, group.generator(q))
     if sorted(order) != list(range(system.num_positive)):
         raise InvariantError("c-order does not enumerate the positive roots")
-    c._c_order = order
     return order
-
-
-def c_position_table(c):
-    order = c_root_order(c)
-    pos = [0] * len(order)
-    for rank_, idx in enumerate(order):
-        pos[idx] = rank_
-    return pos
 
 
 def is_c_aligned(c, rset):
@@ -261,7 +251,7 @@ def is_c_aligned(c, rset):
     system = c.group.system
     if rset.bits & system.neg_mask:
         raise ContractViolationError("alignment is defined for sets of positive roots")
-    pos = c_position_table(c)
+    pos = c.c_position
     table = system.sum_table
     n = system.num_positive
     bits = rset.bits
@@ -285,7 +275,7 @@ def _snakes(c, rset, max_len):
     the sign-swapped pattern with the mirrored comparison chain.
     """
     system = c.group.system
-    pos = c_position_table(c)
+    pos = c.c_position
     members = _indices(rset.bits)
 
     def posval(i):
@@ -398,10 +388,9 @@ class FacialCambrianClass:
 
 def facial_cambrian_classes(c, cosets):
     """Partition of the cosets by (x class, x w_{o,I} class); min/max checked."""
-    _ensure_projection_tables(c)
     buckets = {}
     for coset in cosets:
-        key = (class_of(c, coset.x), class_of(c, coset.w_long))
+        key = (c.down[coset.x.id], c.down[coset.w_long.id])
         buckets.setdefault(key, []).append(coset)
     classes = []
     for key in sorted(buckets):

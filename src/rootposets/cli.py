@@ -84,10 +84,17 @@ def cmd_rootsys_info(args):
     return 0
 
 
+def _family_id(name, coxeter):
+    """FamilyId of a --family value; only the tag is case-insensitive, so
+    a printed name such as COIP(bip) reads back."""
+    tag, paren, spec = name.partition("(")
+    return fam.FamilyId.parse(tag.upper() + paren + spec, coxeter)
+
+
 def cmd_families_build(args):
     system = build_from_label(args.system)
     group = weyl_group(system)
-    family = fam.FamilyId.parse(args.family.upper(), args.coxeter)
+    family = _family_id(args.family, args.coxeter)
     members = fam.construct_family(group, family)
     payload = _json_result(system.label, str(family),
                            [format_set_literal(r) for r in members])
@@ -116,7 +123,7 @@ def _members(system, name, coxeter, cap):
     level = wo.Level.named(name)
     if level is not None:
         return cns.level_members(system, level, cap), level
-    family = fam.FamilyId.parse(name.upper(), coxeter)
+    family = _family_id(name, coxeter)
     return fam.construct_family(weyl_group(system), family), None
 
 

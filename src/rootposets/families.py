@@ -122,7 +122,7 @@ def construct_family(group, family):
         classes = camb.cambrian_classes(c)
         for x in classes:
             for y in classes:
-                if camb.cambrian_le(c, x, y):
+                if x.bottom.weak_le(y.bottom):
                     put(wy.interval_poset(group, x.bottom, y.top))
     elif tag == "COFP":
         cosets = wy.enumerate_cosets(group)
@@ -215,7 +215,7 @@ def member_predicate(group, family, rset, allow_conjectural=False):
 
     if tag == "COIP":
         c = _resolve_coxeter(group, family)
-        pos = camb.c_position_table(c)
+        pos = c.c_position
         n = system.num_positive
         for a, b, k in _same_sign_pairs(system):
             if not (bits >> k) & 1:
@@ -284,9 +284,7 @@ def verify_family_equality(group, family, all_posets, allow_conjectural=False):
 
 def woip_interval_of(group, rset):
     """The (min, max) of L(R) realizing a WOIP poset as R(v, v')."""
-    cache = getattr(group, "_woip_interval_cache", None)
-    if cache is None:
-        cache = group._woip_interval_cache = {}
+    cache = group._woip_interval_cache
     got = cache.get(rset.bits)
     if got is not None:
         return got

@@ -61,14 +61,6 @@ class RootSet:
         self._check_same(other)
         return RootSet(self.system, self.bits | other.bits)
 
-    def intersection(self, other):
-        self._check_same(other)
-        return RootSet(self.system, self.bits & other.bits)
-
-    def negation(self):
-        """The set {-a : a in R}."""
-        return RootSet(self.system, self.system.negate_bits(self.bits))
-
     def positive_part(self):
         return RootSet(self.system, self.bits & self.system.pos_mask)
 
@@ -337,15 +329,8 @@ def linear_extensions(rset, group):
 
 def format_set_literal(rset):
     """Comma-separated signed coordinate vectors, e.g. ``+[1,1],-[0,1]``."""
-    system = rset.system
-    parts = []
-    for i in sorted(rset):
-        pos = system.is_positive(i)
-        j = i if pos else system.neg(i)
-        coords = system.roots[j].coords
-        body = ",".join(str(c) for c in coords)
-        parts.append(f"{'+' if pos else '-'}[{body}]")
-    return ",".join(parts)
+    literals = rset.system.literals
+    return ",".join([literals[i] for i in _indices(rset.bits)])
 
 
 def parse_set_literal(system, text):

@@ -218,6 +218,11 @@ class RootSystem:
             self.roots.append(Root(idx + self.num_positive, neg,
                                    sum(neg, Coeff(0)), False))
         self.index_of_coords = {r.coords: r.index for r in self.roots}
+        # the signed literal of each root, e.g. -[0,1]: the sign, then the
+        # coordinates of the positive root
+        self.literals = tuple(
+            f"{sign}[{','.join(str(c) for c in r.coords)}]"
+            for sign in "+-" for r in self.roots[:self.num_positive])
 
     def _build_tables(self):
         n2 = self.num_roots
@@ -300,9 +305,6 @@ class RootSystem:
             coords = tuple(Coeff(1 if j == i else 0) for j in range(self.rank))
             out.append(self.index_of_coords[coords])
         return out
-
-    def height(self, i):
-        return self.roots[i].height
 
     def abs_height(self, i):
         return abs(self.roots[i].height)

@@ -137,6 +137,8 @@ class WeylGroup:
         self._meet_cache = {}
         self._join_cache = {}
         self._parabolic_cache = {}
+        self._coxeter_elements = {}  # word -> CoxeterElement, see cambrian
+        self._woip_interval_cache = {}  # set bits -> (v, w), see families
 
     def _poset_bits_of(self, w):
         bits = 0

@@ -3,7 +3,8 @@
 Each one takes the slow, literal route: the N-span by lattice reachability,
 the posets by a sign-vector sweep, lattice bounds and covers straight from
 their definitions, the level formulas with a full classification before
-each deletion.  None of them is used by the library.
+each deletion, the Cambrian projections by scanning every sortable
+element.  None of them is used by the library.
 """
 
 from rootposets.errors import UnsupportedOperationError
@@ -88,6 +89,61 @@ def lattice_op_reference(system, level, direction, rbits, sbits):
         fast = system.crystallographic and classify(rset).semiclosed
         rset = closure_deletion(rset, side, "fast" if fast else "exhaustive")
     return rset.bits
+
+
+def cambrian_projection_reference(group, word):
+    """The Cambrian tables of the Coxeter element ``word``, by brute force.
+
+    w is sortable when the blocks of its c-sorting word are nested, and
+    antisortable when w w0 is sortable for the reversed word.  pi_down(w)
+    is found by scanning every sortable element below w for one above all
+    the others (pi_up dually, over the antisortables above w).  The
+    c-order is the inversion sequence of the c-sorting word of w0, built
+    by reflecting root indices.  Returns (sortable ids, antisortable ids,
+    down, up, c_order).
+    """
+    system = group.system
+    simples = group.simple_root_indices
+
+    def sorting_word(letters_of_c, w):
+        letters, blocks = [], []
+        while w.length:
+            block = set()
+            for i in letters_of_c:
+                if (w.inv_bits >> simples[i]) & 1:
+                    w = group.mult_gen_left(i, w)
+                    letters.append(i)
+                    block.add(i)
+            blocks.append(block)
+        return letters, blocks
+
+    def nested(letters_of_c, w):
+        _, blocks = sorting_word(letters_of_c, w)
+        return all(b <= a for a, b in zip(blocks, blocks[1:]))
+
+    els = group.elements
+    sortable = [w.id for w in els if nested(word, w)]
+    anti = [w.id for w in els
+            if nested(word[::-1], group.mult(w, group.longest))]
+
+    def extremum(ids, in_range, above):
+        inside = [els[i] for i in ids if in_range(els[i])]
+        best = [x for x in inside
+                if all((y.weak_le(x) if above else x.weak_le(y)) for y in inside)]
+        assert len(best) == 1
+        return best[0].id
+
+    down = [extremum(sortable, lambda s, w=w: s.weak_le(w), True) for w in els]
+    up = [extremum(anti, lambda a, w=w: w.weak_le(a), False) for w in els]
+
+    letters, _ = sorting_word(word, group.longest)
+    order = []
+    for k, q in enumerate(letters):
+        root = simples[q]
+        for p in reversed(letters[:k]):
+            root = system.reflect(simples[p], root)
+        order.append(root)
+    return sortable, anti, down, up, order
 
 
 def naive_lattice_report(family, formula=None):

@@ -1,15 +1,16 @@
 import pytest
 
 from rootposets.cambrian import (
-    cambrian_classes, cambrian_project, c_root_order,
+    _cover_projection, cambrian_classes, cambrian_project,
     coxeter_element, facial_cambrian_classes, is_c_aligned, is_sortable,
     snake_decomposable_roots, sorting_word,
 )
-from rootposets.errors import ContractViolationError
+from rootposets.errors import ContractViolationError, InvariantError
 from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weyl import enumerate_cosets
 
 from conftest import group, system
+from oracles import cambrian_projection_reference
 
 
 def cox(label, spec="lin"):
@@ -21,8 +22,12 @@ def test_coxeter_element_specs(a3):
     assert coxeter_element(g, "lin").word == (0, 1, 2)
     assert coxeter_element(g, "bip").word == (0, 2, 1)
     assert coxeter_element(g, "s2s1s3").word == (1, 0, 2)
-    with pytest.raises(ContractViolationError):
-        coxeter_element(g, "s1s1s2")
+    for bad in ("s1s1s2", "s", "s1s2s", "ss1s2", "s1s2x3"):
+        with pytest.raises(ContractViolationError):
+            coxeter_element(g, bad)
+    # one element per group and word, whatever the spec
+    assert coxeter_element(g, "lin") is coxeter_element(g, "s1s2s3")
+    assert coxeter_element(g, "bip") is coxeter_element(g, [0, 2, 1])
     # B/C linear convention starts at the special vertex
     assert coxeter_element(group("B3"), "lin").word == (2, 1, 0)
 
@@ -83,22 +88,52 @@ def test_projections(a2):
             assert hi.id == w.id
 
 
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "H2", "H3", "I2(5)"])
+def test_tables_match_projection_reference(label):
+    """Sortables, antisortables, both projections and the c-order equal
+    the brute-force scan, for lin, bip and the word s2 s3 ... sn s1."""
+    g = group(label)
+    n = g.system.rank
+    rotated = "".join(f"s{i % n + 1}" for i in range(1, n + 1))
+    for spec in ("lin", "bip", rotated):
+        c = coxeter_element(g, spec)
+        sortable, anti, down, up, order = cambrian_projection_reference(g, c.word)
+        assert [w.id for w in g.elements if c.sortable[w.id]] == sortable
+        assert [w.id for w in g.elements if c.antisortable[w.id]] == anti
+        assert (c.down, c.up, c.c_order) == (down, up, order)
+        assert all(c.c_position[idx] == k for k, idx in enumerate(order))
+
+
+def test_cover_projection_refuses_a_non_sortable_keep_set():
+    """On A2, {e, s1, s2} has no largest element below w0, and
+    {s1s2, s2s1, w0} no smallest above e: the local check must fire."""
+    g = group("A2")
+    keep = [w.length <= 1 for w in g.elements]
+    with pytest.raises(InvariantError):
+        _cover_projection(g, keep, "down")
+    keep = [w.length >= 2 for w in g.elements]
+    with pytest.raises(InvariantError):
+        _cover_projection(g, keep, "up")
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "A3", "B3"])
 def test_projections_are_order_preserving_and_idempotent(label):
     g = group(label)
-    c = coxeter_element(g, "lin")
-    for w in g.elements:
-        lo = cambrian_project(c, w, "down")
-        assert cambrian_project(c, lo, "down").id == lo.id
-        hi = cambrian_project(c, w, "up")
-        assert cambrian_project(c, hi, "up").id == hi.id
-    for v in g.elements:
-        pv_d = cambrian_project(c, v, "down")
-        pv_u = cambrian_project(c, v, "up")
+    for spec in ("lin", "bip"):
+        c = coxeter_element(g, spec)
         for w in g.elements:
-            if v.weak_le(w):
-                assert pv_d.weak_le(cambrian_project(c, w, "down"))
-                assert pv_u.weak_le(cambrian_project(c, w, "up"))
+            lo = cambrian_project(c, w, "down")
+            assert cambrian_project(c, lo, "down").id == lo.id
+            hi = cambrian_project(c, w, "up")
+            assert cambrian_project(c, hi, "up").id == hi.id
+        for v in g.elements:
+            pv_d = cambrian_project(c, v, "down")
+            pv_u = cambrian_project(c, v, "up")
+            for w in g.elements:
+                if v.weak_le(w):
+                    assert pv_d.weak_le(cambrian_project(c, w, "down"))
+                    assert pv_u.weak_le(cambrian_project(c, w, "up"))
 
 
 @pytest.mark.parametrize("label,classes", [("A1", 2), ("A2", 5), ("B2", 6)])
@@ -140,7 +175,7 @@ def test_cambrian_order_isomorphism(label):
 def test_c_root_order_example(a2):
     c = cox("A2")
     rs = system("A2")
-    order = c_root_order(c)
+    order = c.c_order
     coords = [tuple(str(x) for x in rs.roots[i].coords) for i in order]
     assert coords == [("1", "0"), ("1", "1"), ("0", "1")]
 

@@ -5,12 +5,14 @@ from rootposets.census import (
     count_family, enumerate_posets, level_members, reference_count,
     reproduce_counterexample, table1_rows,
 )
+from rootposets import cambrian as camb
 from rootposets import families as fam
 from rootposets.errors import (
     ContractViolationError, ResourceCapError, UnsupportedOperationError,
 )
 from rootposets.families import FamilyId, construct_family
 from rootposets.rootset import RootSet, classify, parse_set_literal
+from rootposets.rootsys import build_from_label
 from rootposets.weakorder import Level
 
 from conftest import group, system
@@ -52,6 +54,22 @@ def test_family_counts_via_census(a2):
     assert res.count == 6 and res.method == "exhaustive"
     res = count_family(a2, "COIP(bip)", group("A2"))
     assert res.count == 13
+
+
+def test_cambrian_rows_share_one_coxeter_element(monkeypatch):
+    """The COEP, COIP(lin) and COFP rows of a type build its tables once."""
+    built = []
+    init = camb.CoxeterElement.__init__
+
+    def counting_init(self, group, word):
+        built.append(tuple(word))
+        init(self, group, word)
+
+    monkeypatch.setattr(camb.CoxeterElement, "__init__", counting_init)
+    fresh = build_from_label("B3")  # a system whose group holds no element yet
+    for name in ("COEP", "COIP(lin)", "COFP"):
+        count_family(fresh, name)
+    assert built == [(2, 1, 0)]
 
 
 def test_checksums_are_reproducible(a3):

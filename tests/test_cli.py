@@ -138,6 +138,11 @@ def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
     (["check-conjecture", "coip-sublattice", "--type", "H2"], 2),
     (["lattice", "verify", "--type", "H2", "--family", "posets"], 2),
     (["lattice", "verify", "--type", "D4", "--family", "all"], 3),
+] + [
+    ([*command, "--type", "B2", "--coxeter", word], 2)
+    for command in (["families", "build", "--family", "coip"],
+                    ["check-conjecture", "coip-sublattice"])
+    for word in ("s", "s1s2s", "ss1s2")
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line
@@ -147,3 +152,20 @@ def test_exit_code_contract(capsys, tmp_path, argv, code):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_printed_family_name_is_accepted(capsys):
+    """The family name the CLI prints, COIP(bip), reads back as
+    --family coip --coxeter bip; only the tag is case-insensitive."""
+    build = ("families", "build", "--type", "A3")
+    code, spelled = run(capsys, *build, "--family", "COIP(bip)")
+    assert code == 0 and json.loads(spelled)["family"] == "COIP(bip)"
+    assert spelled == run(capsys, *build, "--family", "coip", "--coxeter", "bip")[1]
+    assert spelled != run(capsys, *build, "--family", "coip")[1]
+    explicit = run(capsys, *build, "--family", "coip(s1s3s2)")[1]
+    assert json.loads(explicit)["result"] == json.loads(spelled)["result"]
+    verify = ("lattice", "verify", "--type", "A3")
+    code, spelled = run(capsys, *verify, "--family", "COIP(bip)")
+    _, split = run(capsys, *verify, "--family", "coip", "--coxeter", "bip")
+    assert code == 0
+    assert json.loads(spelled)["result"] == json.loads(split)["result"]
