@@ -36,9 +36,11 @@ class CoxeterElement:
         self.word = word
         els = group.elements
         self.sortable = [_is_sortable(group, word, w) for w in els]
-        # w is antisortable iff w w0 is sortable for the reversed word
+        # w is antisortable iff w w0 is sortable for the reversed word;
+        # inv(w w0) is Phi^+ minus inv(w)
+        pos = group.system.pos_mask
         self.antisortable = [
-            _is_sortable(group, word[::-1], group.mult(w, group.longest))
+            _is_sortable(group, word[::-1], els[group._by_inv[pos ^ w.inv_bits]])
             for w in els]
         self.down = _cover_projection(group, self.sortable, "down")
         self.up = _cover_projection(group, self.antisortable, "up")
@@ -240,7 +242,7 @@ def _c_root_order(group, word):
     for q in letters:
         root = prefix.perm[group.simple_root_indices[q]]
         order.append(root)
-        prefix = group.mult(prefix, group.generator(q))
+        prefix = group.mult_gen_right(prefix, q)
     if sorted(order) != list(range(system.num_positive)):
         raise InvariantError("c-order does not enumerate the positive roots")
     return order

@@ -409,10 +409,17 @@ def check_conjecture(conj_id, system, coxeter_spec="lin", rank_cap=3):
         posets = enumerate_posets(system)
         report = fam.verify_family_equality(
             group, fam.FamilyId("COEP", c), posets, allow_conjectural=True)
+        detail = (f"constructed {report.construction_count}, "
+                  f"predicate {report.predicate_count}")
+        if not report.equal:
+            def first(only):
+                return (f"{{{format_set_literal(RootSet(system, only[0]))}}}"
+                        if only else "none")
+            detail += (f"; first only in the predicate: "
+                       f"{first(report.only_predicate)}, first only "
+                       f"constructed: {first(report.only_constructed)}")
         return ConjectureReport(
-            conj_id, system.label, label, report.equal,
-            detail=f"constructed {report.construction_count}, "
-                   f"predicate {report.predicate_count}",
+            conj_id, system.label, label, report.equal, detail=detail,
             witness=None if report.equal else
             (report.only_constructed, report.only_predicate))
 

@@ -283,26 +283,21 @@ def verify_family_equality(group, family, all_posets, allow_conjectural=False):
 # -- family-internal lattice operations (for the sublattice suite) ---------
 
 def woip_interval_of(group, rset):
-    """The (min, max) of L(R) realizing a WOIP poset as R(v, v')."""
-    cache = group._woip_interval_cache
-    got = cache.get(rset.bits)
-    if got is not None:
-        return got
-    from .rootset import linear_extensions
-    exts = linear_extensions(rset, group)
-    if not exts:
-        raise ContractViolationError("poset has no linear extensions")
-    lo = min(exts, key=lambda w: w.length)
-    hi = max(exts, key=lambda w: w.length)
-    for w in exts:
-        if not (lo.weak_le(w) and w.weak_le(hi)):
-            raise ContractViolationError("extension set has no unique extremes")
-    expect = (lo.poset_bits & group.system.neg_mask) | (
-        hi.poset_bits & group.system.pos_mask)
-    if expect != rset.bits:
+    """The (v, w) with v <= w realizing a WOIP poset as R(v, w).
+
+    R(v, w) meets Phi^- in -inv(v) and Phi^+ in Phi^+ minus inv(w), so v
+    and w are looked up by those inversion sets.
+    """
+    system = group.system
+    v = group._by_inv.get(system.negate_bits(rset.bits & system.neg_mask))
+    w = group._by_inv.get(system.pos_mask & ~rset.bits)
+    if v is None or w is None:
         raise ContractViolationError("set is not a weak order interval poset")
-    cache[rset.bits] = (lo, hi)
-    return lo, hi
+    v, w = group.elements[v], group.elements[w]
+    # interval_poset refuses v, w unless v <= w
+    if wy.interval_poset(group, v, w).bits != rset.bits:
+        raise ContractViolationError("set is not a weak order interval poset")
+    return v, w
 
 
 def woip_op(group, direction, rset, sset):

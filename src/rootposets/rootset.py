@@ -313,18 +313,6 @@ def is_convex(rset):
     return True
 
 
-# -- poset extensions --------------------------------------------------------
-
-def linear_extensions(rset, group):
-    """All group elements w with R contained in R(w) = w(Phi^+).
-
-    Nonempty for every poset: maximal extensions of a poset are exactly
-    the element posets.
-    """
-    bits = rset.bits
-    return [w for w in group.elements if bits & ~w.poset_bits == 0]
-
-
 # -- textual set literals ------------------------------------------------
 
 def format_set_literal(rset):

@@ -2,6 +2,8 @@
 
 Elements are stored as permutations of root indices (the action on Phi),
 which makes inversion sets, lengths and images of posets O(1)-ish lookups.
+Products with a generator, inverses and the elements named by an
+inversion set are read from integer tables built once with the group.
 Reduced words are recovered on demand by stripping left descents.
 """
 
@@ -30,9 +32,6 @@ class WeylElement:
         """Bits of R(w) = w(Phi^+)."""
         return self.group.poset_bits[self.id]
 
-    def apply(self, root_index):
-        return self.perm[root_index]
-
     def weak_le(self, other):
         return self.inv_bits & ~other.inv_bits == 0
 
@@ -42,9 +41,6 @@ class WeylElement:
 
     def right_descents(self):
         return self.group.right_descent_cache[self.id]
-
-    def inverse(self):
-        return self.group.inverse_of(self)
 
     def word(self):
         """A reduced word over simple positions, by greedy descent stripping.
@@ -70,7 +66,12 @@ def format_word(word):
 
 
 class WeylGroup:
-    """The full element table of a finite reflection group."""
+    """The full element table of a finite reflection group.
+
+    Ids follow (length, inversion bits): ``right[i][w]`` is the id of
+    w s_i, ``left[i][w]`` of s_i w, ``inverse[w]`` of w^-1, and
+    ``_by_inv`` maps inversion bits to ids.
+    """
 
     def __init__(self, system, cap=GROUP_CAP):
         order = system.weyl_order()
@@ -78,73 +79,67 @@ class WeylGroup:
             raise ResourceCapError(
                 f"|W({system.label})| = {order} exceeds the cap {cap}")
         self.system = system
-        n2 = system.num_roots
+        n = system.num_positive
         simples = system.simple_indices()
         self.simple_root_indices = simples
-        gen_perms = []
-        for s in simples:
-            gen_perms.append(tuple(system.reflect(s, t) for t in range(n2)))
-        self.gen_perms = gen_perms
+        gen_perms = [tuple(system.reflect(s, t) for t in range(system.num_roots))
+                     for s in simples]
 
-        identity = tuple(range(n2))
-        perms = {identity: 0}
-        elements = [identity]
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for perm in frontier:
-                for gp in gen_perms:
+        # Breadth first from the identity, finding elements by inversion
+        # set inv(w) = Phi^+ n w(Phi^-): inv(w s) gains w(alpha_s) when it
+        # is positive and loses -w(alpha_s) otherwise.
+        perms = [tuple(range(system.num_roots))]
+        inv_bits = [0]
+        found = {0: 0}
+        products = [[] for _ in simples]  # products[i][k]: BFS index of perms[k] s_i
+        for k, perm in enumerate(perms):  # perms grows while it is read
+            for s, gp, row in zip(simples, gen_perms, products):
+                image = perm[s]
+                bits = (inv_bits[k] | 1 << image if image < n
+                        else inv_bits[k] & ~(1 << image - n))
+                j = found.get(bits)
+                if j is None:
+                    j = found[bits] = len(perms)
                     # right multiplication: (w s)(v) = w(s(v))
-                    new = tuple(perm[gp[t]] for t in range(n2))
-                    if new not in perms:
-                        perms[new] = len(elements)
-                        elements.append(new)
-                        nxt.append(new)
-            frontier = nxt
-        if len(elements) != order:
+                    perms.append(tuple([perm[t] for t in gp]))
+                    inv_bits.append(bits)
+                row.append(j)
+        if len(perms) != order:
             raise InvariantError(
-                f"generated {len(elements)} elements of W({system.label}), "
+                f"generated {len(perms)} elements of W({system.label}), "
                 f"expected {order}")
 
-        pos_mask = system.pos_mask
-        neg_start = system.num_positive
-        self.elements = []
-        self._by_perm = perms
-        for ident, perm in enumerate(elements):
-            inv_bits = 0
-            for j in range(neg_start, n2):
-                image = perm[j]
-                if image < neg_start:
-                    inv_bits |= 1 << image
-            w = WeylElement(self, perm, inv_bits, inv_bits.bit_count(), ident)
-            self.elements.append(w)
         # identity first, then by (length, inversion bits) for determinism
-        self.elements.sort(key=lambda w: (w.length, w.inv_bits))
-        self._by_perm = {w.perm: i for i, w in enumerate(self.elements)}
-        for i, w in enumerate(self.elements):
-            w.id = i
-        self.poset_bits = [self._poset_bits_of(w) for w in self.elements]
+        bfs = sorted(range(order),
+                     key=lambda k: (inv_bits[k].bit_count(), inv_bits[k]))
+        new_id = [0] * order
+        for ident, k in enumerate(bfs):
+            new_id[k] = ident
+        self.elements = [
+            WeylElement(self, perms[k], inv_bits[k], inv_bits[k].bit_count(), ident)
+            for ident, k in enumerate(bfs)]
+        self._by_inv = {w.inv_bits: w.id for w in self.elements}
+        self.right = [[new_id[row[k]] for k in bfs] for row in products]
+        # inv(w^-1) holds the positive roots that w makes negative
+        self.inverse = [
+            self._by_inv[sum(1 << a for a in range(n) if w.perm[a] >= n)]
+            for w in self.elements]
+        inverse = self.inverse
+        # s_i w = (w^-1 s_i)^-1
+        self.left = [[inverse[row[inverse[w]]] for w in range(order)]
+                     for row in self.right]
+        # R(w) = w(Phi^+) = (Phi^+ minus inv(w)) | -inv(w)
+        self.poset_bits = [(system.pos_mask & ~w.inv_bits) | w.inv_bits << n
+                           for w in self.elements]
         simple_pos = {s: i for i, s in enumerate(simples)}
         self.descent_cache = [
             frozenset(simple_pos[s] for s in simples if (w.inv_bits >> s) & 1)
             for w in self.elements]
         self.right_descent_cache = [
-            frozenset(i for i, s in enumerate(simples)
-                      if w.perm[s] >= neg_start)
+            frozenset(i for i, s in enumerate(simples) if w.perm[s] >= n)
             for w in self.elements]
-        self._longest = max(self.elements, key=lambda w: w.length)
-        self._inverse_ids = None
-        self._meet_cache = {}
-        self._join_cache = {}
         self._parabolic_cache = {}
         self._coxeter_elements = {}  # word -> CoxeterElement, see cambrian
-        self._woip_interval_cache = {}  # set bits -> (v, w), see families
-
-    def _poset_bits_of(self, w):
-        bits = 0
-        for i in range(self.system.num_positive):
-            bits |= 1 << w.perm[i]
-        return bits
 
     # -- element access ----------------------------------------------------
 
@@ -154,80 +149,69 @@ class WeylGroup:
 
     @property
     def longest(self):
-        return self._longest
+        return self.elements[-1]
 
     def generator(self, i):
         """The simple reflection s_{i+1} as a group element."""
-        return self.elements[self._by_perm[self.gen_perms[i]]]
-
-    def by_perm(self, perm):
-        return self.elements[self._by_perm[perm]]
+        return self.elements[self.right[i][0]]
 
     def mult(self, a, b):
         """Product ab (first apply b, then a, as permutations of roots)."""
-        pa, pb = a.perm, b.perm
-        return self.by_perm(tuple(pa[pb[t]] for t in range(self.system.num_roots)))
+        return self._walk(a.id, b.word())
 
     def mult_gen_left(self, i, w):
-        gp = self.gen_perms[i]
-        return self.by_perm(tuple(gp[w.perm[t]] for t in range(self.system.num_roots)))
+        return self.elements[self.left[i][w.id]]
 
     def mult_gen_right(self, w, i):
-        gp = self.gen_perms[i]
-        return self.by_perm(tuple(w.perm[gp[t]] for t in range(self.system.num_roots)))
+        return self.elements[self.right[i][w.id]]
 
     def inverse_of(self, w):
-        if self._inverse_ids is None:
-            self._inverse_ids = [None] * len(self.elements)
-            for x in self.elements:
-                inv = [0] * len(x.perm)
-                for t, image in enumerate(x.perm):
-                    inv[image] = t
-                self._inverse_ids[x.id] = self._by_perm[tuple(inv)]
-        return self.elements[self._inverse_ids[w.id]]
+        return self.elements[self.inverse[w.id]]
 
     def from_word(self, word):
-        w = self.identity
+        return self._walk(0, word)
+
+    def _walk(self, ident, word):
+        """The element (ident) s_{i1} s_{i2} ... for word = (i1, i2, ...)."""
+        right = self.right
         for i in word:
-            w = self.mult_gen_right(w, i)
-        return w
+            ident = right[i][ident]
+        return self.elements[ident]
 
     # -- weak order --------------------------------------------------------
 
     def weak_meet(self, a, b):
         """Greatest lower bound in the (right) weak order."""
-        key = (a.id, b.id) if a.id <= b.id else (b.id, a.id)
-        got = self._meet_cache.get(key)
-        if got is not None:
-            return got
-        cap = a.inv_bits & b.inv_bits
-        best = self.identity
-        for w in self.elements:
-            if w.inv_bits & ~cap == 0 and w.length > best.length:
-                best = w
-        # glb sanity: every common lower bound must sit below best
-        for w in self.elements:
-            if w.inv_bits & ~cap == 0 and not w.weak_le(best):
-                raise InvariantError("weak order meet failed to be a glb")
-        self._meet_cache[key] = best
-        return best
+        return self._weak_extremum(a, b, "meet")
 
     def weak_join(self, a, b):
-        key = (a.id, b.id) if a.id <= b.id else (b.id, a.id)
-        got = self._join_cache.get(key)
-        if got is not None:
-            return got
-        cup = a.inv_bits | b.inv_bits
-        best = None
-        for w in self.elements:
-            if cup & ~w.inv_bits == 0:
-                if best is None or w.length < best.length:
-                    best = w
-        for w in self.elements:
-            if cup & ~w.inv_bits == 0 and not best.weak_le(w):
-                raise InvariantError("weak order join failed to be a lub")
-        self._join_cache[key] = best
-        return best
+        """Least upper bound in the (right) weak order."""
+        return self._weak_extremum(a, b, "join")
+
+    def _weak_extremum(self, a, b, direction):
+        """The meet (join) of a and b, whose inversion set is the union of
+        the common lower bounds' (the intersection of the common upper
+        bounds').  An element with that inversion set lies above (below)
+        every common bound and is one itself, so finding it proves it is
+        the meet (join)."""
+        if direction == "meet":
+            cap = a.inv_bits & b.inv_bits
+            bits = 0
+            for w in self.elements:
+                if w.inv_bits & ~cap == 0:
+                    bits |= w.inv_bits
+        else:
+            cup = a.inv_bits | b.inv_bits
+            bits = self.system.pos_mask
+            for w in self.elements:
+                if cup & ~w.inv_bits == 0:
+                    bits &= w.inv_bits
+        ident = self._by_inv.get(bits)
+        if ident is None:
+            raise InvariantError(
+                f"{self.system.label}: {a!r} and {b!r} have no weak order "
+                f"{direction}")
+        return self.elements[ident]
 
     # -- parabolic data ------------------------------------------------------
 
@@ -243,21 +227,21 @@ class WeylGroup:
             coords = system.roots[i].coords
             if all(not coords[j] or j in subset for j in range(system.rank)):
                 span_bits |= 1 << i
-        w_long = self.identity
-        for w in self.elements:
-            if w.inv_bits & ~span_bits == 0 and w.length > w_long.length:
-                w_long = w
-        if w_long.inv_bits != span_bits:
-            raise InvariantError("longest parabolic element has wrong inversions")
-        out = (span_bits, w_long)
+        # w_{o,I} is the element whose inversion set is Phi_I^+
+        ident = self._by_inv.get(span_bits)
+        if ident is None:
+            raise InvariantError(
+                f"{system.label}: no element has the inversion set Phi_I^+ "
+                f"for I = {sorted(subset)}")
+        out = (span_bits, self.elements[ident])
         self._parabolic_cache[subset] = out
         return out
 
 
-def weyl_group(system, cap=GROUP_CAP):
+def weyl_group(system):
     """Generate (or fetch the cached) group of a root system."""
     if system._group is None:
-        system._group = WeylGroup(system, cap)
+        system._group = WeylGroup(system)
     return system._group
 
 
@@ -296,11 +280,9 @@ def enumerate_cosets(group):
     out = []
     for mask in range(1 << n):
         subset = frozenset(i for i in range(n) if (mask >> i) & 1)
-        _, w_oi = group.parabolic_data(subset)
         for x in group.elements:
             if not subset & x.right_descents():
-                out.append(ParabolicCoset(x=x, subset=subset,
-                                          w_long=group.mult(x, w_oi)))
+                out.append(make_coset(group, x, subset))
     out.sort(key=lambda c: (len(c.subset), sorted(c.subset), c.x.id))
     return out
 
@@ -342,17 +324,11 @@ def facial_le(a, b):
 def _coset_from_pair(group, z, subset):
     """Coset z W_subset given any representative z."""
     subset = frozenset(subset)
-    _, w_oi = group.parabolic_data(subset)
     x = z
     # strip right descents inside subset to reach the minimal representative
-    moved = True
-    while moved:
-        moved = False
-        for i in subset & x.right_descents():
-            x = group.mult_gen_right(x, i)
-            moved = True
-            break
-    return ParabolicCoset(x=x, subset=subset, w_long=group.mult(x, w_oi))
+    while subset & x.right_descents():
+        x = group.mult_gen_right(x, min(subset & x.right_descents()))
+    return make_coset(group, x, subset)
 
 
 def facial_meet(group, a, b):

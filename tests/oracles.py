@@ -4,7 +4,8 @@ Each one takes the slow, literal route: the N-span by lattice reachability,
 the posets by a sign-vector sweep, lattice bounds and covers straight from
 their definitions, the level formulas with a full classification before
 each deletion, the Cambrian projections by scanning every sortable
-element.  None of them is used by the library.
+element, group products by composing root permutations, weak order
+meets and joins by scanning W.  None of them is used by the library.
 """
 
 from rootposets.errors import UnsupportedOperationError
@@ -91,19 +92,57 @@ def lattice_op_reference(system, level, direction, rbits, sbits):
     return rset.bits
 
 
+def generator_perms(system):
+    """The simple reflections as permutations of the root indices."""
+    return [tuple(system.reflect(s, t) for t in range(system.num_roots))
+            for s in system.simple_indices()]
+
+
+def compose(p, q):
+    """The permutation p after q: t -> p[q[t]]."""
+    return tuple(p[t] for t in q)
+
+
+def weak_extremum_reference(group, a, b, direction):
+    """The weak order meet (join) of a and b by scanning W: the longest
+    common lower bound (the shortest common upper bound), asserted to lie
+    above (below) every common bound."""
+    if direction == "meet":
+        bounds = [w for w in group.elements if w.weak_le(a) and w.weak_le(b)]
+        best = max(bounds, key=lambda w: w.length)
+        assert all(w.weak_le(best) for w in bounds)
+    else:
+        bounds = [w for w in group.elements if a.weak_le(w) and b.weak_le(w)]
+        best = min(bounds, key=lambda w: w.length)
+        assert all(best.weak_le(w) for w in bounds)
+    return best
+
+
+def linear_extensions(rset, group):
+    """All group elements w with R contained in R(w) = w(Phi^+).
+
+    Nonempty for every poset: maximal extensions of a poset are exactly
+    the element posets.
+    """
+    bits = rset.bits
+    return [w for w in group.elements if bits & ~w.poset_bits == 0]
+
+
 def cambrian_projection_reference(group, word):
     """The Cambrian tables of the Coxeter element ``word``, by brute force.
 
     w is sortable when the blocks of its c-sorting word are nested, and
-    antisortable when w w0 is sortable for the reversed word.  pi_down(w)
-    is found by scanning every sortable element below w for one above all
-    the others (pi_up dually, over the antisortables above w).  The
-    c-order is the inversion sequence of the c-sorting word of w0, built
-    by reflecting root indices.  Returns (sortable ids, antisortable ids,
-    down, up, c_order).
+    antisortable when w w0 is sortable for the reversed word.  Products
+    compose root permutations.  pi_down(w) is found by scanning every
+    sortable element below w for one above all the others (pi_up dually,
+    over the antisortables above w).  The c-order is the inversion
+    sequence of the c-sorting word of w0, built by reflecting root
+    indices.  Returns (sortable ids, antisortable ids, down, up, c_order).
     """
     system = group.system
     simples = group.simple_root_indices
+    gens = generator_perms(system)
+    by_perm = {w.perm: w for w in group.elements}
 
     def sorting_word(letters_of_c, w):
         letters, blocks = [], []
@@ -111,7 +150,7 @@ def cambrian_projection_reference(group, word):
             block = set()
             for i in letters_of_c:
                 if (w.inv_bits >> simples[i]) & 1:
-                    w = group.mult_gen_left(i, w)
+                    w = by_perm[compose(gens[i], w.perm)]
                     letters.append(i)
                     block.add(i)
             blocks.append(block)
@@ -122,9 +161,10 @@ def cambrian_projection_reference(group, word):
         return all(b <= a for a, b in zip(blocks, blocks[1:]))
 
     els = group.elements
+    w0 = max(els, key=lambda w: w.length)
     sortable = [w.id for w in els if nested(word, w)]
     anti = [w.id for w in els
-            if nested(word[::-1], group.mult(w, group.longest))]
+            if nested(word[::-1], by_perm[compose(w.perm, w0.perm)])]
 
     def extremum(ids, in_range, above):
         inside = [els[i] for i in ids if in_range(els[i])]
@@ -136,7 +176,7 @@ def cambrian_projection_reference(group, word):
     down = [extremum(sortable, lambda s, w=w: s.weak_le(w), True) for w in els]
     up = [extremum(anti, lambda a, w=w: w.weak_le(a), False) for w in els]
 
-    letters, _ = sorting_word(word, group.longest)
+    letters, _ = sorting_word(word, w0)
     order = []
     for k, q in enumerate(letters):
         root = simples[q]

@@ -212,3 +212,28 @@ def test_unknown_ids_rejected():
         reproduce_counterexample("h5-nothing")
     with pytest.raises(ContractViolationError):
         check_conjecture("made-up", system("A2"))
+
+
+def test_a4_bip_coep_witness_is_accepted_but_not_constructed():
+    """The set behind the A4 coep-characterization mismatch: the COEP
+    predicate accepts it and the construction does not list it."""
+    rs = system("A4")
+    g = group("A4")
+    family = FamilyId("COEP", "bip")
+    witness = parse_set_literal(
+        rs, "+[0,0,0,1],+[1,0,0,0],-[0,0,1,0],-[0,1,0,0],-[0,1,1,0]")
+    assert fam.member_predicate(g, family, witness, allow_conjectural=True)
+    assert witness.bits not in {r.bits for r in construct_family(g, family)}
+
+
+def test_failed_characterization_names_the_witness(a2, monkeypatch):
+    only_c = parse_set_literal(a2, "+[1,0]")
+    only_p = parse_set_literal(a2, "+[0,1],+[1,1]")
+    monkeypatch.setattr(fam, "verify_family_equality", lambda *a, **k:
+                        fam.FamilyEqualityReport("COEP", "A2", 5, 5, False,
+                                                 [only_c.bits], [only_p.bits]))
+    report = check_conjecture("coep-characterization", a2)
+    assert not report.verified
+    assert report.detail == (
+        "constructed 5, predicate 5; first only in the predicate: "
+        "{+[0,1],+[1,1]}, first only constructed: {+[1,0]}")

@@ -2,7 +2,7 @@ import pytest
 
 from rootposets.cambrian import cambrian_classes, coxeter_element, facial_cambrian_classes
 from rootposets.census import enumerate_posets
-from rootposets.errors import UnsupportedOperationError
+from rootposets.errors import ContractViolationError, UnsupportedOperationError
 from rootposets.families import (
     CAMBRIAN_TAGS, FamilyId, boip_components_of, boip_op, boolean_element_poset,
     construct_family, descent_classes, member_predicate, verify_family_equality,
@@ -13,6 +13,7 @@ from rootposets.weakorder import Level, lattice_op, weak_le
 from rootposets.weyl import coset_poset, enumerate_cosets, interval_poset
 
 from conftest import group, system
+from oracles import linear_extensions
 
 
 def lit(rs, text):
@@ -119,6 +120,26 @@ def test_woip_interval_extraction_roundtrip(b2):
     for r in fam("B2", "WOIP"):
         lo, hi = woip_interval_of(g, r)
         assert interval_poset(g, lo, hi) == r
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "H3"])
+def test_woip_interval_of_matches_linear_extensions(label):
+    g = group(label)
+    for r in fam(label, "WOIP"):
+        exts = linear_extensions(r, g)
+        assert woip_interval_of(g, r) == (
+            min(exts, key=lambda w: w.length), max(exts, key=lambda w: w.length))
+
+
+def test_woip_interval_of_refuses_other_posets(a2):
+    g = group("A2")
+    woip = {r.bits for r in fam("A2", "WOIP")}
+    others = [r for r in enumerate_posets(a2) if r.bits not in woip]
+    assert others
+    # all of Phi names v = w0 and w = e, which are not an interval
+    for r in others + [RootSet.all_roots(a2)]:
+        with pytest.raises(ContractViolationError):
+            woip_interval_of(g, r)
 
 
 def test_descent_classes(b2):

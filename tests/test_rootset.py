@@ -6,13 +6,13 @@ from rootposets.coeff import Coeff, PSI
 from rootposets.errors import ContractViolationError, UnsupportedOperationError
 from rootposets.rootset import (
     RootSet, classify, closure, closure_bits, closure_deletion, format_set_literal,
-    is_convex, linear_extensions, parse_set_literal,
+    is_convex, parse_set_literal,
 )
 from rootposets.weakorder import weak_le
 from rootposets.census import enumerate_posets
 
 from conftest import group, system
-from oracles import nspan_oracle
+from oracles import linear_extensions, nspan_oracle
 
 
 def lit(rs, text):

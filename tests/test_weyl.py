@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rootposets.errors import ContractViolationError, ResourceCapError
@@ -9,6 +11,7 @@ from rootposets.weyl import (
 )
 
 from conftest import group, system
+from oracles import compose, generator_perms, weak_extremum_reference
 
 
 def lit(rs, text):
@@ -172,6 +175,39 @@ def test_weak_meet_join(b2):
             j = g.weak_join(a, b)
             assert m.weak_le(a) and m.weak_le(b)
             assert a.weak_le(j) and b.weak_le(j)
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2",
+    "H2", "H3", "I2(5)"])
+def test_generator_tables_match_perm_composition(label):
+    g = group(label)
+    gens = generator_perms(g.system)
+    by_perm = {w.perm: w for w in g.elements}
+    w0 = max(g.elements, key=lambda w: w.length)
+    for w in g.elements:
+        for i, gp in enumerate(gens):
+            assert g.right[i][w.id] == by_perm[compose(w.perm, gp)].id
+            assert g.left[i][w.id] == by_perm[compose(gp, w.perm)].id
+        inverse = [0] * len(w.perm)
+        for t, image in enumerate(w.perm):
+            inverse[image] = t
+        assert g.inverse[w.id] == by_perm[tuple(inverse)].id
+        assert g.from_word(w.word()) is w
+        assert g.mult(w, g.longest) is by_perm[compose(w.perm, w0.perm)]
+
+
+@pytest.mark.parametrize("label,samples", [
+    ("A3", None), ("B3", None), ("G2", None), ("H2", None), ("I2(5)", None),
+    ("H3", 2000)])
+def test_weak_meet_join_match_reference(label, samples):
+    g = group(label)
+    pairs = [(a, b) for a in g.elements for b in g.elements]
+    if samples is not None:
+        pairs = random.Random(6).sample(pairs, samples)
+    for a, b in pairs:
+        assert g.weak_meet(a, b) is weak_extremum_reference(g, a, b, "meet")
+        assert g.weak_join(a, b) is weak_extremum_reference(g, a, b, "join")
 
 
 def test_facial_le_examples(a2):
