@@ -1,9 +1,14 @@
 """Finite root systems with exact arithmetic.
 
 Systems are built from their Cartan matrix by closing the simple roots
-under all simple reflections.  Coordinates live in the simple-root basis
-and are exact elements of Q(psi), so membership questions (is this vector
-a root?) are decided with no floating point anywhere.
+under all simple reflections.  Coordinates live in the simple-root basis.
+Every Cartan entry of a supported type lies in Z[psi], so every
+coordinate does too: the closure, the sum table and the simple
+reflections are computed on int vectors (x_1..x_r, y_1..y_r) for the
+coordinates x_j + y_j psi, with no floating point anywhere.  ``Coeff``
+appears only at the boundary: the Cartan matrix read in, and the
+coordinates, heights and literals of the built roots, whose exact
+(height, coordinates) key orders the positive roots.
 
 Indexing convention: the N positive roots occupy indices 0..N-1, sorted
 by (height, lexicographic coordinates); index i + N holds the negative
@@ -12,6 +17,9 @@ arithmetic and bit masks downstream.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from operator import add
 
 from .coeff import Coeff, PSI
 from .errors import ConfigurationError
@@ -110,6 +118,23 @@ def cartan_matrix(family, rank, m=None):
     return a
 
 
+def _int_pairs(cartan, label):
+    """The Cartan matrix as (x, y) pairs for x + y psi, refusing entries
+    outside Z[psi]."""
+    bad = [c for row in cartan for c in row
+           if c.a.denominator != 1 or c.b.denominator != 1]
+    if bad:
+        raise ConfigurationError(f"{label}: Cartan entry {bad[0]} is not in Z[psi]")
+    return [[(int(c.a), int(c.b)) for c in row] for row in cartan]
+
+
+def _sign(x, y):
+    """Sign of x + y psi for integers x, y: that of (2x + y) + y sqrt 5."""
+    u = 2 * x + y
+    lead = u if u * u > 5 * y * y else y
+    return (lead > 0) - (lead < 0)
+
+
 def _symmetrizer(cartan):
     """Positive rationals d_i with d_i * a_ij symmetric ((a_i, a_j) = d_i a_ij)."""
     n = len(cartan)
@@ -147,7 +172,7 @@ class Root:
 
 
 class RootSystem:
-    """A finite root system with lookup tables for sums, pairings, reflections.
+    """A finite root system with lookup tables for sums and simple reflections.
 
     Immutable after construction; safe to share across workers.
     """
@@ -158,6 +183,7 @@ class RootSystem:
         self.m = m
         self.label = f"I2({m})" if family == "I" else f"{family}{rank}"
         self.cartan = cartan_matrix(family, rank, m)
+        int_cartan = _int_pairs(self.cartan, self.label)
         self.symmetrizer = _symmetrizer(self.cartan)
         if family == "I":
             self.degrees = [2, m]
@@ -167,91 +193,98 @@ class RootSystem:
             except (KeyError, IndexError):
                 raise ConfigurationError(f"no degree data for {self.label}")
         self.crystallographic = all(
-            c.is_integer() for row in self.cartan for c in row)
-        self._build_roots()
-        self._build_tables()
+            y == 0 for row in int_cartan for _, y in row)
+        self._build(int_cartan)
+        # Gram matrix (alpha_i, alpha_j) = d_i * a_ij; exact in Q(psi)
+        self.gram = [[self.symmetrizer[i] * self.cartan[i][j]
+                      for j in range(rank)] for i in range(rank)]
         self._group = None  # lazily attached by weyl.weyl_group
 
     # -- construction --------------------------------------------------
 
-    def _simple_reflection_on_coords(self, i, coords):
-        # s_i(v) = v - <v, alpha_i^vee> alpha_i, in simple-root coordinates
-        pairing = sum((self.cartan[i][j] * coords[j] for j in range(self.rank)),
-                      Coeff(0))
-        new = list(coords)
-        new[i] = new[i] - pairing
-        return tuple(new)
+    def _build(self, cartan):
+        """Roots, their order and every table, from the int vectors.
 
-    def _build_roots(self):
+        The root sum_j a_j alpha_j with a_j = x_j + y_j psi is the int
+        vector (x_1..x_r, y_1..y_r).  s_i(v) = v - <v, alpha_i^vee> alpha_i,
+        the pairing sum_j A_ij v_j taken in Z[psi] with psi^2 = psi + 1.
+        """
         rank = self.rank
-        simples = []
-        for i in range(rank):
-            coords = tuple(Coeff(1 if j == i else 0) for j in range(rank))
-            simples.append(coords)
-        seen = set(simples)
-        frontier = list(simples)
-        while frontier:
-            nxt = []
-            for coords in frontier:
-                for i in range(rank):
-                    image = self._simple_reflection_on_coords(i, coords)
-                    if image not in seen:
-                        seen.add(image)
-                        nxt.append(image)
-            frontier = nxt
+        rows = [[(j, x, y) for j, (x, y) in enumerate(row) if x or y]
+                for row in cartan]
+        vectors = [tuple(int(j == i) for j in range(2 * rank))
+                   for i in range(rank)]
+        seen = set(vectors)
+        images = {}  # vector -> its images under s_1..s_r
+        for v in vectors:  # vectors grows while it is read
+            row = []
+            for i in range(rank):
+                p = q = 0
+                for j, x, y in rows[i]:
+                    a, b = v[j], v[rank + j]
+                    p += x * a + y * b
+                    q += x * b + y * a + y * b
+                image = list(v)
+                image[i] -= p
+                image[rank + i] -= q
+                image = tuple(image)
+                row.append(image)
+                if image not in seen:
+                    seen.add(image)
+                    vectors.append(image)
+            images[v] = row
+
+        coeff = cache(Coeff)  # built for the boundary only, once per value
+
+        def boundary(v):
+            """(height, coords) of an int vector, as Coeffs."""
+            return (coeff(sum(v[:rank]), sum(v[rank:])),
+                    tuple(coeff(x, y) for x, y in zip(v[:rank], v[rank:])))
+
         positives = []
-        for coords in seen:
-            signs = {c.sign() for c in coords}
+        for v in vectors:
+            signs = {_sign(x, y) for x, y in zip(v[:rank], v[rank:])}
             if -1 in signs and 1 in signs:
                 raise ConfigurationError(
                     f"mixed-sign root generated for {self.label}; bad Cartan data")
             if 1 in signs:
-                positives.append(coords)
-        positives.sort(key=lambda cs: (sum(cs, Coeff(0)), cs))
-        self.num_positive = len(positives)
-        self.num_roots = 2 * self.num_positive
-        self.roots = []
-        for idx, coords in enumerate(positives):
-            self.roots.append(Root(idx, coords, sum(coords, Coeff(0)), True))
-        for idx, coords in enumerate(positives):
-            neg = tuple(-c for c in coords)
-            self.roots.append(Root(idx + self.num_positive, neg,
-                                   sum(neg, Coeff(0)), False))
+                positives.append(v)
+        positives.sort(key=boundary)
+        n = self.num_positive = len(positives)
+        self.num_roots = 2 * n
+        order = positives + [tuple(-x for x in v) for v in positives]
+        self.roots = [Root(k, coords, height, k < n)
+                      for k, (height, coords) in enumerate(map(boundary, order))]
         self.index_of_coords = {r.coords: r.index for r in self.roots}
         # the signed literal of each root, e.g. -[0,1]: the sign, then the
         # coordinates of the positive root
         self.literals = tuple(
             f"{sign}[{','.join(str(c) for c in r.coords)}]"
-            for sign in "+-" for r in self.roots[:self.num_positive])
+            for sign in "+-" for r in self.roots[:n])
 
-    def _build_tables(self):
+        index = {v: k for k, v in enumerate(order)}
+        # the BFS starts from the unit vectors, the simple roots
+        self._simple_indices = [index[v] for v in vectors[:rank]]
+        # simple_reflections[i][k]: the index of s_i(root k)
+        self.simple_reflections = tuple(
+            tuple(index[images[v][i]] for v in order) for i in range(rank))
         n2 = self.num_roots
-        coords = [r.coords for r in self.roots]
-        lookup = self.index_of_coords
         sum_table = [[-1] * n2 for _ in range(n2)]
-        for i in range(n2):
-            ci = coords[i]
+        for i, u in enumerate(order):
             row = sum_table[i]
             for j in range(i, n2):
-                s = tuple(a + b for a, b in zip(ci, coords[j]))
-                k = lookup.get(s, -1)
+                k = index.get(tuple(map(add, u, order[j])), -1)
                 row[j] = k
                 sum_table[j][i] = k
         self.sum_table = sum_table
-        self.pos_mask = (1 << self.num_positive) - 1
-        self.full_mask = (1 << self.num_roots) - 1
+        self.pos_mask = (1 << n) - 1
+        self.full_mask = (1 << n2) - 1
         self.neg_mask = self.full_mask ^ self.pos_mask
-        # Gram matrix (alpha_i, alpha_j) = d_i * a_ij; exact in Q(psi)
-        g = [[self.symmetrizer[i] * self.cartan[i][j] for j in range(self.rank)]
-             for i in range(self.rank)]
-        self.gram = g
-        self._norms = [self.inner(i, i) for i in range(n2)]
         # integer coordinate table for the crystallographic fast paths
         if self.crystallographic:
-            self.int_coords = tuple(
-                tuple(c.as_int() for c in r.coords) for r in self.roots)
+            self.int_coords = tuple(v[:rank] for v in order)
             self.index_of_int_coords = {
-                c: i for i, c in enumerate(self.int_coords)}
+                c: k for k, c in enumerate(self.int_coords)}
         else:
             self.int_coords = None
             self.index_of_int_coords = None
@@ -286,25 +319,9 @@ class RootSystem:
                     total = total + ci[a] * self.gram[a][b] * cj[b]
         return total
 
-    def pairing(self, i, j):
-        """Cartan pairing <alpha_i^vee, alpha_j> = 2 (a_i, a_j) / (a_i, a_i)."""
-        return 2 * self.inner(i, j) / self._norms[i]
-
-    def reflect(self, mirror, target):
-        """Index of s_mirror(target); always a valid root index."""
-        p = self.pairing(mirror, target)
-        cm = self.roots[mirror].coords
-        ct = self.roots[target].coords
-        image = tuple(t - p * m for t, m in zip(ct, cm))
-        return self.index_of_coords[image]
-
     def simple_indices(self):
         """Root indices of the simple roots (unit coordinate vectors)."""
-        out = []
-        for i in range(self.rank):
-            coords = tuple(Coeff(1 if j == i else 0) for j in range(self.rank))
-            out.append(self.index_of_coords[coords])
-        return out
+        return list(self._simple_indices)
 
     def abs_height(self, i):
         return abs(self.roots[i].height)
@@ -356,16 +373,8 @@ def build_root_system(family, rank, m=None):
         raise ConfigurationError("G2 has rank 2")
     if family in ("F",) and rank != 4:
         raise ConfigurationError("F4 has rank 4")
-    if family == "A" and rank < 1:
-        raise ConfigurationError("A requires rank >= 1")
-    if family in ("B", "C") and rank < 1:
-        raise ConfigurationError(f"{family} requires rank >= 1")
     rs = RootSystem(family, rank, m)
-    expect = _EXPECTED_POSITIVE_COUNTS.get("I" if family == "I" else family)
-    if family == "I":
-        expected = m
-    else:
-        expected = expect(rank)
+    expected = m if family == "I" else _EXPECTED_POSITIVE_COUNTS[family](rank)
     if rs.num_positive != expected:
         raise ConfigurationError(
             f"{rs.label}: generated {rs.num_positive} positive roots, expected {expected}")
@@ -375,14 +384,12 @@ def build_root_system(family, rank, m=None):
 def parse_system_label(label):
     """Parse CLI labels like A3, B2, G2, H3, I2(5) into (family, rank, m)."""
     label = label.strip()
-    if label.upper().startswith("I2(") and label.endswith(")"):
-        return ("I", 2, int(label[3:-1]))
-    family = label[0].upper()
     try:
-        rank = int(label[1:])
-    except ValueError:
-        raise ConfigurationError(f"cannot parse system label {label!r}")
-    return (family, rank, None)
+        if label.upper().startswith("I2(") and label.endswith(")"):
+            return ("I", 2, int(label[3:-1]))
+        return (label[0].upper(), int(label[1:]), None)
+    except (IndexError, ValueError):
+        raise ConfigurationError(f"cannot parse system label {label!r}") from None
 
 
 def build_from_label(label):

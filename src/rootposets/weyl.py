@@ -82,8 +82,6 @@ class WeylGroup:
         n = system.num_positive
         simples = system.simple_indices()
         self.simple_root_indices = simples
-        gen_perms = [tuple(system.reflect(s, t) for t in range(system.num_roots))
-                     for s in simples]
 
         # Breadth first from the identity, finding elements by inversion
         # set inv(w) = Phi^+ n w(Phi^-): inv(w s) gains w(alpha_s) when it
@@ -93,7 +91,7 @@ class WeylGroup:
         found = {0: 0}
         products = [[] for _ in simples]  # products[i][k]: BFS index of perms[k] s_i
         for k, perm in enumerate(perms):  # perms grows while it is read
-            for s, gp, row in zip(simples, gen_perms, products):
+            for s, gp, row in zip(simples, system.simple_reflections, products):
                 image = perm[s]
                 bits = (inv_bits[k] | 1 << image if image < n
                         else inv_bits[k] & ~(1 << image - n))
@@ -277,13 +275,15 @@ def make_coset(group, x, subset):
 def enumerate_cosets(group):
     """Every standard parabolic coset (x, I), each exactly once."""
     n = group.system.rank
-    out = []
-    for mask in range(1 << n):
-        subset = frozenset(i for i in range(n) if (mask >> i) & 1)
+    subsets = sorted((frozenset(i for i in range(n) if (mask >> i) & 1)
+                      for mask in range(1 << n)), key=lambda s: (len(s), sorted(s)))
+    out = []  # ordered by (|I|, sorted I, x.id)
+    for subset in subsets:
+        word = group.parabolic_data(subset)[1].word()  # of w_{o,I}
         for x in group.elements:
             if not subset & x.right_descents():
-                out.append(make_coset(group, x, subset))
-    out.sort(key=lambda c: (len(c.subset), sorted(c.subset), c.x.id))
+                out.append(ParabolicCoset(x=x, subset=subset,
+                                          w_long=group._walk(x.id, word)))
     return out
 
 

@@ -5,12 +5,71 @@ the posets by a sign-vector sweep, lattice bounds and covers straight from
 their definitions, the level formulas with a full classification before
 each deletion, the Cambrian projections by scanning every sortable
 element, group products by composing root permutations, weak order
-meets and joins by scanning W.  None of them is used by the library.
+meets and joins by scanning W, the roots and their tables by Coeff
+arithmetic.  None of them is used by the library.
 """
 
+from types import SimpleNamespace
+
+from rootposets.coeff import Coeff
 from rootposets.errors import UnsupportedOperationError
 from rootposets.rootset import RootSet, classify, closure_bits, closure_deletion
+from rootposets.rootsys import cartan_matrix
 from rootposets.weakorder import Level, canonical_sort, weak_le
+
+
+def root_tables_reference(family, rank, m=None):
+    """A system's roots and tables from Coeff coordinate tuples.
+
+    The simple roots are closed under s_i(v) = v - <v, alpha_i^vee> alpha_i
+    in Q(psi), the positive roots sorted by (height, coordinates) and
+    their negatives placed N later, and every pair summed.  Returns a
+    namespace of coords, heights, literals, sum_table, int_coords (None
+    off the crystallographic types) and index_of_coords.
+    """
+    cartan = cartan_matrix(family, rank, m)
+    zero = Coeff(0)
+    simples = [tuple(Coeff(int(j == i)) for j in range(rank)) for i in range(rank)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for coords in frontier:
+            for i in range(rank):
+                pair = sum((cartan[i][j] * coords[j] for j in range(rank)), zero)
+                image = coords[:i] + (coords[i] - pair,) + coords[i + 1:]
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    positives = sorted((cs for cs in seen if any(c.sign() > 0 for c in cs)),
+                       key=lambda cs: (sum(cs, zero), cs))
+    coords = positives + [tuple(-c for c in cs) for cs in positives]
+    index = {cs: k for k, cs in enumerate(coords)}
+    crystallographic = all(c.is_integer() for row in cartan for c in row)
+    return SimpleNamespace(
+        coords=coords,
+        heights=[sum(cs, zero) for cs in coords],
+        literals=tuple(f"{sign}[{','.join(map(str, cs))}]"
+                       for sign in "+-" for cs in positives),
+        sum_table=[[index.get(tuple(a + b for a, b in zip(ci, cj)), -1)
+                    for cj in coords] for ci in coords],
+        int_coords=(tuple(tuple(c.as_int() for c in cs) for cs in coords)
+                    if crystallographic else None),
+        index_of_coords=index)
+
+
+def pairing(system, i, j):
+    """Cartan pairing <alpha_i^vee, alpha_j> = 2 (a_i, a_j) / (a_i, a_i)."""
+    return 2 * system.inner(i, j) / system.inner(i, i)
+
+
+def reflect(system, mirror, target):
+    """Index of s_mirror(target), by Coeff arithmetic on the coordinates."""
+    p = pairing(system, mirror, target)
+    image = tuple(t - p * c for t, c in zip(system.roots[target].coords,
+                                            system.roots[mirror].coords))
+    return system.index_of_coords[image]
 
 
 def nspan_oracle(rset, slack=1):
@@ -94,7 +153,7 @@ def lattice_op_reference(system, level, direction, rbits, sbits):
 
 def generator_perms(system):
     """The simple reflections as permutations of the root indices."""
-    return [tuple(system.reflect(s, t) for t in range(system.num_roots))
+    return [tuple(reflect(system, s, t) for t in range(system.num_roots))
             for s in system.simple_indices()]
 
 
@@ -181,7 +240,7 @@ def cambrian_projection_reference(group, word):
     for k, q in enumerate(letters):
         root = simples[q]
         for p in reversed(letters[:k]):
-            root = system.reflect(simples[p], root)
+            root = reflect(system, simples[p], root)
         order.append(root)
     return sortable, anti, down, up, order
 

@@ -26,6 +26,14 @@ def test_rootsys_info(capsys):
     assert doc["result"]["degrees"] == [2, 4]
 
 
+def test_rootsys_info_e8(capsys):
+    code, out = run(capsys, "rootsys", "info", "E8")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["root_count"] == 240
+    assert result["weyl_order"] == 696_729_600
+
+
 def test_families_build_roundtrip(capsys, tmp_path):
     out_file = tmp_path / "woip.json"
     code, _ = run(capsys, "families", "build", "--type", "A3",
@@ -143,6 +151,11 @@ def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
     for command in (["families", "build", "--family", "coip"],
                     ["check-conjecture", "coip-sublattice"])
     for word in ("s", "s1s2s", "ss1s2")
+] + [
+    (["rootsys", "info", "I2(x)"], 2),
+    (["census", "table1", "--types", "I2(x)"], 2),
+    (["rootsys", "info", ""], 2),
+    (["families", "build", "--type", "", "--family", "woip"], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

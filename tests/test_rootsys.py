@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from rootposets import rootsys
 from rootposets.coeff import Coeff, PSI
 from rootposets.errors import ConfigurationError
-from rootposets.rootsys import build_from_label, build_root_system
+from rootposets.rootsys import build_from_label, build_root_system, parse_system_label
 
 from conftest import system
+from oracles import pairing, reflect, root_tables_reference
 
 CRYSTAL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
 
@@ -16,6 +18,7 @@ CRYSTAL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
     ("A1", 1), ("A2", 3), ("A3", 6), ("A4", 10),
     ("B2", 4), ("B3", 9), ("C3", 9), ("B4", 16),
     ("D4", 12), ("G2", 6), ("F4", 24), ("H2", 5), ("H3", 15),
+    ("E6", 36), ("E7", 63), ("E8", 120),
 ])
 def test_positive_root_counts(label, positives):
     assert system(label).num_positive == positives
@@ -60,8 +63,8 @@ def test_h3_negative_inner_product_without_sum():
 def test_pairing_examples():
     rs = system("A2")
     a1, a2 = rs.simple_indices()
-    assert rs.pairing(a1, a1) == Coeff(2)
-    assert rs.pairing(a1, a2) == Coeff(-1)
+    assert pairing(rs, a1, a1) == Coeff(2)
+    assert pairing(rs, a1, a2) == Coeff(-1)
 
 
 def test_crystallographic_pairings_are_small_integers():
@@ -70,7 +73,7 @@ def test_crystallographic_pairings_are_small_integers():
         rs = system(label)
         for i in range(rs.num_roots):
             for j in range(rs.num_roots):
-                p = rs.pairing(i, j)
+                p = pairing(rs, i, j)
                 assert p.is_integer()
                 values.add(p.as_int())
     assert values <= {-3, -2, -1, 0, 1, 2, 3}
@@ -81,14 +84,14 @@ def test_pairing_on_simple_roots_is_cartan(b2):
     simple = b2.simple_indices()
     for i, si in enumerate(simple):
         for j, sj in enumerate(simple):
-            assert b2.pairing(si, sj) == b2.cartan[i][j]
+            assert pairing(b2, si, sj) == b2.cartan[i][j]
 
 
 def test_reflection_examples():
     rs = system("A2")
     a1, a2 = rs.simple_indices()
-    assert rs.reflect(a1, a1) == rs.neg(a1)
-    k = rs.reflect(a1, a2)
+    assert reflect(rs, a1, a1) == rs.neg(a1)
+    k = reflect(rs, a1, a2)
     assert rs.roots[k].coords == (Coeff(1), Coeff(1))
 
 
@@ -97,7 +100,57 @@ def test_reflection_is_an_involution(label):
     rs = system(label)
     for m in range(rs.num_roots):
         for t in range(rs.num_roots):
-            assert rs.reflect(m, rs.reflect(m, t)) == t
+            assert reflect(rs, m, reflect(rs, m, t)) == t
+
+
+REFERENCE_LABELS = (
+    [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)]
+    + [f"C{n}" for n in range(2, 6)] + ["D4", "D5", "D6", "E6", "E7", "F4",
+                                        "G2", "H2", "H3"]
+    + [f"I2({m})" for m in (3, 4, 5, 6)])
+
+
+@pytest.mark.parametrize("label", REFERENCE_LABELS)
+def test_tables_match_coeff_reference(label):
+    """The int-vector build gives the Coeff computation's roots, order and
+    tables, and each simple reflection permutes the roots as the Coeff
+    reflection does."""
+    rs = system(label)
+    ref = root_tables_reference(*parse_system_label(label))
+    assert [r.coords for r in rs.roots] == ref.coords
+    assert [r.height for r in rs.roots] == ref.heights
+    assert rs.literals == ref.literals
+    assert rs.sum_table == ref.sum_table
+    assert rs.int_coords == ref.int_coords
+    assert rs.index_of_coords == ref.index_of_coords
+    if rs.int_coords is not None:
+        assert rs.index_of_int_coords == {
+            c: k for k, c in enumerate(ref.int_coords)}
+    for i, s in enumerate(rs.simple_indices()):
+        assert rs.simple_reflections[i] == tuple(
+            reflect(rs, s, t) for t in range(rs.num_roots))
+
+
+def test_e8_highest_root_and_simple_reflections():
+    rs = system("E8")
+    assert rs.roots[rs.num_positive - 1].coords == tuple(
+        map(Coeff, [2, 3, 4, 6, 5, 4, 3, 2]))
+    everything = tuple(range(rs.num_roots))
+    for i, s in enumerate(rs.simple_indices()):
+        perm = rs.simple_reflections[i]
+        assert tuple(perm[t] for t in perm) == everything
+        assert perm[s] == rs.neg(s) and perm[rs.neg(s)] == s
+
+
+def test_cartan_entry_outside_z_psi_is_refused(monkeypatch):
+    def thirds(family, rank, m=None):
+        a = [[Coeff(2), -Coeff(1)], [-Coeff(1), Coeff(2)]]
+        a[0][1] = Coeff(1, 2) / 3
+        return a
+    monkeypatch.setattr(rootsys, "cartan_matrix", thirds)
+    with pytest.raises(ConfigurationError, match="not in Z") as err:
+        build_root_system("A", 2)
+    assert err.value.__context__ is None  # raised by the check, not caught
 
 
 @pytest.mark.parametrize("label", CRYSTAL_LABELS + ["H2", "H3"])
