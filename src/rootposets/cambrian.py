@@ -205,27 +205,18 @@ class CambrianClass:
 
 
 def cambrian_classes(c):
-    """The fibers of the projections, as weak-order intervals partitioning W."""
+    """The fibers of pi_down, in bottom order; WeylGroup.interval_classes
+    checks each is the interval from its shortest member, which must be
+    its own pi_down, to its longest, which must be every member's pi_up."""
     group = c.group
-    buckets = {}
-    for w in group.elements:
-        buckets.setdefault(c.down[w.id], []).append(w)
     classes = []
-    for bottom_id, members in sorted(buckets.items()):
-        bottom = group.elements[bottom_id]
-        tops = {c.up[w.id] for w in members}
-        if len(tops) != 1:
-            raise InvariantError("Cambrian class has inconsistent top")
-        top = group.elements[tops.pop()]
-        interval = [w for w in group.elements
-                    if bottom.weak_le(w) and w.weak_le(top)]
-        if {w.id for w in interval} != {w.id for w in members}:
-            raise InvariantError("Cambrian class is not a weak order interval")
+    for key, members in group.interval_classes(lambda w: c.down[w.id]).items():
+        bottom, top = members[0], members[-1]
+        if key != bottom.id or any(c.up[w.id] != top.id for w in members):
+            raise InvariantError(f"{group.system.label}: the Cambrian class "
+                                 f"[{bottom!r}, {top!r}] misses its projections")
         classes.append(CambrianClass(bottom=bottom, top=top,
                                      members=tuple(members)))
-    total = sum(len(cl.members) for cl in classes)
-    if total != len(group.elements):
-        raise InvariantError("Cambrian classes do not partition W")
     return classes
 
 

@@ -20,6 +20,7 @@ checksums are identical across reruns.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from typing import Optional
 from . import cambrian as camb
 from . import families as fam
 from . import weakorder as wo
+from .coeff import PSI, Coeff
 from .errors import ContractViolationError, ResourceCapError
 from .rootset import (
     RootSet, _indices, classify, closure_deletion, format_set_literal, is_convex,
@@ -453,7 +455,6 @@ COUNTEREXAMPLE_IDS = ("h3-sums", "h2-flag", "h3-ncd",
 
 def _h3_remark_roots(system):
     """alpha = a1, beta = -(a1 + psi a2), gamma = -(psi a1 + a2 + a3)."""
-    from .coeff import Coeff, PSI
     lookup = system.index_of_coords
     alpha = lookup[(Coeff(1), Coeff(0), Coeff(0))]
     beta_pos = lookup[(Coeff(1), PSI, Coeff(0))]
@@ -472,7 +473,6 @@ def reproduce_counterexample(case):
 
     if case == "h3-sums":
         system = build_from_label("H3")
-        from .coeff import Coeff, PSI
         alpha = system.index_of_coords[(Coeff(1), Coeff(0), Coeff(0))]
         beta = system.index_of_coords[(Coeff(0), Coeff(1), Coeff(0))]
         gamma = system.index_of_coords[(PSI, PSI, PSI)]
@@ -496,7 +496,6 @@ def reproduce_counterexample(case):
 
     elif case == "h2-flag":
         system = build_from_label("H2")
-        from .coeff import Coeff, PSI
         lookup = system.index_of_coords
         alpha = lookup[(Coeff(1), Coeff(0))]
         beta = lookup[(Coeff(0), Coeff(1))]
@@ -506,7 +505,6 @@ def reproduce_counterexample(case):
         total = _coord_sum(system, quad)
         expect("the four roots are summable",
                system.index_of_coords.get(total) is not None)
-        import itertools
         summable2or3 = []
         for k in (2, 3):
             for sub in itertools.combinations(quad, k):
@@ -518,8 +516,7 @@ def reproduce_counterexample(case):
         # bounded sweep of the N-span: only the five claimed roots appear
         found = set()
         vecs = [system.roots[i].coords for i in quad]
-        import itertools as it
-        for lams in it.product(range(5), repeat=4):
+        for lams in itertools.product(range(5), repeat=4):
             s = None
             for lam, v in zip(lams, vecs):
                 term = tuple(lam * x for x in v)
@@ -558,8 +555,9 @@ def reproduce_counterexample(case):
         for lower in (u, v):
             for upper in (big, small):
                 expect("U, V below R, S", wo.weak_le(lower, upper))
-        expect("no closed set between them",
-               not _sandwich_closed_exists(system, [u, v], [big, small]))
+        expect("no closed set between them", not any(
+            classify(t).closed
+            for t in _sandwich_candidates(system, [u, v], [big, small])))
         report = wo.verify_lattice([big, small, u, v])
         expect("the four-set family is not a lattice", not report.is_lattice)
 
@@ -583,9 +581,9 @@ def reproduce_counterexample(case):
         expect("that meet is not convex", not is_convex(mid))
         expect("it forces -a1-a2 into the cone",
                _cone_member(system, mid, "-[1,1,0]"))
-        expect("no convex set between them",
-               not _sandwich_convex_exists(system, [rs["U"], rs["V"]],
-                                           [rs["R"], rs["S"]]))
+        expect("no convex set between them", not any(
+            is_convex(t) for t in _sandwich_candidates(
+                system, [rs["U"], rs["V"]], [rs["R"], rs["S"]])))
 
     return CounterexampleReport(case, all(ok for _, ok in checks), checks)
 
@@ -622,16 +620,6 @@ def _sandwich_candidates(system, lowers, uppers):
             if (mask >> i) & 1:
                 extra |= 1 << b
         yield RootSet(system, base | extra)
-
-
-def _sandwich_closed_exists(system, lowers, uppers):
-    return any(classify(t).closed
-               for t in _sandwich_candidates(system, lowers, uppers))
-
-
-def _sandwich_convex_exists(system, lowers, uppers):
-    return any(is_convex(t)
-               for t in _sandwich_candidates(system, lowers, uppers))
 
 
 def _cone_member(system, rset, literal):

@@ -208,8 +208,20 @@ def cmd_counterexample(args):
     return 0 if report.reproduced else 1
 
 
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 2 with one line, as for other bad input
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rootposets",
         description="Weak order on subsets of finite root systems",
     )
@@ -251,7 +263,7 @@ def build_parser():
                          + ") or family tag (WOEP, COIP, ...)")
     pv.add_argument("--coxeter", default="lin")
     pv.add_argument("--formula", choices=[l.value for l in wo.Level])
-    pv.add_argument("--cap", type=int, default=wo.VERIFY_CAP)
+    pv.add_argument("--cap", type=nonnegative_int, default=wo.VERIFY_CAP)
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_lattice_verify)
 
@@ -275,7 +287,7 @@ def build_parser():
     p.add_argument("conjecture", choices=list(cns.CONJECTURE_IDS))
     p.add_argument("--type", dest="system", required=True)
     p.add_argument("--coxeter", default="lin")
-    p.add_argument("--rank-cap", type=int, default=3)
+    p.add_argument("--rank-cap", type=nonnegative_int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check_conjecture)
 

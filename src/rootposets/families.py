@@ -63,23 +63,12 @@ def _resolve_coxeter(group, family):
 
 
 def descent_classes(group):
-    """Map A (frozenset of simple positions) -> list of elements with des = A.
-
-    Each class is checked to be a weak order interval with unique
-    extremes, matching the congruence framework.
+    """Map A (frozenset of simple positions) -> (lo, hi, members) for the
+    elements with des = A; WeylGroup.interval_classes checks that members
+    is the weak order interval from lo, its shortest, to hi, its longest.
     """
-    buckets = {}
-    for w in group.elements:
-        buckets.setdefault(w.descents(), []).append(w)
-    for key, members in buckets.items():
-        lo = min(members, key=lambda w: w.length)
-        hi = max(members, key=lambda w: w.length)
-        for w in members:
-            if not (lo.weak_le(w) and w.weak_le(hi)):
-                raise ContractViolationError(
-                    "descent class is not an interval; construction bug")
-        buckets[key] = (lo, hi, members)
-    return buckets
+    classes = group.interval_classes(wy.WeylElement.descents)
+    return {key: (members[0], members[-1], members) for key, members in classes.items()}
 
 
 def boolean_element_poset(group, subset):
@@ -109,9 +98,8 @@ def construct_family(group, family):
             put(wy.element_poset(group, w))
     elif tag == "WOIP":
         for v in group.elements:
-            for w in group.elements:
-                if v.weak_le(w):
-                    put(wy.interval_poset(group, v, w))
+            for w in group.interval(v.id, system.pos_mask):
+                put(wy.interval_poset(group, v, group.elements[w]))
     elif tag == "WOFP":
         for coset in wy.enumerate_cosets(group):
             put(wy.coset_poset(group, coset))
@@ -304,29 +292,20 @@ def woip_op(group, direction, rset, sset):
     """Meet/join inside WOIP via componentwise weak-order meet/join."""
     lv, lw = woip_interval_of(group, rset)
     rv, rw = woip_interval_of(group, sset)
-    if direction == "meet":
-        a, b = group.weak_meet(lv, rv), group.weak_meet(lw, rw)
-    else:
-        a, b = group.weak_join(lv, rv), group.weak_join(lw, rw)
-    return wy.interval_poset(group, a, b)
+    op = group.weak_meet if direction == "meet" else group.weak_join
+    return wy.interval_poset(group, op(lv, rv), op(lw, rw))
 
 
 def coip_op(group, c, direction, rset, sset):
     """Meet/join inside COIP(c) via the Cambrian class components."""
     lv, lw = woip_interval_of(group, rset)
     rv, rw = woip_interval_of(group, sset)
-    for w, kind in ((lv, "sortable"), (rv, "sortable")):
-        if not camb.is_sortable(c, w, kind):
-            raise ContractViolationError("COIP bottom is not sortable")
-    for w in (lw, rw):
-        if not camb.is_sortable(c, w, "antisortable"):
-            raise ContractViolationError("COIP top is not antisortable")
-    if direction == "meet":
-        a, b = group.weak_meet(lv, rv), group.weak_meet(lw, rw)
-    else:
-        a, b = group.weak_join(lv, rv), group.weak_join(lw, rw)
-    # sortables/antisortables are sublattices, so (a, b) is again a COIP pair
-    return wy.interval_poset(group, a, b)
+    if not (c.sortable[lv.id] and c.sortable[rv.id]):
+        raise ContractViolationError("COIP bottom is not sortable")
+    if not (c.antisortable[lw.id] and c.antisortable[rw.id]):
+        raise ContractViolationError("COIP top is not antisortable")
+    # sortables/antisortables are sublattices, so the result is again a COIP pair
+    return woip_op(group, direction, rset, sset)
 
 
 def boip_components_of(group, rset):

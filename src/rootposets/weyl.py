@@ -3,7 +3,8 @@
 Elements are stored as permutations of root indices (the action on Phi),
 which makes inversion sets, lengths and images of posets O(1)-ish lookups.
 Products with a generator, inverses and the elements named by an
-inversion set are read from integer tables built once with the group.
+inversion set are read from integer tables built once with the group;
+intervals, meets, joins, coset members and classes walk the w s_i table.
 Reduced words are recovered on demand by stripping left descents.
 """
 
@@ -187,29 +188,57 @@ class WeylGroup:
         return self._weak_extremum(a, b, "join")
 
     def _weak_extremum(self, a, b, direction):
-        """The meet (join) of a and b, whose inversion set is the union of
-        the common lower bounds' (the intersection of the common upper
-        bounds').  An element with that inversion set lies above (below)
-        every common bound and is one itself, so finding it proves it is
-        the meet (join)."""
-        if direction == "meet":
-            cap = a.inv_bits & b.inv_bits
-            bits = 0
-            for w in self.elements:
-                if w.inv_bits & ~cap == 0:
-                    bits |= w.inv_bits
-        else:
-            cup = a.inv_bits | b.inv_bits
-            bits = self.system.pos_mask
-            for w in self.elements:
-                if cup & ~w.inv_bits == 0:
-                    bits &= w.inv_bits
-        ident = self._by_inv.get(bits)
+        """The meet's inversion set is the union of the common lower
+        bounds', walked from e under inv(a) n inv(b); the join mirrors it
+        through u -> u w0, as inv(u w0) = Phi^+ minus inv(u).  Finding an
+        element with that set proves it is the meet (join)."""
+        meet = direction == "meet"
+        flip = 0 if meet else self.system.pos_mask
+        cap = flip ^ (a.inv_bits & b.inv_bits if meet else a.inv_bits | b.inv_bits)
+        bits = 0
+        for u in self.interval(0, cap):
+            bits |= self.elements[u].inv_bits
+        ident = self._by_inv.get(bits ^ flip)
         if ident is None:
             raise InvariantError(
                 f"{self.system.label}: {a!r} and {b!r} have no weak order "
                 f"{direction}")
         return self.elements[ident]
+
+    def interval(self, lo, cap):
+        """Ids of the u >= (id) lo with inv(u) inside the bits cap, breadth
+        first over the upper covers u s_i, so cap = inv(hi) gives [lo, hi]:
+        a saturated chain from lo to u grows inside inv(u), so u is reached.
+        """
+        els, right = self.elements, self.right
+        if els[lo].inv_bits & ~cap:
+            return []
+        out, seen = [lo], {lo}
+        for u in out:  # out grows while it is read
+            bits = els[u].inv_bits
+            for row in right:
+                v = row[u]
+                # inv(u s_i) gains or loses one root, so > means a cover
+                vbits = els[v].inv_bits
+                if vbits > bits and vbits & ~cap == 0 and v not in seen:
+                    seen.add(v)
+                    out.append(v)
+        return out
+
+    def interval_classes(self, key):
+        """The fibers of key on W, {value: members in id order}, each
+        checked to be the interval from its shortest member to its
+        longest."""
+        fibers = {}
+        for w in self.elements:
+            fibers.setdefault(key(w), []).append(w)
+        for value, members in fibers.items():
+            walk = sorted(self.interval(members[0].id, members[-1].inv_bits))
+            if walk != [w.id for w in members]:
+                raise InvariantError(
+                    f"{self.system.label}: the fiber {value!r} is not the "
+                    f"interval [{members[0]!r}, {members[-1]!r}]")
+        return fibers
 
     # -- parabolic data ------------------------------------------------------
 
@@ -255,8 +284,8 @@ class ParabolicCoset:
 
     def members(self):
         g = self.x.group
-        lo, hi = self.x, self.w_long
-        return [w for w in g.elements if lo.weak_le(w) and w.weak_le(hi)]
+        return [g.elements[u]
+                for u in sorted(g.interval(self.x.id, self.w_long.inv_bits))]
 
     def __repr__(self):
         inner = ",".join(str(i + 1) for i in sorted(self.subset))
@@ -321,31 +350,29 @@ def facial_le(a, b):
     return a.x.weak_le(b.x) and a.w_long.weak_le(b.w_long)
 
 
-def _coset_from_pair(group, z, subset):
-    """Coset z W_subset given any representative z."""
-    subset = frozenset(subset)
-    x = z
-    # strip right descents inside subset to reach the minimal representative
-    while subset & x.right_descents():
-        x = group.mult_gen_right(x, min(subset & x.right_descents()))
-    return make_coset(group, x, subset)
-
-
 def facial_meet(group, a, b):
-    z = group.weak_meet(a.x, b.x)
-    t = group.weak_meet(a.w_long, b.w_long)
-    u = group.mult(group.inverse_of(z), t)
-    coset = _coset_from_pair(group, z, u.descents())
-    if coset.x.perm != z.perm:
-        raise InvariantError("facial meet representative is not minimal")
-    return coset
+    return _facial_extremum(group, a, b, "meet")
 
 
 def facial_join(group, a, b):
-    z = group.weak_join(a.w_long, b.w_long)
-    t = group.weak_join(a.x, b.x)
-    u = group.mult(group.inverse_of(z), t)
-    coset = _coset_from_pair(group, z, u.descents())
-    if coset.w_long.perm != z.perm:
-        raise InvariantError("facial join maximum mismatch")
+    return _facial_extremum(group, a, b, "join")
+
+
+def _facial_extremum(group, a, b, direction):
+    """The coset z W_J from z, the meet of the minima (join of the maxima),
+    towards t, the meet of the maxima (join of the minima), with J the
+    descents of z^-1 t; z must be its minimum (maximum)."""
+    if direction == "meet":
+        z, t = group.weak_meet(a.x, b.x), group.weak_meet(a.w_long, b.w_long)
+    else:
+        z, t = group.weak_join(a.w_long, b.w_long), group.weak_join(a.x, b.x)
+    subset = group.mult(group.inverse_of(z), t).descents()
+    x = z  # strip right descents in J to reach the minimal representative
+    while subset & x.right_descents():
+        x = group.mult_gen_right(x, min(subset & x.right_descents()))
+    coset = make_coset(group, x, subset)
+    if (coset.x if direction == "meet" else coset.w_long) is not z:
+        raise InvariantError(
+            f"{group.system.label}: facial {direction} of {a!r} and {b!r} "
+            f"does not end at {z!r}")
     return coset

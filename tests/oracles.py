@@ -5,8 +5,8 @@ the posets by a sign-vector sweep, lattice bounds and covers straight from
 their definitions, the level formulas with a full classification before
 each deletion, the Cambrian projections by scanning every sortable
 element, group products by composing root permutations, weak order
-meets and joins by scanning W, the roots and their tables by Coeff
-arithmetic.  None of them is used by the library.
+meets, joins and intervals and the WOIP pairs by scanning W, the roots
+and their tables by Coeff arithmetic.  None of them is used by the library.
 """
 
 from types import SimpleNamespace
@@ -16,6 +16,7 @@ from rootposets.errors import UnsupportedOperationError
 from rootposets.rootset import RootSet, classify, closure_bits, closure_deletion
 from rootposets.rootsys import cartan_matrix
 from rootposets.weakorder import Level, canonical_sort, weak_le
+from rootposets.weyl import interval_poset
 
 
 def root_tables_reference(family, rank, m=None):
@@ -175,6 +176,22 @@ def weak_extremum_reference(group, a, b, direction):
         best = min(bounds, key=lambda w: w.length)
         assert all(best.weak_le(w) for w in bounds)
     return best
+
+
+def interval_reference(group, lo, hi):
+    """The weak order interval [lo, hi] by scanning W, in id order."""
+    return [w for w in group.elements if lo.weak_le(w) and w.weak_le(hi)]
+
+
+def woip_reference(group):
+    """The WOIP posets R(v, w), v <= w, from a scan over every pair of W,
+    each poset once, in canonical order."""
+    seen = {}
+    for v in group.elements:
+        for w in group.elements:
+            if v.weak_le(w):
+                seen.setdefault(interval_poset(group, v, w).bits, None)
+    return canonical_sort(RootSet(group.system, bits) for bits in seen)
 
 
 def linear_extensions(rset, group):

@@ -156,12 +156,20 @@ def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
     (["census", "table1", "--types", "I2(x)"], 2),
     (["rootsys", "info", ""], 2),
     (["families", "build", "--type", "", "--family", "woip"], 2),
+    (["lattice", "verify", "--type", "A3", "--family", "woip", "--cap", "-1"], 2),
+    (["check-conjecture", "coip-sublattice", "--type", "B3", "--rank-cap", "-1"], 2),
+    (["families", "build", "--type", "E7", "--family", "woep"], 3),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line
-    message, no traceback and nothing on stdout."""
+    message, no traceback and nothing on stdout.  Usage errors leave
+    through argparse's SystemExit."""
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
-    assert main(argv) == code
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -13,7 +13,7 @@ from rootposets.weakorder import Level, lattice_op, weak_le
 from rootposets.weyl import coset_poset, enumerate_cosets, interval_poset
 
 from conftest import group, system
-from oracles import linear_extensions
+from oracles import linear_extensions, woip_reference
 
 
 def lit(rs, text):
@@ -140,6 +140,15 @@ def test_woip_interval_of_refuses_other_posets(a2):
     for r in others + [RootSet.all_roots(a2)]:
         with pytest.raises(ContractViolationError):
             woip_interval_of(g, r)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "H3"])
+def test_woip_construction_matches_pair_scan(label):
+    """The walk above each v lists the same posets, in the same order, as
+    the scan over every pair of W."""
+    g = group(label)
+    built = construct_family(g, FamilyId("WOIP"))
+    assert [r.bits for r in built] == [r.bits for r in woip_reference(g)]
 
 
 def test_descent_classes(b2):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rootposets.errors import ContractViolationError, ResourceCapError
+from rootposets.errors import ContractViolationError, InvariantError, ResourceCapError
 from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weakorder import weak_le
 from rootposets.weyl import (
@@ -11,7 +11,9 @@ from rootposets.weyl import (
 )
 
 from conftest import group, system
-from oracles import compose, generator_perms, weak_extremum_reference
+from oracles import (
+    compose, generator_perms, interval_reference, weak_extremum_reference,
+)
 
 
 def lit(rs, text):
@@ -208,6 +210,29 @@ def test_weak_meet_join_match_reference(label, samples):
     for a, b in pairs:
         assert g.weak_meet(a, b) is weak_extremum_reference(g, a, b, "meet")
         assert g.weak_join(a, b) is weak_extremum_reference(g, a, b, "join")
+
+
+@pytest.mark.parametrize("label,samples", [
+    ("A3", None), ("B3", None), ("G2", None), ("H2", None), ("I2(5)", None),
+    ("H3", 2000), ("F4", 300)])
+def test_interval_matches_reference(label, samples):
+    """The walk visits exactly [lo, hi], and nothing when lo is not below hi."""
+    g = group(label)
+    k = len(g.elements)
+    codes = range(k * k)
+    if samples is not None:
+        codes = random.Random(8).sample(codes, samples)
+    for code in codes:
+        lo, hi = g.elements[code // k], g.elements[code % k]
+        walk = g.interval(lo.id, hi.inv_bits)
+        assert len(walk) == len(set(walk))
+        assert sorted(walk) == [w.id for w in interval_reference(g, lo, hi)]
+
+
+def test_interval_classes_refuse_a_non_interval_fiber():
+    """Length 1 in A2 is {s1, s2}, which no weak order interval is."""
+    with pytest.raises(InvariantError, match="A2"):
+        group("A2").interval_classes(lambda w: w.length)
 
 
 def test_facial_le_examples(a2):
