@@ -333,15 +333,17 @@ def _bounded_combo(vecs, goal, bound):
     return rec(0, goal)
 
 
-def snake_decomposable_roots(c, rset, max_len=None, coeff_bound=None):
-    """All roots of Phi admitting a c-snake decomposition in R (bulk form)."""
+def snake_decomposable_roots(c, rset):
+    """All roots of Phi admitting a c-snake decomposition in R (bulk form).
+
+    Snakes have at most 2 rank + 2 roots, and each enters with a
+    coefficient of at most the largest root coordinate.
+    """
     system = c.group.system
     if not system.crystallographic:
         raise ContractViolationError("snake search needs integer coordinates")
-    if max_len is None:
-        max_len = 2 * system.rank + 2
-    if coeff_bound is None:
-        coeff_bound = max(abs(x) for row in system.int_coords for x in row)
+    max_len = 2 * system.rank + 2
+    coeff_bound = max(abs(x) for row in system.int_coords for x in row)
     found = set(_indices(rset.bits))
     todo = [i for i in range(system.num_roots) if i not in found]
     if not todo:

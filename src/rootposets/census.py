@@ -10,11 +10,12 @@ closed / posets backtracking over roots ordered by absolute height, with
                 to a root, that sum is either already decided (checked) or
                 forced into the set at its own position
 
-level_members lists the sets of one level: every subset for all, the 3^N
-sign choices for antisym, closed subsets of Phi^+ times closed subsets of
-Phi^- for semiclosed, and the backtracking for closed and posets.  Every
-enumeration visits candidates in one fixed order, so counts and
-checksums are identical across reruns.
+The backtracking hands each set to a leaf: count_family hashes it, and
+level_members lists it, refusing past a cap.  level_members takes every
+subset for all, the 3^N sign choices for antisym, closed subsets of
+Phi^+ times those of Phi^- for semiclosed, and the backtracking for
+closed and posets.  Every enumeration visits candidates in one fixed
+order, so counts and checksums are identical across reruns.
 """
 
 from __future__ import annotations
@@ -51,25 +52,20 @@ class CensusResult:
     checksum: str
 
 
-class _Full(Exception):
-    """The collector holds more sets than asked for."""
-
-
-def _dfs_closed_count(system, indices, antisymmetric, collect=None, limit=None):
-    """Count subsets of `indices` closed under root sums, by backtracking.
+def _dfs_closed_count(system, indices, antisymmetric, leaf):
+    """Count subsets of `indices` closed under root sums, by backtracking,
+    calling ``leaf(mask)`` on each in DFS order.
 
     Roots are processed by increasing absolute height so that, for any
     summable pair, the pair's sum is decided no later than needed: same
     sign pairs force sums at a later position, mixed-sign pairs have
-    their sum decided before the later summand.  With a ``limit`` the
-    search stops once ``collect`` holds more than ``limit`` sets.
+    their sum decided before the later summand.
     """
     order = sorted(indices, key=lambda i: (system.abs_height(i), i))
     pos_of = {r: p for p, r in enumerate(order)}
     table = system.sum_table
     neg_of = system.neg
     m = len(order)
-    digest = hashlib.sha256()
     included = []
     included_mask = 0
     count = 0
@@ -78,11 +74,7 @@ def _dfs_closed_count(system, indices, antisymmetric, collect=None, limit=None):
         nonlocal count, included_mask
         if p == m:
             count += 1
-            digest.update(included_mask.to_bytes(16, "little"))
-            if collect is not None:
-                collect.append(included_mask)
-                if limit is not None and len(collect) > limit:
-                    raise _Full
+            leaf(included_mask)
             return
         r = order[p]
         rbit = 1 << r
@@ -113,11 +105,20 @@ def _dfs_closed_count(system, indices, antisymmetric, collect=None, limit=None):
         if not (forced & rbit):
             rec(p + 1, forced, forbidden)
 
-    try:
-        rec(0, 0, 0)
-    except _Full:
-        pass
-    return count, digest.hexdigest()
+    rec(0, 0, 0)
+    return count
+
+
+def _capped_append(found, cap, refusal):
+    """A leaf that appends to ``found`` and raises ``refusal`` past ``cap``."""
+    if cap is None:
+        return found.append
+
+    def leaf(mask):
+        found.append(mask)
+        if len(found) > cap:
+            raise refusal
+    return leaf
 
 
 def _require_dfs(system, level):
@@ -135,33 +136,32 @@ def level_members(system, level, cap=None):
     soon as it has found enough sets to exceed the cap.
     """
     n = system.num_positive
+    refusal = ResourceCapError(
+        f"{level.value} level of {system.label} has more than {cap} sets")
     if level is wo.Level.ALL:
-        size = 1 << system.num_roots
+        if cap is not None and 1 << system.num_roots > cap:
+            raise refusal
+        found = range(1 << system.num_roots)
     elif level is wo.Level.ANTISYM:
-        size = 3 ** n
-    elif level is wo.Level.SEMICLOSED:
-        halves = []  # closed subsets of Phi^+; their negations are those of Phi^-
-        _dfs_closed_count(system, range(n), False, collect=halves,
-                          limit=None if cap is None else math.isqrt(cap))
-        size = len(halves) ** 2
-    else:
-        _require_dfs(system, level)
-        found = []
-        _dfs_closed_count(system, range(system.num_roots),
-                          level is wo.Level.POSETS, collect=found, limit=cap)
-        size = len(found)
-    if cap is not None and size > cap:
-        raise ResourceCapError(
-            f"{level.value} level of {system.label} has more than {cap} sets")
-    if level is wo.Level.ALL:
-        found = range(size)
-    elif level is wo.Level.ANTISYM:
+        if cap is not None and 3 ** n > cap:
+            raise refusal
         found = [0]
         for i in range(n):
             found = [b | s for b in found for s in (0, 1 << i, 1 << (i + n))]
     elif level is wo.Level.SEMICLOSED:
+        # closed subsets of Phi^+, whose negations are those of Phi^-;
+        # more than isqrt(cap) of them make more than cap products
+        halves = []
+        _dfs_closed_count(system, range(n), False, _capped_append(
+            halves, None if cap is None else math.isqrt(cap), refusal))
         negs = [system.negate_bits(h) for h in halves]
         found = [p | q for p in halves for q in negs]
+    else:
+        _require_dfs(system, level)
+        found = []
+        _dfs_closed_count(system, range(system.num_roots),
+                          level is wo.Level.POSETS,
+                          _capped_append(found, cap, refusal))
     return [RootSet(system, b) for b in found]
 
 
@@ -178,31 +178,32 @@ def count_family(system, family, group=None):
     """
     t0 = time.perf_counter()
     level = wo.Level.named(family)
-    digest = None
+    h = hashlib.sha256()  # of the sets found, or of the count if none are
+
+    def leaf(mask):
+        h.update(mask.to_bytes(16, "little"))
+
     if level is wo.Level.ANTISYM:
         count, method = 3 ** system.num_positive, "closed-form"
     elif level is wo.Level.SEMICLOSED:
-        half, _ = _dfs_closed_count(system, range(system.num_positive), False)
+        half = _dfs_closed_count(system, range(system.num_positive), False,
+                                 lambda mask: None)
         count, method = half * half, "backtracking"
     elif level in (wo.Level.CLOSED, wo.Level.POSETS):
         _require_dfs(system, level)
-        count, digest = _dfs_closed_count(
-            system, range(system.num_roots), level is wo.Level.POSETS)
+        count = _dfs_closed_count(system, range(system.num_roots),
+                                  level is wo.Level.POSETS, leaf)
         method = "backtracking"
     else:
-        if isinstance(family, str):
-            family = fam.FamilyId.parse(family)
-        group = group or weyl_group(system)
-        members = fam.construct_family(group, family)
-        h = hashlib.sha256()
+        family = fam.FamilyId.parse(family) if isinstance(family, str) else family
+        members = fam.construct_family(group or weyl_group(system), family)
         for r in members:
-            h.update(r.bits.to_bytes(16, "little"))
-        return CensusResult(system.label, str(family), len(members),
-                            time.perf_counter() - t0, "exhaustive", h.hexdigest())
-    if digest is None:
-        digest = hashlib.sha256(str(count).encode()).hexdigest()
-    return CensusResult(system.label, level.value, count,
-                        time.perf_counter() - t0, method, digest)
+            leaf(r.bits)
+        count, method = len(members), "exhaustive"
+    if level in (wo.Level.ANTISYM, wo.Level.SEMICLOSED):
+        h.update(str(count).encode())
+    return CensusResult(system.label, str(family) if level is None else level.value,
+                        count, time.perf_counter() - t0, method, h.hexdigest())
 
 
 # -- Table 1 reference data ---------------------------------------------------
@@ -615,11 +616,7 @@ def _sandwich_candidates(system, lowers, uppers):
     base = pos_must | neg_must
     free = pos_free + neg_free
     for mask in range(1 << len(free)):
-        extra = 0
-        for i, b in enumerate(free):
-            if (mask >> i) & 1:
-                extra |= 1 << b
-        yield RootSet(system, base | extra)
+        yield RootSet(system, base | sum(1 << free[i] for i in _indices(mask)))
 
 
 def _cone_member(system, rset, literal):

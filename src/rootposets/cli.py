@@ -118,13 +118,14 @@ def cmd_order_compare(args):
 def _members(system, name, coxeter, cap):
     """The sets a --family name denotes, and the level it names (or None).
 
-    A level of more than ``cap`` sets is refused before it is built.
+    A level or family of more than ``cap`` sets is refused before it is
+    built in full.
     """
     level = wo.Level.named(name)
     if level is not None:
         return cns.level_members(system, level, cap), level
     family = _family_id(name, coxeter)
-    return fam.construct_family(weyl_group(system), family), None
+    return fam.construct_family(weyl_group(system), family, cap), None
 
 
 def cmd_lattice_verify(args):

@@ -1,9 +1,11 @@
 """The nine poset families of the permutahedron, associahedra, and cube.
 
-Each family has a construction (from group elements, intervals, cosets,
-Cambrian classes, or descent classes) and, where the source material
-gives one, an intrinsic membership predicate on posets; the two are
-asserted to coincide by verify_family_equality.  The COEP predicate is
+Every family is a set of interval posets R(lo)^- | R(hi)^+, with lo and
+hi taken from elements, cosets, Cambrian classes or the boolean posets
+R(A); construct_family streams the (lo, hi) pairs of each tag as bits
+and wraps the distinct posets once.  Where the source material gives
+one, an intrinsic membership predicate on posets is asserted to coincide
+with the construction by verify_family_equality; the COEP predicate is
 conjectural and must be opted into explicitly.
 """
 
@@ -14,7 +16,8 @@ from typing import Optional
 
 from . import cambrian as camb
 from . import weyl as wy
-from .errors import ContractViolationError, UnsupportedOperationError
+from .errors import (ContractViolationError, ResourceCapError,
+                     UnsupportedOperationError)
 from .linalg import strict_separation_exists
 from .rootset import RootSet, classify, closure_bits, _indices
 
@@ -62,87 +65,74 @@ def _resolve_coxeter(group, family):
     return None
 
 
-def descent_classes(group):
-    """Map A (frozenset of simple positions) -> (lo, hi, members) for the
-    elements with des = A; WeylGroup.interval_classes checks that members
-    is the weak order interval from lo, its shortest, to hi, its longest.
-    """
-    classes = group.interval_classes(wy.WeylElement.descents)
-    return {key: (members[0], members[-1], members) for key, members in classes.items()}
-
-
 def boolean_element_poset(group, subset):
     """R(A) = cl(-A | (Delta \\ A)) for A a set of simple positions."""
+    return RootSet(group.system, _boolean_bits(group, subset))
+
+
+def _boolean_bits(group, subset):
     system = group.system
     bits = 0
     for i, s in enumerate(group.simple_root_indices):
-        if i in subset:
-            bits |= 1 << system.neg(s)
-        else:
-            bits |= 1 << s
-    return RootSet(system, closure_bits(system, bits))
+        bits |= 1 << (system.neg(s) if i in subset else s)
+    return closure_bits(system, bits)
 
 
-def construct_family(group, family):
-    """Duplicate-free list of the family's posets, deterministic order."""
-    system = group.system
-    tag = family.normalized_tag()
-    c = _resolve_coxeter(group, family)
-    seen = {}
-
-    def put(rset):
-        seen.setdefault(rset.bits, rset)
-
+def _interval_pairs(group, tag, c):
+    """(lo, hi) poset bits whose interval posets R(lo)^- | R(hi)^+ make
+    up the family, possibly with repeats."""
+    bits = group.poset_bits
     if tag == "WOEP":
-        for w in group.elements:
-            put(wy.element_poset(group, w))
+        yield from ((b, b) for b in bits)
     elif tag == "WOIP":
-        for v in group.elements:
-            for w in group.interval(v.id, system.pos_mask):
-                put(wy.interval_poset(group, v, group.elements[w]))
+        yield from ((bits[v], bits[u]) for v in range(len(bits))
+                    for u in group.interval(v, group.system.pos_mask))
     elif tag == "WOFP":
-        for coset in wy.enumerate_cosets(group):
-            put(wy.coset_poset(group, coset))
+        yield from ((co.x.poset_bits, co.w_long.poset_bits)
+                    for co in wy.enumerate_cosets(group))
     elif tag == "COEP":
-        for cl in camb.cambrian_classes(c):
-            put(wy.interval_poset(group, cl.bottom, cl.top))
+        yield from ((cl.bottom.poset_bits, cl.top.poset_bits)
+                    for cl in camb.cambrian_classes(c))
     elif tag == "COIP":
         classes = camb.cambrian_classes(c)
-        for x in classes:
-            for y in classes:
-                if x.bottom.weak_le(y.bottom):
-                    put(wy.interval_poset(group, x.bottom, y.top))
+        yield from ((x.bottom.poset_bits, y.top.poset_bits)
+                    for x in classes for y in classes
+                    if x.bottom.weak_le(y.bottom))
     elif tag == "COFP":
-        cosets = wy.enumerate_cosets(group)
-        for fc in camb.facial_cambrian_classes(c, cosets):
-            bits = system.full_mask
-            for coset in fc.members:
-                bits &= wy.coset_poset(group, coset).bits
-            put(RootSet(system, bits))
-    elif tag == "BOEP":
-        n = system.rank
-        for mask in range(1 << n):
-            put(boolean_element_poset(group, _mask_set(mask)))
-    elif tag == "BOIP":
-        n = system.rank
-        for amask in range(1 << n):
-            bmask = amask
-            while True:
-                lo = boolean_element_poset(group, _mask_set(amask))
-                hi = boolean_element_poset(group, _mask_set(bmask))
-                put(RootSet(system,
-                            (lo.bits & system.neg_mask) | (hi.bits & system.pos_mask)))
-                if bmask == (1 << n) - 1:
-                    break
-                bmask = (bmask + 1) | amask
+        # the interval from the class's least minimum to its largest maximum
+        yield from ((fc.down.x.poset_bits, fc.up.w_long.poset_bits) for fc in
+                    camb.facial_cambrian_classes(c, wy.enumerate_cosets(group)))
+    elif tag in ("BOEP", "BOIP"):
+        masks = range(1 << group.system.rank)
+        table = [_boolean_bits(group, _indices(a)) for a in masks]
+        if tag == "BOEP":
+            yield from ((b, b) for b in table)
+        else:  # R(A, A') for A inside A'
+            yield from ((table[a], table[b]) for a in masks for b in masks
+                        if a & ~b == 0)
     else:
         raise ContractViolationError(f"unhandled family {tag}")
-    out = sorted(seen.values(), key=lambda r: (r.grade(), r.bits))
-    return out
 
 
-def _mask_set(mask):
-    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+def construct_family(group, family, cap=None):
+    """The family's posets, each once, ordered by (grade, bits).
+
+    A family of more than ``cap`` sets is refused as soon as its
+    intervals have given cap + 1 distinct posets.
+    """
+    system = group.system
+    pairs = _interval_pairs(group, family.normalized_tag(),
+                            _resolve_coxeter(group, family))
+    found = set()
+    for lo, hi in pairs:
+        found.add(wy.interval_bits(system, lo, hi))
+        if cap is not None and len(found) > cap:
+            raise ResourceCapError(
+                f"{family} family of {system.label} has more than {cap} sets")
+    neg, pos = system.neg_mask, system.pos_mask
+    ordered = sorted(found)  # then stably by grade, faster than by a pair
+    ordered.sort(key=lambda b: (b & neg).bit_count() - (b & pos).bit_count())
+    return [RootSet(system, b) for b in ordered]
 
 
 def _same_sign_pairs(system):
@@ -328,7 +318,5 @@ def boip_op(group, direction, rset, sset):
     else:
         na, nb = ra | sa, rb | sb
     system = group.system
-    lo = boolean_element_poset(group, na)
-    hi = boolean_element_poset(group, nb)
-    return RootSet(system,
-                   (lo.bits & system.neg_mask) | (hi.bits & system.pos_mask))
+    return RootSet(system, wy.interval_bits(
+        system, _boolean_bits(group, na), _boolean_bits(group, nb)))

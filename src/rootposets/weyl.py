@@ -6,6 +6,10 @@ Products with a generator, inverses and the elements named by an
 inversion set are read from integer tables built once with the group;
 intervals, meets, joins, coset members and classes walk the w s_i table.
 Reduced words are recovered on demand by stripping left descents.
+
+Every poset attached to the group is an interval poset
+R(lo, hi) = R(lo)^- | R(hi)^+ (``interval_bits`` on element-poset bits):
+R(w) is R(w, w), and the face xW_I is the interval [x, x w_{o,I}].
 """
 
 from __future__ import annotations
@@ -304,8 +308,8 @@ def make_coset(group, x, subset):
 def enumerate_cosets(group):
     """Every standard parabolic coset (x, I), each exactly once."""
     n = group.system.rank
-    subsets = sorted((frozenset(i for i in range(n) if (mask >> i) & 1)
-                      for mask in range(1 << n)), key=lambda s: (len(s), sorted(s)))
+    subsets = sorted((frozenset(_indices(mask)) for mask in range(1 << n)),
+                     key=lambda s: (len(s), sorted(s)))
     out = []  # ordered by (|I|, sorted I, x.id)
     for subset in subsets:
         word = group.parabolic_data(subset)[1].word()  # of w_{o,I}
@@ -323,24 +327,22 @@ def element_poset(group, w):
     return RootSet(group.system, w.poset_bits)
 
 
+def interval_bits(system, lo, hi):
+    """Bits of R(lo)^- | R(hi)^+ from the element-poset bits lo and hi."""
+    return (lo & system.neg_mask) | (hi & system.pos_mask)
+
+
 def interval_poset(group, lo, hi):
     """R(lo, hi) = R(lo)^- | R(hi)^+; requires lo <= hi in weak order."""
     if not lo.weak_le(hi):
         raise ContractViolationError("interval endpoints are not comparable")
-    system = group.system
-    bits = (lo.poset_bits & system.neg_mask) | (hi.poset_bits & system.pos_mask)
-    return RootSet(system, bits)
+    return RootSet(group.system,
+                   interval_bits(group.system, lo.poset_bits, hi.poset_bits))
 
 
 def coset_poset(group, coset):
-    """R(xW_I) = x(Phi^+ \\ Phi_I^+)."""
-    system = group.system
-    span_bits, _ = group.parabolic_data(coset.subset)
-    bits = 0
-    perm = coset.x.perm
-    for i in _indices(system.pos_mask & ~span_bits):
-        bits |= 1 << perm[i]
-    return RootSet(system, bits)
+    """R(xW_I) = x(Phi^+ \\ Phi_I^+), the interval poset of [x, x w_{o,I}]."""
+    return interval_poset(group, coset.x, coset.w_long)
 
 
 # -- facial weak order ---------------------------------------------------------

@@ -5,18 +5,22 @@ the posets by a sign-vector sweep, lattice bounds and covers straight from
 their definitions, the level formulas with a full classification before
 each deletion, the Cambrian projections by scanning every sortable
 element, group products by composing root permutations, weak order
-meets, joins and intervals and the WOIP pairs by scanning W, the roots
-and their tables by Coeff arithmetic.  None of them is used by the library.
+meets, joins and intervals by scanning W, the roots
+and their tables by Coeff arithmetic, the families one RootSet per
+element, pair, coset or class.  None of them is used by the library.
 """
 
 from types import SimpleNamespace
 
+from rootposets.cambrian import (
+    cambrian_classes, coxeter_element, facial_cambrian_classes,
+)
 from rootposets.coeff import Coeff
 from rootposets.errors import UnsupportedOperationError
 from rootposets.rootset import RootSet, classify, closure_bits, closure_deletion
 from rootposets.rootsys import cartan_matrix
 from rootposets.weakorder import Level, canonical_sort, weak_le
-from rootposets.weyl import interval_poset
+from rootposets.weyl import WeylElement, enumerate_cosets, interval_poset
 
 
 def root_tables_reference(family, rank, m=None):
@@ -183,15 +187,70 @@ def interval_reference(group, lo, hi):
     return [w for w in group.elements if lo.weak_le(w) and w.weak_le(hi)]
 
 
-def woip_reference(group):
-    """The WOIP posets R(v, w), v <= w, from a scan over every pair of W,
-    each poset once, in canonical order."""
-    seen = {}
-    for v in group.elements:
-        for w in group.elements:
-            if v.weak_le(w):
-                seen.setdefault(interval_poset(group, v, w).bits, None)
-    return canonical_sort(RootSet(group.system, bits) for bits in seen)
+def coset_poset_reference(group, coset):
+    """R(xW_I) = x(Phi^+ minus Phi_I^+), by applying the permutation of x."""
+    span_bits, _ = group.parabolic_data(coset.subset)
+    perm = coset.x.perm
+    return sum(1 << perm[i] for i in range(group.system.num_positive)
+               if not (span_bits >> i) & 1)
+
+
+def descent_classes(group):
+    """Map A (frozenset of simple positions) -> (lo, hi, members) for the
+    elements with des = A; WeylGroup.interval_classes checks that members
+    is the weak order interval from lo, its shortest, to hi, its longest.
+    """
+    classes = group.interval_classes(WeylElement.descents)
+    return {key: (members[0], members[-1], members) for key, members in classes.items()}
+
+
+def family_reference(group, family):
+    """A family's posets built one set at a time, each once, in canonical
+    order: element posets, interval_poset per pair, coset posets by
+    permutation, COFP as the intersection of each facial class's coset
+    posets, and the boolean posets as one closure per subset, two per
+    BOIP pair."""
+    system = group.system
+    tag = family.normalized_tag()
+    if tag in ("COEP", "COIP", "COFP"):
+        c = coxeter_element(group, family.coxeter or "lin")
+    n = system.rank
+    subsets = [frozenset(i for i in range(n) if (m >> i) & 1)
+               for m in range(1 << n)]
+
+    def boolean(subset):
+        simples = group.simple_root_indices
+        return closure_bits(system, sum(
+            1 << (system.neg(s) if i in subset else s)
+            for i, s in enumerate(simples)))
+
+    if tag == "WOEP":
+        found = [w.poset_bits for w in group.elements]
+    elif tag == "WOIP":
+        found = [interval_poset(group, v, w).bits for v in group.elements
+                 for w in group.elements if v.weak_le(w)]
+    elif tag == "WOFP":
+        found = [coset_poset_reference(group, co) for co in enumerate_cosets(group)]
+    elif tag == "COEP":
+        found = [interval_poset(group, cl.bottom, cl.top).bits
+                 for cl in cambrian_classes(c)]
+    elif tag == "COIP":
+        classes = cambrian_classes(c)
+        found = [interval_poset(group, x.bottom, y.top).bits
+                 for x in classes for y in classes if x.bottom.weak_le(y.bottom)]
+    elif tag == "COFP":
+        found = []
+        for fc in facial_cambrian_classes(c, enumerate_cosets(group)):
+            bits = system.full_mask
+            for co in fc.members:
+                bits &= coset_poset_reference(group, co)
+            found.append(bits)
+    elif tag == "BOEP":
+        found = [boolean(a) for a in subsets]
+    else:
+        found = [(boolean(a) & system.neg_mask) | (boolean(b) & system.pos_mask)
+                 for a in subsets for b in subsets if a <= b]
+    return canonical_sort(RootSet(system, bits) for bits in set(found))
 
 
 def linear_extensions(rset, group):

@@ -72,6 +72,24 @@ def test_cambrian_rows_share_one_coxeter_element(monkeypatch):
     assert built == [(2, 1, 0)]
 
 
+@pytest.mark.parametrize("label,family,checksum", [
+    ("A3", "posets",
+     "39e3ceb7a4d5a1975663539a1c7c99767b680fcc2c18a80c9000ddc70469eb4c"),
+    ("B3", "closed",
+     "ef042d0859564e601796f9300874e2c5058470d327d371395e4a3a2dc0fc8acd"),
+    ("B2", "semiclosed",
+     "5ec1a0c99d428601ce42b407ae9c675e0836a8ba591c8ca6e2a2cf5563d97ff0"),
+    ("A3", "WOIP",
+     "84be7e4b66b8867f900a5656e44322dcb2055b4b26d92f32fe2509c4a2e63c37"),
+    ("B3", "COFP",
+     "896883220de22ea8c0b1a79b3a55967242acf53f146508c583c4a92578b4c7c8"),
+])
+def test_checksums_are_pinned(label, family, checksum):
+    """The sha256 of the sets' 16-byte little-endian bits, in the order
+    they are found, is fixed across releases."""
+    assert count_family(system(label), family).checksum == checksum
+
+
 def test_checksums_are_reproducible(a3):
     a = count_family(a3, "posets")
     b = count_family(a3, "posets")

@@ -128,6 +128,19 @@ def test_resource_cap_exit_code(capsys):
     assert code == 3
 
 
+def test_family_cap_fires_before_walking_w(capsys, monkeypatch):
+    """D5 WOIP has 146,649 sets; the default cap refuses it after a few
+    of the 1,920 interval walks."""
+    from rootposets.weyl import WeylGroup
+    calls = []
+    walk = WeylGroup.interval
+    monkeypatch.setattr(WeylGroup, "interval", lambda self, lo, cap:
+                        calls.append(lo) or walk(self, lo, cap))
+    code, out = run(capsys, "lattice", "verify", "--type", "D5", "--family", "woip")
+    assert (code, out) == (3, "")
+    assert 0 < len(calls) < 1920 // 10
+
+
 def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
     """F4 closed is over the backtracking cap, so no row is counted."""
     import rootposets.census as cns

@@ -2,18 +2,20 @@ import pytest
 
 from rootposets.cambrian import cambrian_classes, coxeter_element, facial_cambrian_classes
 from rootposets.census import enumerate_posets
-from rootposets.errors import ContractViolationError, UnsupportedOperationError
+from rootposets.errors import (
+    ContractViolationError, ResourceCapError, UnsupportedOperationError,
+)
 from rootposets.families import (
-    CAMBRIAN_TAGS, FamilyId, boip_components_of, boip_op, boolean_element_poset,
-    construct_family, descent_classes, member_predicate, verify_family_equality,
+    CAMBRIAN_TAGS, FAMILY_TAGS, FamilyId, boip_components_of, boip_op, boolean_element_poset,
+    construct_family, member_predicate, verify_family_equality,
     woip_interval_of, woip_op, coip_op,
 )
 from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weakorder import Level, lattice_op, weak_le
-from rootposets.weyl import coset_poset, enumerate_cosets, interval_poset
+from rootposets.weyl import WeylGroup, coset_poset, enumerate_cosets, interval_poset
 
 from conftest import group, system
-from oracles import linear_extensions, woip_reference
+from oracles import descent_classes, family_reference, linear_extensions
 
 
 def lit(rs, text):
@@ -148,7 +150,42 @@ def test_woip_construction_matches_pair_scan(label):
     the scan over every pair of W."""
     g = group(label)
     built = construct_family(g, FamilyId("WOIP"))
-    assert [r.bits for r in built] == [r.bits for r in woip_reference(g)]
+    want = family_reference(g, FamilyId("WOIP"))
+    assert [r.bits for r in built] == [r.bits for r in want]
+
+
+@pytest.mark.parametrize("label,tag,spec", [
+    (label, tag, spec)
+    for label in ("A3", "B3", "C3", "G2", "D4", "H3", "I2(5)")
+    for tag in FAMILY_TAGS
+    for spec in (("lin", "bip") if tag in CAMBRIAN_TAGS else (None,))])
+def test_construction_matches_reference(label, tag, spec):
+    """The interval pairs give the same posets, in the same order, as
+    building one set per element, pair, coset or class."""
+    g = group(label)
+    family = FamilyId(tag, spec)
+    built = construct_family(g, family)
+    assert [r.bits for r in built] == [r.bits for r in family_reference(g, family)]
+
+
+def test_family_cap_stops_the_walk(monkeypatch):
+    """The walk above e reaches all 48 elements of B3, so a cap of 40
+    stops the WOIP stream after one of the 48 walks."""
+    g = group("B3")
+    calls = []
+    walk = WeylGroup.interval
+
+    def counting(self, lo, cap):
+        calls.append(lo)
+        return walk(self, lo, cap)
+
+    monkeypatch.setattr(WeylGroup, "interval", counting)
+    with pytest.raises(ResourceCapError, match="WOIP family of B3"):
+        construct_family(g, FamilyId("WOIP"), cap=40)
+    assert calls == [0]
+    calls.clear()
+    assert len(construct_family(g, FamilyId("WOIP"), cap=457)) == 457
+    assert len(calls) == len(g.elements)
 
 
 def test_descent_classes(b2):
@@ -157,12 +194,14 @@ def test_descent_classes(b2):
     assert len(classes) == 4
     total = sum(len(members) for _, _, members in classes.values())
     assert total == len(g.elements)
-    # R(A) equals the intersection of element posets over the class
+    # R(A) equals the intersection of element posets over the class,
+    # which is the interval poset of the class
     for key, (lo, hi, members) in classes.items():
         bits = g.system.full_mask
         for w in members:
             bits &= w.poset_bits
         assert bits == boolean_element_poset(g, key).bits
+        assert bits == interval_poset(g, lo, hi).bits
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])

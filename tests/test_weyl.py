@@ -12,7 +12,8 @@ from rootposets.weyl import (
 
 from conftest import group, system
 from oracles import (
-    compose, generator_perms, interval_reference, weak_extremum_reference,
+    compose, coset_poset_reference, generator_perms, interval_reference,
+    weak_extremum_reference,
 )
 
 
@@ -113,13 +114,17 @@ def test_coset_poset_example(a2):
 
 
 def test_coset_poset_is_interval_poset(b2):
-    g = group("B2")
-    for coset in enumerate_cosets(g):
-        lo, hi = coset.interval()
-        assert coset_poset(g, coset) == interval_poset(g, lo, hi)
-        span_bits, _ = g.parabolic_data(coset.subset)
-        assert len(coset_poset(g, coset)) == (
-            g.system.num_positive - span_bits.bit_count())
+    """x(Phi^+ minus Phi_I^+), by permuting roots, is the interval poset
+    of [x, x w_{o,I}], which coset_poset returns."""
+    for label in ("B2", "A3", "D4", "H3"):
+        g = group(label)
+        for coset in enumerate_cosets(g):
+            lo, hi = coset.interval()
+            assert coset_poset(g, coset).bits == coset_poset_reference(g, coset)
+            assert coset_poset(g, coset) == interval_poset(g, lo, hi)
+            span_bits, _ = g.parabolic_data(coset.subset)
+            assert len(coset_poset(g, coset)) == (
+                g.system.num_positive - span_bits.bit_count())
 
 
 @pytest.mark.parametrize("label,count", [
