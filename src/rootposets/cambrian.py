@@ -260,112 +260,103 @@ def is_c_aligned(c, rset):
 
 # -- snakes -------------------------------------------------------------------
 
-def _snakes(c, rset, max_len):
-    """Yield all c-snakes of R up to max_len, as tuples of root indices.
+def _maximal_snake_keys(c, rset, max_len):
+    """Yield the sorted (sign, root index) multiset of every maximal
+    c-snake of R, one that no member of R extends within max_len roots.
 
     Template 1 alternates positive, negative, positive ... with
     |a1| <c |a2| >c |a3| <c ... on the positive versions; template 2 is
-    the sign-swapped pattern with the mirrored comparison chain.
+    the sign-swapped pattern with the mirrored comparison chain.  The
+    root at position k enters with sign (-1)^k.
     """
     system = c.group.system
     pos = c.c_position
-    members = _indices(rset.bits)
+    n = system.num_positive
+    # (c-position of |root|, root) of the members of each sign
+    by_sign = {True: [], False: []}
+    for i in _indices(rset.bits):
+        positive = i < n
+        by_sign[positive].append((pos[i if positive else system.neg(i)], i))
 
-    def posval(i):
-        j = i if system.is_positive(i) else system.neg(i)
-        return pos[j]
-
-    def extend(seq, template):
-        yield tuple(seq)
-        if len(seq) >= max_len:
-            return
+    def extend(seq, prev_val, template):
         k = len(seq)  # next position (0-based); paper's index k+1
-        want_positive = (k % 2 == 0) if template == 1 else (k % 2 == 1)
-        prev = seq[-1]
-        # comparisons alternate: <c at odd paper-index steps, >c at even
-        ascending = (k % 2 == 1) if template == 1 else (k % 2 == 0)
-        for nxt in members:
-            if system.is_positive(nxt) != want_positive:
-                continue
-            if ascending:
-                if not posval(prev) < posval(nxt):
-                    continue
-            else:
-                if not posval(prev) > posval(nxt):
-                    continue
-            yield from extend(seq + [nxt], template)
+        if k < max_len:
+            want_positive = (k % 2 == 0) == (template == 1)
+            # comparisons alternate: <c at odd paper-index steps, >c at even
+            ascending = (k % 2 == 1) == (template == 1)
+            extended = False
+            for val, nxt in by_sign[want_positive]:
+                if (prev_val < val) if ascending else (prev_val > val):
+                    extended = True
+                    seq.append((-1 if k % 2 else 1, nxt))
+                    yield from extend(seq, val, template)
+                    seq.pop()
+            if extended:
+                return
+        yield tuple(sorted(seq))
 
     for template in (1, 2):
-        first_positive = template == 1
-        for start in members:
-            if system.is_positive(start) == first_positive:
-                yield from extend([start], template)
+        for val, start in by_sign[template == 1]:
+            yield from extend([(1, start)], val, template)
 
 
-def _bounded_combo(vecs, goal, bound):
-    """Is goal a sum of l_i * vecs[i] with 0 <= l_i <= bound, exact ints?
+def _snake_sum_roots(system, key, bound):
+    """Every root alpha with +alpha or -alpha = sum l_i sign_i root_i over
+    the key's (sign_i, root_i), 0 <= l_i <= bound, exact ints.
 
-    Pruned by per-coordinate reachability intervals of the suffixes.
+    The sums are built one vector at a time; a partial sum is kept only
+    while the remaining vectors can still bring it into the box
+    [-bound, bound]^rank, where every root lies.
     """
-    m = len(vecs)
-    rank = len(goal)
-    lo = [[0] * rank for _ in range(m + 1)]
-    hi = [[0] * rank for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
-        for d in range(rank):
-            x = bound * vecs[i][d]
-            lo[i][d] = lo[i + 1][d] + min(0, x)
-            hi[i][d] = hi[i + 1][d] + max(0, x)
+    rank = system.rank
+    vecs = [[sign * x for x in system.int_coords[i]] for sign, i in key]
+    # low[i] <= s <= high[i] coordinatewise: the sum s of vecs[:i] can
+    # still reach the box
+    low, high = [[-bound] * rank], [[bound] * rank]
+    for v in reversed(vecs):
+        low.insert(0, [l - max(0, bound * x) for l, x in zip(low[0], v)])
+        high.insert(0, [h - min(0, bound * x) for h, x in zip(high[0], v)])
+    sums = {(0,) * rank}
+    for v, lo, hi in zip(vecs, low[1:], high[1:]):
+        grown = set()
+        for s in sums:
+            for lam in range(bound + 1):
+                t = tuple([a + lam * b for a, b in zip(s, v)])
+                if all(l <= x <= h for l, x, h in zip(lo, t, hi)):
+                    grown.add(t)
+        sums = grown
+    found = set()
+    for s in sums:
+        k = system.index_of_int_coords.get(s)
+        if k is not None:
+            found.update((k, system.neg(k)))
+    return frozenset(found)
 
-    def rec(i, remaining):
-        for d in range(rank):
-            if not lo[i][d] <= remaining[d] <= hi[i][d]:
-                return False
-        if i == m:
-            return True
-        v = vecs[i]
-        for lam in range(bound + 1):
-            nxt = tuple(r - lam * x for r, x in zip(remaining, v))
-            if rec(i + 1, nxt):
-                return True
-        return False
 
-    return rec(0, goal)
-
-
-def snake_decomposable_roots(c, rset):
+def snake_decomposable_roots(c, rset, memo=None):
     """All roots of Phi admitting a c-snake decomposition in R (bulk form).
 
     Snakes have at most 2 rank + 2 roots, and each enters with a
-    coefficient of at most the largest root coordinate.
+    coefficient of at most the largest root coordinate.  A coefficient
+    may be 0, so only the maximal snakes count, and only their signed
+    root multisets: one search per multiset.  ``memo``: an optional dict
+    from multisets to found roots, kept by the caller for one system.
     """
     system = c.group.system
     if not system.crystallographic:
         raise ContractViolationError("snake search needs integer coordinates")
     max_len = 2 * system.rank + 2
     coeff_bound = max(abs(x) for row in system.int_coords for x in row)
+    if memo is None:
+        memo = {}
     found = set(_indices(rset.bits))
-    todo = [i for i in range(system.num_roots) if i not in found]
-    if not todo:
-        return found
-    for snake in _snakes(c, rset, max_len):
-        vecs = []
-        for p, idx in enumerate(snake):
-            sign = 1 if p % 2 == 0 else -1
-            vecs.append(tuple(sign * x for x in system.int_coords[idx]))
-        still = []
-        for alpha in todo:
-            target = system.int_coords[alpha]
-            hit = any(
-                _bounded_combo(vecs, tuple(f * t for t in target), coeff_bound)
-                for f in (1, -1))
-            if hit:
-                found.add(alpha)
-            else:
-                still.append(alpha)
-        todo = still
-        if not todo:
+    for key in _maximal_snake_keys(c, rset, max_len):
+        if len(found) == system.num_roots:
             break
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _snake_sum_roots(system, key, coeff_bound)
+        found |= got
     return found
 
 

@@ -64,48 +64,46 @@ def _dfs_closed_count(system, indices, antisymmetric, leaf):
     order = sorted(indices, key=lambda i: (system.abs_height(i), i))
     pos_of = {r: p for p, r in enumerate(order)}
     table = system.sum_table
-    neg_of = system.neg
+    # per position p: the root's bit, its negative's bit, and for each
+    # earlier partner i summing to a root s, the pair (bit of i, bit of s):
+    # a check where s comes before p, a force where it comes after
+    rbits, negbits, checks, forces = [], [], [], []
+    for p, r in enumerate(order):
+        rbits.append(1 << r)
+        negbits.append(1 << system.neg(r))
+        row = table[r]
+        pairs = [(i, row[i]) for i in order[:p] if row[i] >= 0]
+        checks.append([(1 << i, 1 << s) for i, s in pairs if pos_of[s] < p])
+        forces.append([(1 << i, 1 << s) for i, s in pairs if pos_of[s] > p])
     m = len(order)
-    included = []
-    included_mask = 0
     count = 0
 
-    def rec(p, forced, forbidden):
-        nonlocal count, included_mask
+    def rec(p, mask, forced, forbidden):
+        nonlocal count
         if p == m:
             count += 1
-            leaf(included_mask)
+            leaf(mask)
             return
-        r = order[p]
-        rbit = 1 << r
+        rbit = rbits[p]
         # include r
-        ok = not (forbidden & rbit)
-        new_forced = forced
+        ok = not forbidden & rbit
         if ok:
-            row = table[r]
-            for i in included:
-                s = row[i]
-                if s < 0:
-                    continue
-                if pos_of[s] < p:
-                    if not (included_mask >> s) & 1:
-                        ok = False
-                        break
-                else:
-                    new_forced |= 1 << s
+            for ibit, sbit in checks[p]:
+                if mask & ibit and not mask & sbit:
+                    ok = False
+                    break
         if ok:
-            nf = new_forced
-            nb = forbidden | (1 << neg_of(r)) if antisymmetric else forbidden
-            included.append(r)
-            included_mask |= rbit
-            rec(p + 1, nf, nb)
-            included.pop()
-            included_mask &= ~rbit
+            nf = forced
+            for ibit, sbit in forces[p]:
+                if mask & ibit:
+                    nf |= sbit
+            rec(p + 1, mask | rbit, nf,
+                forbidden | negbits[p] if antisymmetric else forbidden)
         # exclude r
-        if not (forced & rbit):
-            rec(p + 1, forced, forbidden)
+        if not forced & rbit:
+            rec(p + 1, mask, forced, forbidden)
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, 0)
     return count
 
 
@@ -196,9 +194,9 @@ def count_family(system, family, group=None):
         method = "backtracking"
     else:
         family = fam.FamilyId.parse(family) if isinstance(family, str) else family
-        members = fam.construct_family(group or weyl_group(system), family)
-        for r in members:
-            leaf(r.bits)
+        members = fam.family_bits(group or weyl_group(system), family)
+        for bits in members:
+            leaf(bits)
         count, method = len(members), "exhaustive"
     if level in (wo.Level.ANTISYM, wo.Level.SEMICLOSED):
         h.update(str(count).encode())

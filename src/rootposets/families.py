@@ -2,8 +2,8 @@
 
 Every family is a set of interval posets R(lo)^- | R(hi)^+, with lo and
 hi taken from elements, cosets, Cambrian classes or the boolean posets
-R(A); construct_family streams the (lo, hi) pairs of each tag as bits
-and wraps the distinct posets once.  Where the source material gives
+R(A); family_bits streams the (lo, hi) pairs of each tag as bits and
+keeps the distinct posets, which construct_family wraps once.  Where the source material gives
 one, an intrinsic membership predicate on posets is asserted to coincide
 with the construction by verify_family_equality; the COEP predicate is
 conjectural and must be opted into explicitly.
@@ -114,8 +114,8 @@ def _interval_pairs(group, tag, c):
         raise ContractViolationError(f"unhandled family {tag}")
 
 
-def construct_family(group, family, cap=None):
-    """The family's posets, each once, ordered by (grade, bits).
+def family_bits(group, family, cap=None):
+    """The bits of the family's posets, each once, ordered by (grade, bits).
 
     A family of more than ``cap`` sets is refused as soon as its
     intervals have given cap + 1 distinct posets.
@@ -132,7 +132,12 @@ def construct_family(group, family, cap=None):
     neg, pos = system.neg_mask, system.pos_mask
     ordered = sorted(found)  # then stably by grade, faster than by a pair
     ordered.sort(key=lambda b: (b & neg).bit_count() - (b & pos).bit_count())
-    return [RootSet(system, b) for b in ordered]
+    return ordered
+
+
+def construct_family(group, family, cap=None):
+    """The family's posets as RootSets, in the order of family_bits."""
+    return [RootSet(group.system, b) for b in family_bits(group, family, cap)]
 
 
 def _same_sign_pairs(system):
@@ -150,11 +155,12 @@ def _same_sign_pairs(system):
     return out
 
 
-def member_predicate(group, family, rset, allow_conjectural=False):
+def member_predicate(group, family, rset, allow_conjectural=False, memo=None):
     """The intrinsic characterization of family membership, taken literally.
 
     Raises for COFP (the source material leaves it open) and for COEP
-    unless allow_conjectural is set.
+    unless allow_conjectural is set.  ``memo``: an optional dict for the
+    COEP snake search, kept by the caller for one system.
     """
     system = group.system
     tag = family.normalized_tag()
@@ -216,7 +222,7 @@ def member_predicate(group, family, rset, allow_conjectural=False):
         c = _resolve_coxeter(group, family)
         if not member_predicate(group, FamilyId("COIP", c), rset):
             return False
-        good = camb.snake_decomposable_roots(c, rset)
+        good = camb.snake_decomposable_roots(c, rset, memo)
         return len(good) == system.num_roots
 
     if tag == "COFP":
@@ -242,11 +248,10 @@ def verify_family_equality(group, family, all_posets, allow_conjectural=False):
     tag = family.normalized_tag()
     if tag == "COFP":
         raise UnsupportedOperationError("COFP has no predicate to compare")
-    constructed = construct_family(group, family)
-    cbits = {r.bits for r in constructed}
+    cbits = set(family_bits(group, family))
+    memo = {}
     pbits = {r.bits for r in all_posets
-             if member_predicate(group, family, r,
-                                 allow_conjectural=allow_conjectural)}
+             if member_predicate(group, family, r, allow_conjectural, memo)}
     return FamilyEqualityReport(
         family=tag,
         system=group.system.label,

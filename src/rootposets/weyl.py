@@ -192,22 +192,26 @@ class WeylGroup:
         return self._weak_extremum(a, b, "join")
 
     def _weak_extremum(self, a, b, direction):
-        """The meet's inversion set is the union of the common lower
-        bounds', walked from e under inv(a) n inv(b); the join mirrors it
-        through u -> u w0, as inv(u w0) = Phi^+ minus inv(u).  Finding an
-        element with that set proves it is the meet (join)."""
+        """The common lower bounds of a and b form [e, a meet b], the u
+        with inv(u) inside inv(a) n inv(b), and every u below the meet
+        has an upper cover u s_i in that interval, so a greedy ascent
+        from e ends at the meet.  The join mirrors it through u -> u w0,
+        as inv(u w0) = Phi^+ minus inv(u)."""
         meet = direction == "meet"
         flip = 0 if meet else self.system.pos_mask
         cap = flip ^ (a.inv_bits & b.inv_bits if meet else a.inv_bits | b.inv_bits)
-        bits = 0
-        for u in self.interval(0, cap):
-            bits |= self.elements[u].inv_bits
-        ident = self._by_inv.get(bits ^ flip)
-        if ident is None:
-            raise InvariantError(
-                f"{self.system.label}: {a!r} and {b!r} have no weak order "
-                f"{direction}")
-        return self.elements[ident]
+        els = self.elements
+        u = 0
+        while True:
+            bits = els[u].inv_bits
+            for row in self.right:
+                vbits = els[row[u]].inv_bits
+                # inv(u s_i) gains or loses one root, so > means a cover
+                if vbits > bits and vbits & ~cap == 0:
+                    u = row[u]
+                    break
+            else:
+                return els[self._by_inv[bits ^ flip]]
 
     def interval(self, lo, cap):
         """Ids of the u >= (id) lo with inv(u) inside the bits cap, breadth

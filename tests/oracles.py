@@ -7,7 +7,8 @@ each deletion, the Cambrian projections by scanning every sortable
 element, group products by composing root permutations, weak order
 meets, joins and intervals by scanning W, the roots
 and their tables by Coeff arithmetic, the families one RootSet per
-element, pair, coset or class.  None of them is used by the library.
+element, pair, coset or class, the snake decompositions one search per
+snake and root.  None of them is used by the library.
 """
 
 from types import SimpleNamespace
@@ -16,8 +17,10 @@ from rootposets.cambrian import (
     cambrian_classes, coxeter_element, facial_cambrian_classes,
 )
 from rootposets.coeff import Coeff
-from rootposets.errors import UnsupportedOperationError
-from rootposets.rootset import RootSet, classify, closure_bits, closure_deletion
+from rootposets.errors import ContractViolationError, UnsupportedOperationError
+from rootposets.rootset import (
+    RootSet, _indices, classify, closure_bits, closure_deletion,
+)
 from rootposets.rootsys import cartan_matrix
 from rootposets.weakorder import Level, canonical_sort, weak_le
 from rootposets.weyl import WeylElement, enumerate_cosets, interval_poset
@@ -361,3 +364,113 @@ def naive_lattice_report(family, formula=None):
         and not any(x not in (i, j) and le[j][x] and le[x][i] for x in range(k)))
     graded = all(fam[i].grade() - fam[j].grade() == 1 for j, i in covers)
     return (k, is_lattice, formula_ok, graded, witness, len(covers), covers)
+
+
+# -- snakes, one search per snake and root -------------------------------------
+
+def _snakes(c, rset, max_len):
+    """Yield all c-snakes of R up to max_len, as tuples of root indices.
+
+    Template 1 alternates positive, negative, positive ... with
+    |a1| <c |a2| >c |a3| <c ... on the positive versions; template 2 is
+    the sign-swapped pattern with the mirrored comparison chain.
+    """
+    system = c.group.system
+    pos = c.c_position
+    members = _indices(rset.bits)
+
+    def posval(i):
+        j = i if system.is_positive(i) else system.neg(i)
+        return pos[j]
+
+    def extend(seq, template):
+        yield tuple(seq)
+        if len(seq) >= max_len:
+            return
+        k = len(seq)  # next position (0-based); paper's index k+1
+        want_positive = (k % 2 == 0) if template == 1 else (k % 2 == 1)
+        prev = seq[-1]
+        # comparisons alternate: <c at odd paper-index steps, >c at even
+        ascending = (k % 2 == 1) if template == 1 else (k % 2 == 0)
+        for nxt in members:
+            if system.is_positive(nxt) != want_positive:
+                continue
+            if ascending:
+                if not posval(prev) < posval(nxt):
+                    continue
+            else:
+                if not posval(prev) > posval(nxt):
+                    continue
+            yield from extend(seq + [nxt], template)
+
+    for template in (1, 2):
+        first_positive = template == 1
+        for start in members:
+            if system.is_positive(start) == first_positive:
+                yield from extend([start], template)
+
+
+def _bounded_combo(vecs, goal, bound):
+    """Is goal a sum of l_i * vecs[i] with 0 <= l_i <= bound, exact ints?
+
+    Pruned by per-coordinate reachability intervals of the suffixes.
+    """
+    m = len(vecs)
+    rank = len(goal)
+    lo = [[0] * rank for _ in range(m + 1)]
+    hi = [[0] * rank for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        for d in range(rank):
+            x = bound * vecs[i][d]
+            lo[i][d] = lo[i + 1][d] + min(0, x)
+            hi[i][d] = hi[i + 1][d] + max(0, x)
+
+    def rec(i, remaining):
+        for d in range(rank):
+            if not lo[i][d] <= remaining[d] <= hi[i][d]:
+                return False
+        if i == m:
+            return True
+        v = vecs[i]
+        for lam in range(bound + 1):
+            nxt = tuple(r - lam * x for r, x in zip(remaining, v))
+            if rec(i + 1, nxt):
+                return True
+        return False
+
+    return rec(0, goal)
+
+
+def snake_decomposable_reference(c, rset):
+    """All roots of Phi admitting a c-snake decomposition in R: every
+    snake of at most 2 rank + 2 roots, a bounded-sum search per snake and
+    root not yet found, each coefficient at most the largest coordinate.
+    """
+    system = c.group.system
+    if not system.crystallographic:
+        raise ContractViolationError("snake search needs integer coordinates")
+    max_len = 2 * system.rank + 2
+    coeff_bound = max(abs(x) for row in system.int_coords for x in row)
+    found = set(_indices(rset.bits))
+    todo = [i for i in range(system.num_roots) if i not in found]
+    if not todo:
+        return found
+    for snake in _snakes(c, rset, max_len):
+        vecs = []
+        for p, idx in enumerate(snake):
+            sign = 1 if p % 2 == 0 else -1
+            vecs.append(tuple(sign * x for x in system.int_coords[idx]))
+        still = []
+        for alpha in todo:
+            target = system.int_coords[alpha]
+            hit = any(
+                _bounded_combo(vecs, tuple(f * t for t in target), coeff_bound)
+                for f in (1, -1))
+            if hit:
+                found.add(alpha)
+            else:
+                still.append(alpha)
+        todo = still
+        if not todo:
+            break
+    return found

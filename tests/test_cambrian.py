@@ -10,7 +10,7 @@ from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weyl import enumerate_cosets
 
 from conftest import group, system
-from oracles import cambrian_projection_reference
+from oracles import cambrian_projection_reference, snake_decomposable_reference
 
 
 def cox(label, spec="lin"):
@@ -222,6 +222,21 @@ def test_snake_separates_coep_from_coip(a2):
     for r in coip:
         complete = len(snake_decomposable_roots(c, r)) == a2.num_roots
         assert complete == (r.bits in coep)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_snake_decomposable_matches_reference(label):
+    """One search per maximal snake multiset finds what one search per
+    snake and root finds, on every COIP(lin) and COIP(bip) member."""
+    from rootposets.families import FamilyId, construct_family
+    g = group(label)
+    for spec in ("lin", "bip"):
+        c = coxeter_element(g, spec)
+        memo = {}
+        for r in construct_family(g, FamilyId("COIP", c)):
+            want = snake_decomposable_reference(c, r)
+            assert snake_decomposable_roots(c, r) == want, (spec, r)
+            assert snake_decomposable_roots(c, r, memo) == want, (spec, r)
 
 
 def test_facial_class_counts(a2, b2):

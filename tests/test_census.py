@@ -16,7 +16,7 @@ from rootposets.rootsys import build_from_label
 from rootposets.weakorder import Level
 
 from conftest import group, system
-from oracles import poset_sweep
+from oracles import poset_sweep, snake_decomposable_reference
 
 
 @pytest.mark.parametrize("label,family,count", [
@@ -234,14 +234,33 @@ def test_unknown_ids_rejected():
 
 def test_a4_bip_coep_witness_is_accepted_but_not_constructed():
     """The set behind the A4 coep-characterization mismatch: the COEP
-    predicate accepts it and the construction does not list it."""
+    predicate accepts it, the snake search oracle agrees that every root
+    decomposes, and the construction does not list it."""
     rs = system("A4")
     g = group("A4")
     family = FamilyId("COEP", "bip")
     witness = parse_set_literal(
         rs, "+[0,0,0,1],+[1,0,0,0],-[0,0,1,0],-[0,1,0,0],-[0,1,1,0]")
     assert fam.member_predicate(g, family, witness, allow_conjectural=True)
+    c = camb.coxeter_element(g, "bip")
+    assert (camb.snake_decomposable_roots(c, witness)
+            == snake_decomposable_reference(c, witness) == set(range(rs.num_roots)))
     assert witness.bits not in {r.bits for r in construct_family(g, family)}
+
+
+@pytest.mark.parametrize("spec,only_predicate", [
+    ("lin", "+[0,0,1,0],+[1,0,0,0],-[0,0,0,1],-[0,1,0,0]"),
+    ("bip", "+[0,0,0,1],+[1,0,0,0],-[0,0,1,0],-[0,1,0,0],-[0,1,1,0]"),
+], ids=["lin", "bip"])
+def test_a4_coep_characterization_reports(spec, only_predicate):
+    """The full A4 sweep: the predicate accepts one set more than the
+    construction lists, and the report names it."""
+    report = check_conjecture("coep-characterization", system("A4"), spec,
+                              rank_cap=4)
+    assert report.verified is False
+    assert report.detail == (
+        f"constructed 42, predicate 43; first only in the predicate: "
+        f"{{{only_predicate}}}, first only constructed: none")
 
 
 def test_failed_characterization_names_the_witness(a2, monkeypatch):
