@@ -10,12 +10,26 @@ closed / posets backtracking over roots ordered by absolute height, with
                 to a root, that sum is either already decided (checked) or
                 forced into the set at its own position
 
-The backtracking hands each set to a leaf: count_family hashes it, and
-level_members lists it, refusing past a cap.  level_members takes every
-subset for all, the 3^N sign choices for antisym, closed subsets of
-Phi^+ times those of Phi^- for semiclosed, and the backtracking for
-closed and posets.  Every enumeration visits candidates in one fixed
-order, so counts and checksums are identical across reruns.
+The backtracking meets in the middle.  Its last TAIL_SIZE roots, the
+tail, are decided once: the K tail sets closed among themselves (and
+antisymmetric, for posets) are listed in backtracking order, and each
+tail root gets a K-bit column of the tail sets that hold it.  The
+backtracking over the other roots, the head, carries a K-bit mask of
+the tail sets still allowed; each decision ANDs in the columns that the
+root sums linking it to the tail require, and a branch whose mask is 0
+is cut.  A head leaf stands for the sets head | tail[k], k ascending over
+the mask's bits.  Deciding the head first and taking the tail sets in
+their own backtracking order is the order of one backtracking over all
+roots, so every count, checksum and member list is unchanged; a count
+needs only the mask's bit count.
+
+A head leaf's sets go to a leaf: count_family hashes them in one
+update, and level_members lists them, refusing past a cap.
+level_members takes every subset for all, the 3^N sign choices for
+antisym, closed subsets of Phi^+ times those of Phi^- for semiclosed,
+and the backtracking for closed and posets.  Every enumeration visits
+candidates in one fixed order, so counts and checksums are identical
+across reruns.
 """
 
 from __future__ import annotations
@@ -40,6 +54,12 @@ from .rootsys import build_from_label
 from .weyl import weyl_group
 
 CLOSED_BITSET_LIMIT = 32    # |Phi| cap for the backtracking counters
+# the backtracking's tail: its last TAIL_SIZE roots.  Against 10, on the
+# closed and posets rows of A5, B4, C4 and D4, 8 took 12% longer and 12
+# took 15% less, but 12 took 9% longer on the rows of rank 2 to 4 (2-core
+# x86-64, Python 3.11); the best size grows with |Phi|: D5 posets took
+# 1.14 s at 10, 0.70 s at 14
+TAIL_SIZE = 10
 
 
 @dataclass
@@ -52,69 +72,143 @@ class CensusResult:
     checksum: str
 
 
-def _dfs_closed_count(system, indices, antisymmetric, leaf):
-    """Count subsets of `indices` closed under root sums, by backtracking,
-    calling ``leaf(mask)`` on each in DFS order.
+def _closed_sets(system, indices, antisymmetric, leaf):
+    """Count the subsets of `indices` closed under root sums (and
+    antisymmetric if asked), handing them to ``leaf`` in backtracking order.
 
-    Roots are processed by increasing absolute height so that, for any
-    summable pair, the pair's sum is decided no later than needed: same
-    sign pairs force sums at a later position, mixed-sign pairs have
-    their sum decided before the later summand.
+    Roots are taken by increasing absolute height, then index.  The last
+    TAIL_SIZE of them form the tail: its subsets closed among themselves
+    are listed once, in backtracking order, as ``tails``.  The backtracking
+    over the other roots, the head, ends at each head set ``mask`` with a
+    K-bit ``allowed`` of the tails that close it, and calls
+    ``leaf(mask, allowed, tails)``: the sets are ``mask | tails[k]`` for
+    the set bits k of ``allowed``, ascending.
     """
     order = sorted(indices, key=lambda i: (system.abs_height(i), i))
-    pos_of = {r: p for p, r in enumerate(order)}
-    table = system.sum_table
-    # per position p: the root's bit, its negative's bit, and for each
-    # earlier partner i summing to a root s, the pair (bit of i, bit of s):
-    # a check where s comes before p, a force where it comes after
-    rbits, negbits, checks, forces = [], [], [], []
-    for p, r in enumerate(order):
-        rbits.append(1 << r)
-        negbits.append(1 << system.neg(r))
-        row = table[r]
-        pairs = [(i, row[i]) for i in order[:p] if row[i] >= 0]
-        checks.append([(1 << i, 1 << s) for i, s in pairs if pos_of[s] < p])
-        forces.append([(1 << i, 1 << s) for i, s in pairs if pos_of[s] > p])
-    m = len(order)
+    cut = max(len(order) - TAIL_SIZE, 0)
+    tails = []
+    _backtrack(system, order[cut:], antisymmetric, {}, 1,
+               lambda mask, allowed: tails.append(mask))
+    has = {r: sum(1 << k for k, t in enumerate(tails) if t >> r & 1)
+           for r in order[cut:]}
     count = 0
 
-    def rec(p, mask, forced, forbidden):
+    def head_leaf(mask, allowed):
         nonlocal count
+        count += allowed.bit_count()
+        leaf(mask, allowed, tails)
+
+    _backtrack(system, order[:cut], antisymmetric, has, (1 << len(tails)) - 1,
+               head_leaf)
+    return count
+
+
+def _backtrack(system, order, antisymmetric, has, full, leaf):
+    """Backtrack over the roots of `order`, in that order, calling
+    ``leaf(mask, allowed)`` on each set closed among them.
+
+    ``has`` maps each root of a tail decided after `order` to its column:
+    the bits, within ``full``, of the tail sets that hold it.  ``allowed``
+    keeps the tail sets that the root sums linking the two parts admit,
+    and a branch whose ``allowed`` reaches 0 is cut.  A sum of two roots
+    of `order` is either already decided (checked) or forced into the set
+    at its own position.
+    """
+    pos_of = {r: p for p, r in enumerate(order)}
+    table = system.sum_table
+    m = len(order)
+    rbits = [1 << r for r in order]
+    negbits = [1 << system.neg(r) for r in order]
+    # per position p, for sums inside `order` with an earlier partner i:
+    # (bit of i, bit of the sum), a check where the sum comes before p, a
+    # force where after.  For sums that reach the tail: the mask that a
+    # decision ANDs into allowed always (inc_all, exc_all), or when an
+    # earlier root is in the set (inc_in, exc_in) or out of it (inc_out)
+    checks, forces = [[] for _ in order], [[] for _ in order]
+    inc_in, inc_out, exc_in = ([{} for _ in order] for _ in range(3))
+    inc_all, exc_all = [full] * m, [full] * m
+
+    def meet(links, bit, col):
+        links[bit] = links.get(bit, full) & col
+
+    roots = order + list(has)  # x before y below, so y is head only if x is
+    for a, x in enumerate(roots):
+        for y in roots[a + 1:]:
+            s = table[x][y]
+            if s < 0 or s not in pos_of and s not in has:
+                continue
+            if x in has:                     # both tail
+                if s in pos_of:              # s out: not both in the tail set
+                    exc_all[pos_of[s]] &= ~(has[x] & has[y])
+            elif y not in has:               # both head, p < q
+                p, q = pos_of[x], pos_of[y]
+                if s in has:                 # both in: s in the tail set
+                    meet(inc_in[q], rbits[p], has[s])
+                else:
+                    (checks if pos_of[s] < q else forces)[q].append(
+                        (rbits[p], 1 << s))
+            elif s in has:                   # x in: tail set with y has s
+                inc_all[pos_of[x]] &= ~has[y] | has[s]
+            elif pos_of[s] < pos_of[x]:      # x in, s out: y not in tail set
+                meet(inc_out[pos_of[x]], 1 << s, ~has[y])
+            else:
+                meet(exc_in[pos_of[s]], 1 << x, ~has[y])
+    if antisymmetric:                        # r in: -r not in the tail set
+        for p, r in enumerate(order):
+            if system.neg(r) in has:
+                inc_all[p] &= ~has[system.neg(r)]
+    inc_in, inc_out, exc_in = ([list(links.items()) for links in part]
+                               for part in (inc_in, inc_out, exc_in))
+
+    def rec(p, mask, forced, forbidden, allowed):
         if p == m:
-            count += 1
-            leaf(mask)
+            leaf(mask, allowed)
             return
         rbit = rbits[p]
         # include r
-        ok = not forbidden & rbit
-        if ok:
+        keep = allowed & inc_all[p] if not forbidden & rbit else 0
+        if keep:
             for ibit, sbit in checks[p]:
                 if mask & ibit and not mask & sbit:
-                    ok = False
+                    keep = 0
                     break
-        if ok:
+        if keep:
+            for ibit, col in inc_in[p]:
+                if mask & ibit:
+                    keep &= col
+            for sbit, col in inc_out[p]:
+                if not mask & sbit:
+                    keep &= col
+        if keep:
             nf = forced
             for ibit, sbit in forces[p]:
                 if mask & ibit:
                     nf |= sbit
             rec(p + 1, mask | rbit, nf,
-                forbidden | negbits[p] if antisymmetric else forbidden)
+                forbidden | negbits[p] if antisymmetric else forbidden, keep)
         # exclude r
         if not forced & rbit:
-            rec(p + 1, mask, forced, forbidden)
+            keep = allowed & exc_all[p]
+            for xbit, col in exc_in[p]:
+                if mask & xbit:
+                    keep &= col
+            if keep:
+                rec(p + 1, mask, forced, forbidden, keep)
 
-    rec(0, 0, 0, 0)
-    return count
+    rec(0, 0, 0, 0, full)
 
 
-def _capped_append(found, cap, refusal):
-    """A leaf that appends to ``found`` and raises ``refusal`` past ``cap``."""
-    if cap is None:
-        return found.append
+def _batch(mask, allowed, tails):
+    """The sets of one head leaf, in backtracking order."""
+    return [mask | tails[k] for k in _indices(allowed)]
 
-    def leaf(mask):
-        found.append(mask)
-        if len(found) > cap:
+
+def _collect(found, cap, refusal):
+    """A leaf that adds each batch to ``found`` and raises ``refusal``
+    once ``found`` holds more than ``cap`` sets."""
+    def leaf(mask, allowed, tails):
+        found.extend(_batch(mask, allowed, tails))
+        if cap is not None and len(found) > cap:
             raise refusal
     return leaf
 
@@ -150,16 +244,15 @@ def level_members(system, level, cap=None):
         # closed subsets of Phi^+, whose negations are those of Phi^-;
         # more than isqrt(cap) of them make more than cap products
         halves = []
-        _dfs_closed_count(system, range(n), False, _capped_append(
+        _closed_sets(system, range(n), False, _collect(
             halves, None if cap is None else math.isqrt(cap), refusal))
         negs = [system.negate_bits(h) for h in halves]
         found = [p | q for p in halves for q in negs]
     else:
         _require_dfs(system, level)
         found = []
-        _dfs_closed_count(system, range(system.num_roots),
-                          level is wo.Level.POSETS,
-                          _capped_append(found, cap, refusal))
+        _closed_sets(system, range(system.num_roots),
+                     level is wo.Level.POSETS, _collect(found, cap, refusal))
     return [RootSet(system, b) for b in found]
 
 
@@ -178,25 +271,25 @@ def count_family(system, family, group=None):
     level = wo.Level.named(family)
     h = hashlib.sha256()  # of the sets found, or of the count if none are
 
-    def leaf(mask):
-        h.update(mask.to_bytes(16, "little"))
+    def digest(*leaf):  # one update per head leaf
+        h.update(b"".join([bits.to_bytes(16, "little") for bits in _batch(*leaf)]))
 
     if level is wo.Level.ANTISYM:
         count, method = 3 ** system.num_positive, "closed-form"
     elif level is wo.Level.SEMICLOSED:
-        half = _dfs_closed_count(system, range(system.num_positive), False,
-                                 lambda mask: None)
+        half = _closed_sets(system, range(system.num_positive), False,
+                            lambda *leaf: None)
         count, method = half * half, "backtracking"
     elif level in (wo.Level.CLOSED, wo.Level.POSETS):
         _require_dfs(system, level)
-        count = _dfs_closed_count(system, range(system.num_roots),
-                                  level is wo.Level.POSETS, leaf)
+        count = _closed_sets(system, range(system.num_roots),
+                             level is wo.Level.POSETS, digest)
         method = "backtracking"
     else:
         family = fam.FamilyId.parse(family) if isinstance(family, str) else family
         members = fam.family_bits(group or weyl_group(system), family)
-        for bits in members:
-            leaf(bits)
+        for bits in members:  # one update per set: no copy of a whole family
+            h.update(bits.to_bytes(16, "little"))
         count, method = len(members), "exhaustive"
     if level in (wo.Level.ANTISYM, wo.Level.SEMICLOSED):
         h.update(str(count).encode())

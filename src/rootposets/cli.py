@@ -60,13 +60,15 @@ def _expand_types(spec):
         chunk = chunk.strip()
         if ".." in chunk:
             m = re.fullmatch(r"([A-Z])(\d+)\.\.([A-Z])(\d+)", chunk)
-            if m is None or m[1] != m[3]:
+            if m is None or m[1] != m[3] or int(m[2]) > int(m[4]):
                 raise ContractViolationError(
                     f"bad type range {chunk!r}; expected e.g. A1..A4")
             for rank in range(int(m[2]), int(m[4]) + 1):
                 out.append(f"{m[1]}{rank}")
         elif chunk:
             out.append(chunk)
+    if not out:
+        raise ContractViolationError(f"no types in {spec!r}")
     return out
 
 

@@ -59,10 +59,12 @@ class FamilyId:
 
 
 def _resolve_coxeter(group, family):
-    if family.tag in CAMBRIAN_TAGS:
-        spec = family.coxeter if family.coxeter is not None else "lin"
-        return camb.coxeter_element(group, spec)
-    return None
+    if family.tag not in CAMBRIAN_TAGS:
+        return None
+    if isinstance(family.coxeter, camb.CoxeterElement):
+        return family.coxeter
+    return camb.coxeter_element(
+        group, family.coxeter if family.coxeter is not None else "lin")
 
 
 def boolean_element_poset(group, subset):
@@ -155,6 +157,26 @@ def _same_sign_pairs(system):
     return out
 
 
+def _coip_sums_hold(system, c, bits):
+    """The COIP condition on a poset: of each same-sign pair summing to a
+    root of the set, the c-later positive (c-earlier negative) root is in."""
+    pos = c.c_position
+    n = system.num_positive
+    for a, b, k in _same_sign_pairs(system):
+        if not (bits >> k) & 1:
+            continue
+        if a < n:  # positive pair: the <c-larger root must be present
+            first, second = (a, b) if pos[a] < pos[b] else (b, a)
+            if not (bits >> second) & 1:
+                return False
+        else:      # negative pair, ordered through the positive versions
+            pa, pb = system.neg(a), system.neg(b)
+            first, second = (a, b) if pos[pa] < pos[pb] else (b, a)
+            if not (bits >> first) & 1:
+                return False
+    return True
+
+
 def member_predicate(group, family, rset, allow_conjectural=False, memo=None):
     """The intrinsic characterization of family membership, taken literally.
 
@@ -198,29 +220,14 @@ def member_predicate(group, family, rset, allow_conjectural=False, memo=None):
         return all((have >> s) & 1 for s in group.simple_root_indices)
 
     if tag == "COIP":
-        c = _resolve_coxeter(group, family)
-        pos = c.c_position
-        n = system.num_positive
-        for a, b, k in _same_sign_pairs(system):
-            if not (bits >> k) & 1:
-                continue
-            if a < n:  # positive pair: the <c-larger root must be present
-                first, second = (a, b) if pos[a] < pos[b] else (b, a)
-                if not (bits >> second) & 1:
-                    return False
-            else:      # negative pair, ordered through the positive versions
-                pa, pb = system.neg(a), system.neg(b)
-                first, second = (a, b) if pos[pa] < pos[pb] else (b, a)
-                if not (bits >> first) & 1:
-                    return False
-        return True
+        return _coip_sums_hold(system, _resolve_coxeter(group, family), bits)
 
     if tag == "COEP":
         if not allow_conjectural:
             raise UnsupportedOperationError(
                 "the COEP characterization is conjectural; pass allow_conjectural")
         c = _resolve_coxeter(group, family)
-        if not member_predicate(group, FamilyId("COIP", c), rset):
+        if not _coip_sums_hold(system, c, bits):
             return False
         good = camb.snake_decomposable_roots(c, rset, memo)
         return len(good) == system.num_roots
@@ -248,6 +255,7 @@ def verify_family_equality(group, family, all_posets, allow_conjectural=False):
     tag = family.normalized_tag()
     if tag == "COFP":
         raise UnsupportedOperationError("COFP has no predicate to compare")
+    family = FamilyId(family.tag, _resolve_coxeter(group, family))
     cbits = set(family_bits(group, family))
     memo = {}
     pbits = {r.bits for r in all_posets

@@ -118,11 +118,14 @@ def _closed_bits(system, bits):
 
 
 def _indices(bits):
+    """The set bits of ``bits``, ascending.  Clearing the top bit first
+    keeps the remaining int short, which is faster on wide masks."""
     out = []
     while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
+        k = bits.bit_length() - 1
+        out.append(k)
+        bits ^= 1 << k
+    out.reverse()
     return out
 
 

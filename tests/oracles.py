@@ -8,7 +8,8 @@ element, group products by composing root permutations, weak order
 meets, joins and intervals by scanning W, the roots
 and their tables by Coeff arithmetic, the families one RootSet per
 element, pair, coset or class, the snake decompositions one search per
-snake and root.  None of them is used by the library.
+snake and root, the closed sets by one backtracking over every root
+with a leaf per set.  None of them is used by the library.
 """
 
 from types import SimpleNamespace
@@ -474,3 +475,58 @@ def snake_decomposable_reference(c, rset):
         if not todo:
             break
     return found
+
+
+def dfs_closed_reference(system, indices, antisymmetric, leaf):
+    """Count subsets of `indices` closed under root sums, by backtracking,
+    calling ``leaf(mask)`` on each in DFS order.
+
+    Roots are processed by increasing absolute height so that, for any
+    summable pair, the pair's sum is decided no later than needed: same
+    sign pairs force sums at a later position, mixed-sign pairs have
+    their sum decided before the later summand.
+    """
+    order = sorted(indices, key=lambda i: (system.abs_height(i), i))
+    pos_of = {r: p for p, r in enumerate(order)}
+    table = system.sum_table
+    # per position p: the root's bit, its negative's bit, and for each
+    # earlier partner i summing to a root s, the pair (bit of i, bit of s):
+    # a check where s comes before p, a force where it comes after
+    rbits, negbits, checks, forces = [], [], [], []
+    for p, r in enumerate(order):
+        rbits.append(1 << r)
+        negbits.append(1 << system.neg(r))
+        row = table[r]
+        pairs = [(i, row[i]) for i in order[:p] if row[i] >= 0]
+        checks.append([(1 << i, 1 << s) for i, s in pairs if pos_of[s] < p])
+        forces.append([(1 << i, 1 << s) for i, s in pairs if pos_of[s] > p])
+    m = len(order)
+    count = 0
+
+    def rec(p, mask, forced, forbidden):
+        nonlocal count
+        if p == m:
+            count += 1
+            leaf(mask)
+            return
+        rbit = rbits[p]
+        # include r
+        ok = not forbidden & rbit
+        if ok:
+            for ibit, sbit in checks[p]:
+                if mask & ibit and not mask & sbit:
+                    ok = False
+                    break
+        if ok:
+            nf = forced
+            for ibit, sbit in forces[p]:
+                if mask & ibit:
+                    nf |= sbit
+            rec(p + 1, mask | rbit, nf,
+                forbidden | negbits[p] if antisymmetric else forbidden)
+        # exclude r
+        if not forced & rbit:
+            rec(p + 1, mask, forced, forbidden)
+
+    rec(0, 0, 0, 0)
+    return count

@@ -1,9 +1,9 @@
 import pytest
 
 from rootposets.census import (
-    CONJECTURE_IDS, COUNTEREXAMPLE_IDS, check_conjecture, check_sublattice,
-    count_family, enumerate_posets, level_members, reference_count,
-    reproduce_counterexample, table1_rows,
+    CONJECTURE_IDS, COUNTEREXAMPLE_IDS, TAIL_SIZE, _batch, _closed_sets,
+    check_conjecture, check_sublattice, count_family, enumerate_posets,
+    level_members, reference_count, reproduce_counterexample, table1_rows,
 )
 from rootposets import cambrian as camb
 from rootposets import families as fam
@@ -16,7 +16,9 @@ from rootposets.rootsys import build_from_label
 from rootposets.weakorder import Level
 
 from conftest import group, system
-from oracles import poset_sweep, snake_decomposable_reference
+from oracles import (
+    dfs_closed_reference, poset_sweep, snake_decomposable_reference,
+)
 
 
 @pytest.mark.parametrize("label,family,count", [
@@ -83,6 +85,14 @@ def test_cambrian_rows_share_one_coxeter_element(monkeypatch):
      "84be7e4b66b8867f900a5656e44322dcb2055b4b26d92f32fe2509c4a2e63c37"),
     ("B3", "COFP",
      "896883220de22ea8c0b1a79b3a55967242acf53f146508c583c4a92578b4c7c8"),
+    ("A4", "closed",
+     "4232e6a80812745f557dfa91982320bd97a02ae4dea5ca2c39ec447ac124f4e5"),
+    ("D4", "posets",
+     "eaaddb1ae390d7202353b3238db658e347b76d88338cc2877ca6b121ffa4a7c6"),
+    ("B4", "posets",
+     "4eb44738134abb640297dd0909b02ee92d7eb04086dd0f97e96151f16cd0f8aa"),
+    ("C4", "closed",
+     "b2f9cb3199ca250ee501da04274ec03f08e9229bd67489a6b7b07bf1c4cc0683"),
 ])
 def test_checksums_are_pinned(label, family, checksum):
     """The sha256 of the sets' 16-byte little-endian bits, in the order
@@ -94,6 +104,31 @@ def test_checksums_are_reproducible(a3):
     a = count_family(a3, "posets")
     b = count_family(a3, "posets")
     assert a.count == b.count and a.checksum == b.checksum
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2",
+    "H2", "I2(5)",
+])
+def test_closed_sets_match_the_one_pass_backtracking(label):
+    """The head/tail split lists every set of the reference backtracking,
+    in its order, for closed, posets and the closed subsets of Phi^+.
+    A1 and the rank-2 systems have an empty head; A4 and B4 cut a root
+    from its negative."""
+    rs = system(label)
+    for indices, antisymmetric in ((range(rs.num_roots), False),
+                                   (range(rs.num_roots), True),
+                                   (range(rs.num_positive), False)):
+        want = []
+        dfs_closed_reference(rs, indices, antisymmetric, want.append)
+        got = []
+        count = _closed_sets(rs, indices, antisymmetric,
+                             lambda *leaf: got.extend(_batch(*leaf)))
+        assert got == want and count == len(want), (label, antisymmetric)
+    if label in ("A4", "B4"):
+        order = sorted(range(rs.num_roots), key=lambda i: (rs.abs_height(i), i))
+        head = set(order[:-TAIL_SIZE])
+        assert any(rs.neg(r) not in head for r in head)
 
 
 def test_poset_dfs_matches_sign_sweep():

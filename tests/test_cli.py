@@ -172,6 +172,8 @@ def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
     (["lattice", "verify", "--type", "A3", "--family", "woip", "--cap", "-1"], 2),
     (["check-conjecture", "coip-sublattice", "--type", "B3", "--rank-cap", "-1"], 2),
     (["families", "build", "--type", "E7", "--family", "woep"], 3),
+    (["census", "table1", "--types", "A2..A1"], 2),
+    (["census", "table1", "--types", ""], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

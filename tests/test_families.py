@@ -110,6 +110,31 @@ def test_construction_equals_predicate_a3():
         assert report.equal, tag
 
 
+def test_coep_sweep_sets_up_once(monkeypatch):
+    """A COEP sweep enters the predicate and classifies once per poset,
+    and resolves its Coxeter element once."""
+    import rootposets.cambrian as camb
+    import rootposets.families as families
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((families, "member_predicate"), (families, "classify"),
+                         (camb, "coxeter_element")):
+        count(module, name)
+    posets = enumerate_posets(system("B3"))
+    verify_family_equality(group("B3"), FamilyId("COEP", "lin"), posets,
+                           allow_conjectural=True)
+    assert calls == {"member_predicate": len(posets), "classify": len(posets),
+                     "coxeter_element": 1}
+
+
 def test_woip_counts_weak_intervals():
     for label in ("A2", "B2", "A3", "B3"):
         g = group(label)
