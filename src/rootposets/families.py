@@ -177,6 +177,15 @@ def _coip_sums_hold(system, c, bits):
     return True
 
 
+def _boip_sums_hold(system, bits):
+    """The BOIP condition on a poset: both roots of each same-sign pair
+    summing to a root of the set are in."""
+    for a, b, k in _same_sign_pairs(system):
+        if (bits >> k) & 1 and not ((bits >> a) & 1 and (bits >> b) & 1):
+            return False
+    return True
+
+
 def member_predicate(group, family, rset, allow_conjectural=False, memo=None):
     """The intrinsic characterization of family membership, taken literally.
 
@@ -207,13 +216,10 @@ def member_predicate(group, family, rset, allow_conjectural=False, memo=None):
         return strict_separation_exists(inside, outside, system.rank)
 
     if tag == "BOIP":
-        for a, b, k in _same_sign_pairs(system):
-            if (bits >> k) & 1 and not ((bits >> a) & 1 and (bits >> b) & 1):
-                return False
-        return True
+        return _boip_sums_hold(system, bits)
 
     if tag == "BOEP":
-        if not member_predicate(group, FamilyId("BOIP"), rset):
+        if not _boip_sums_hold(system, bits):
             return False
         neg = system.negate_bits(bits)
         have = bits | neg

@@ -8,10 +8,14 @@ Level formulas (meet shown; join is the mirror image):
     Closed      ncd( cl(R+ u S+) | (R- n S-) )
     Posets      Closed formulas; they preserve antisymmetry
 
-verify_lattice certifies lattice-ness of an explicit family by brute
-force and optionally checks a level formula against the brute-force
-meets and joins, pair by pair, running the closure and deletion once per
-mask combination such as (R+ u S+) | (R- n S-).  On level members the set
+verify_lattice certifies lattice-ness of an explicit family from its
+cover graph: a finite bounded poset is a lattice iff every two elements
+covering a common element have a join (Bjorner-Edelman-Ziegler 1990,
+Lemma 2.1), so only pairs of upper covers of one element are tested.  It
+optionally checks a level formula against the glb and lub of every pair,
+running the closure and deletion once per mask combination such as
+(R+ u S+) | (R- n S-); a non-lattice is scanned pair by pair up to its
+first pair without a glb or a lub.  On level members the set
 handed to ncd/pcd is semiclosed by construction (a closure on one side, an
 intersection of closed sets on the other), so the fast deletion applies
 after checking the one half, with no full classification.
@@ -217,28 +221,103 @@ def _below_masks(system, bits_list):
     return below, above
 
 
-def _cover_masks(below):
-    """covers[i] bit j set iff family[j] is covered by family[i]."""
-    strict = [b & ~(1 << i) for i, b in enumerate(below)]
+def _upper_covers(above):
+    """covers[i]: the j with family[j] covering family[i], ascending.
+
+    Canonical order is a linear extension, so the first index strictly
+    above i covers i; dropping everything above it and taking the first
+    index left finds the next, one step per cover.
+    """
     out = []
-    for s in strict:
-        between = 0
-        for j in _indices(s):
-            between |= strict[j]
-        out.append(s & ~between)
+    for i, rest in enumerate(above):
+        rest ^= 1 << i
+        found = []
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            found.append(j)
+            rest &= ~above[j]
+        out.append(found)
     return out
 
 
-def verify_lattice(family, formula=None, cap=VERIFY_CAP):
-    """Brute-force lattice certification of a family under the weak order.
+def _covered_pairs_have_joins(above, upper_covers):
+    """Whether every two upper covers of one element have a lub.
 
-    A strict step in the weak order raises the grade, so in canonical
-    order the only possible glb of a pair is its last common lower bound
-    and the only possible lub its first common upper bound; each candidate
-    is accepted only if it bounds every common bound.  When ``formula``
-    names a level, additionally checks that the level's meet/join formulas
-    return exactly those two sets on every pair.  Gradedness is read off
-    the cover graph of the family.
+    In canonical order the only candidate is the first common upper
+    bound, which is the lub iff everything above both lies above it (an
+    empty mask picks index -1, whose mask is not empty).
+    """
+    for ups in upper_covers:
+        for a, x in enumerate(ups):
+            ax = above[x]
+            for y in ups[a + 1:]:
+                highs = ax & above[y]
+                if highs != above[(highs & -highs).bit_length() - 1]:
+                    return False
+    return True
+
+
+def _first_bad_pair(system, bits_list, below, above, formula, is_lattice):
+    """The first pair (i, j), i < j, in canonical order that fails, or None.
+
+    A pair fails when it has no glb or no lub (never on a lattice, where
+    that check is skipped) or, when ``formula`` names a level, when the
+    level's meet or join of the pair is not that glb or lub.  The glb of
+    a pair is the element whose lower bounds are exactly the pair's common
+    lower bounds, so each formula result is memoised by its mask key as
+    the below (above) mask of the set it names, or -1 off the family, and
+    lattice_op_bits runs once per key and direction.
+    """
+    pos, neg = system.pos_mask, system.neg_mask
+    plus, minus = [b & pos for b in bits_list], [b & neg for b in bits_list]
+    index_of = {b: i for i, b in enumerate(bits_list)}
+    meets, joins = {}, {}
+    k = len(bits_list)
+    for i in range(k):
+        rp, rn, bi, ai = plus[i], minus[i], below[i], above[i]
+        for j, sp, sn, bj, aj in zip(range(i + 1, k), plus[i + 1:], minus[i + 1:],
+                                     below[i + 1:], above[i + 1:]):
+            lows, highs = bi & bj, ai & aj
+            if not is_lattice and (
+                    lows != below[lows.bit_length() - 1]
+                    or highs != above[(highs & -highs).bit_length() - 1]):
+                return i, j
+            if formula is None:
+                continue
+            key = rp | sp | (rn & sn)
+            got = meets.get(key)
+            if got is None:
+                out = index_of.get(lattice_op_bits(system, formula, "meet",
+                                                   bits_list[i], bits_list[j]))
+                got = meets[key] = -1 if out is None else below[out]
+            if got != lows:
+                return i, j
+            key = rn | sn | (rp & sp)
+            got = joins.get(key)
+            if got is None:
+                out = index_of.get(lattice_op_bits(system, formula, "join",
+                                                   bits_list[i], bits_list[j]))
+                got = joins[key] = -1 if out is None else above[out]
+            if got != highs:
+                return i, j
+    return None
+
+
+def verify_lattice(family, formula=None, cap=VERIFY_CAP):
+    """Lattice certification of a family under the weak order.
+
+    A finite bounded poset is a lattice iff every two elements covering a
+    common element have a join (Bjorner-Edelman-Ziegler, Hyperplane
+    arrangements with a lattice of regions, DCG 5 (1990), Lemma 2.1).  A
+    strict step in the weak order raises the grade, so canonical order is
+    a linear extension: the family is bounded iff its first element lies
+    below all and its last above all, and the only possible lub of a pair
+    is its first common upper bound (glb: its last common lower bound).
+    So lattice-ness is decided from the cover graph, which also gives
+    gradedness and the cover count.  The pairs are scanned only to check
+    ``formula``, when it names a level, against the glb and lub of every
+    pair, or to find the witness of a non-lattice; the witness is the
+    first failing pair in canonical order and the scan stops there.
     """
     family = canonical_sort(family)
     k = len(family)
@@ -250,50 +329,27 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     if formula is not None:
         require_lattice_ops(system, formula)
     bits_list = [r.bits for r in family]
-    index_of = {b: i for i, b in enumerate(bits_list)}
-    if len(index_of) != k:
+    if len(set(bits_list)) != k:
         raise ContractViolationError("family contains duplicates")
     below, above = _below_masks(system, bits_list)
-    grades = [r.grade() for r in family]
-
-    is_lattice = True
-    formula_ok = None if formula is None else True
+    upper_covers = _upper_covers(above)
+    full = (1 << k) - 1
+    is_lattice = (above[0] == full and below[-1] == full
+                  and _covered_pairs_have_joins(above, upper_covers))
     witness = None
-    meets, joins = {}, {}
-    for i in range(k):
-        bi, ai = below[i], above[i]
-        for j in range(i + 1, k):
-            lows, highs = bi & below[j], ai & above[j]
-            glb = lows.bit_length() - 1
-            lub = (highs & -highs).bit_length() - 1
-            pair_ok = (glb >= 0 and lub >= 0 and not lows & ~below[glb]
-                       and not highs & ~above[lub])
-            # after the first mismatch the witness is fixed; only pair_ok counts
-            if formula_ok:
-                meet = lattice_op_bits(system, formula, "meet",
-                                       bits_list[i], bits_list[j], meets)
-                join = lattice_op_bits(system, formula, "join",
-                                       bits_list[i], bits_list[j], joins)
-                if (pair_ok and index_of.get(meet) == glb
-                        and index_of.get(join) == lub):
-                    continue
-                formula_ok = False
-            elif pair_ok:
-                continue
-            is_lattice = is_lattice and pair_ok
-            if witness is None:
-                witness = (family[i], family[j])
-
-    cover_masks = _cover_masks(below)
-    graded = all(grades[i] - grades[j] == 1
-                 for i, c in enumerate(cover_masks) for j in _indices(c))
+    if formula is not None or not is_lattice:
+        bad = _first_bad_pair(system, bits_list, below, above, formula, is_lattice)
+        if bad is not None:
+            witness = (family[bad[0]], family[bad[1]])
+    grades = [r.grade() for r in family]
     return LatticeReport(
         family_size=k,
         is_lattice=is_lattice,
-        formula_matches_bruteforce=formula_ok,
-        graded=graded,
+        formula_matches_bruteforce=None if formula is None else witness is None,
+        graded=all(grades[j] - grades[i] == 1
+                   for i, found in enumerate(upper_covers) for j in found),
         witness=witness,
-        cover_count=sum(c.bit_count() for c in cover_masks),
+        cover_count=sum(map(len, upper_covers)),
         level=formula,
     )
 
@@ -303,9 +359,9 @@ def hasse_edges(family):
     family = canonical_sort(family)
     if not family:
         return family, []
-    below, _ = _below_masks(family[0].system, [r.bits for r in family])
-    edges = sorted((j, i) for i, c in enumerate(_cover_masks(below))
-                   for j in _indices(c))
+    _, above = _below_masks(family[0].system, [r.bits for r in family])
+    edges = sorted((i, j) for i, found in enumerate(_upper_covers(above))
+                   for j in found)
     return family, edges
 
 

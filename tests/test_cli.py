@@ -69,6 +69,22 @@ def test_lattice_verify(capsys):
     assert result["graded"]
 
 
+def test_lattice_verify_formula_mismatch(capsys):
+    """The antisymmetric sets of A2 form a lattice on which the posets
+    formulas fail; the report names the first failing pair."""
+    code, out = run(capsys, "lattice", "verify", "--type", "A2",
+                    "--family", "antisym", "--formula", "posets")
+    assert code == 1
+    assert json.loads(out)["result"] == {
+        "family_size": 27,
+        "is_lattice": True,
+        "formula_matches_bruteforce": False,
+        "graded": True,
+        "cover_count": 54,
+        "witness": ["+[0,1],+[1,0],+[1,1]", "+[0,1],+[1,0],-[1,1]"],
+    }
+
+
 def test_hasse_dot(capsys):
     code, out = run(capsys, "hasse", "--type", "A2", "--family", "posets",
                     "--format", "dot")

@@ -110,29 +110,46 @@ def test_construction_equals_predicate_a3():
         assert report.equal, tag
 
 
-def test_coep_sweep_sets_up_once(monkeypatch):
-    """A COEP sweep enters the predicate and classifies once per poset,
-    and resolves its Coxeter element once."""
+def _count_sweep_calls(monkeypatch, label, family):
+    """Calls of member_predicate, classify and coxeter_element made by one
+    predicate sweep over the posets of ``label``, the poset count, and the
+    sweep's report."""
     import rootposets.cambrian as camb
     import rootposets.families as families
-    calls = {}
+    calls = {"member_predicate": 0, "classify": 0, "coxeter_element": 0}
 
     def count(module, name):
         real = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((families, "member_predicate"), (families, "classify"),
                          (camb, "coxeter_element")):
         count(module, name)
-    posets = enumerate_posets(system("B3"))
-    verify_family_equality(group("B3"), FamilyId("COEP", "lin"), posets,
-                           allow_conjectural=True)
-    assert calls == {"member_predicate": len(posets), "classify": len(posets),
-                     "coxeter_element": 1}
+    posets = enumerate_posets(system(label))
+    report = verify_family_equality(group(label), family, posets,
+                                    allow_conjectural=True)
+    return calls, len(posets), report
+
+
+def test_coep_sweep_sets_up_once(monkeypatch):
+    """A COEP sweep enters the predicate and classifies once per poset,
+    and resolves its Coxeter element once."""
+    calls, n, _ = _count_sweep_calls(monkeypatch, "B3", FamilyId("COEP", "lin"))
+    assert calls == {"member_predicate": n, "classify": n, "coxeter_element": 1}
+
+
+def test_boep_sweep_classifies_once(monkeypatch):
+    """A BOEP sweep tests BOIP on the bits it has, so each poset is
+    classified once (twice when the predicate re-entered itself for BOIP),
+    and the construction still equals the predicate."""
+    calls, n, report = _count_sweep_calls(monkeypatch, "B4", FamilyId("BOEP"))
+    assert n == 94_313
+    assert calls == {"member_predicate": n, "classify": n, "coxeter_element": 0}
+    assert report.equal and report.construction_count == 16
 
 
 def test_woip_counts_weak_intervals():

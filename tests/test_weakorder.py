@@ -7,7 +7,7 @@ from rootposets.weakorder import (
     Level, canonical_sort, covers, export_hasse, hasse_edges, lattice_op,
     lattice_op_bits, verify_lattice, weak_le,
 )
-from rootposets.census import enumerate_posets
+from rootposets.census import enumerate_posets, level_members as level_members_dfs
 
 from conftest import system
 from oracles import lattice_op_reference, naive_lattice_report
@@ -328,6 +328,13 @@ def test_lattice_op_bits_deletes_exhaustively_without_theory():
                                             for _ in range(300)])
 
 
+def _mask_key(rs, direction, a, b):
+    """The mask combination a meet or join formula is applied to."""
+    grown, kept = ((rs.pos_mask, rs.neg_mask) if direction == "meet"
+                   else (rs.neg_mask, rs.pos_mask))
+    return ((a | b) & grown) | (a & b & kept)
+
+
 @pytest.mark.parametrize("label,family_level,formula", [
     ("A2", Level.ANTISYM, Level.POSETS),
     ("B2", Level.ANTISYM, Level.POSETS),
@@ -337,8 +344,12 @@ def test_lattice_op_bits_deletes_exhaustively_without_theory():
 def test_formula_stops_after_first_mismatch(monkeypatch, label, family_level,
                                             formula):
     """The report equals the oracle's, which evaluates the formula on every
-    pair, while verify_lattice stops evaluating at the witness pair."""
-    family = level_members(system(label), family_level)
+    pair, while verify_lattice evaluates each mask key once per direction,
+    at the first pair in canonical order that has it, and no pair after
+    the witness: every meet key up to the witness and every join key
+    before it, and nothing else."""
+    rs = system(label)
+    family = level_members(rs, family_level)
     want = naive_lattice_report(family, formula)
     calls = []
     real = wo.lattice_op_bits
@@ -347,8 +358,61 @@ def test_formula_stops_after_first_mismatch(monkeypatch, label, family_level,
     rep = verify_lattice(family, formula)
     assert _report_fields(rep) == want[:6]
     assert rep.formula_matches_bruteforce is False
-    order = canonical_sort(family)
+    order = [r.bits for r in canonical_sort(family)]
     k = len(order)
-    i, j = order.index(rep.witness[0]), order.index(rep.witness[1])
-    witness_pair = sum(k - 1 - a for a in range(i)) + (j - i - 1)
-    assert len(calls) == 2 * (witness_pair + 1)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pairs = pairs[:pairs.index((order.index(rep.witness[0].bits),
+                                order.index(rep.witness[1].bits))) + 1]
+    first = {}
+    for i, j in pairs:
+        for direction in ("meet", "join"):
+            first.setdefault((direction, _mask_key(rs, direction, order[i], order[j])),
+                             (i, j))
+    seen = [(args[2], _mask_key(rs, *args[2:])) for args in calls]
+    assert len(set(seen)) == len(seen)
+    for args, key in zip(calls, seen):
+        assert first[key] == (order.index(args[3]), order.index(args[4]))
+    must = {key for key, pair in first.items()
+            if key[0] == "meet" or pair != pairs[-1]}
+    assert must <= set(seen)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_verify_lattice_matches_naive_oracle_on_bounded_families(label):
+    """Seeded random subfamilies of the posets with Phi+ and Phi- added are
+    bounded, so the cover test decides them; every report field agrees
+    with the oracle, and both lattices and non-lattices occur."""
+    import random
+    rng = random.Random("bounded " + label)
+    rs = system(label)
+    ends = [RootSet.positive_roots(rs), RootSet.negative_roots(rs)]
+    inner = [p for p in enumerate_posets(rs) if p not in ends]
+    outcomes = set()
+    for trial in range(40):
+        family = rng.sample(inner, rng.randint(0, min(22, len(inner)))) + ends
+        for formula in (None, Level.POSETS):
+            want = naive_lattice_report(family, formula)
+            rep = verify_lattice(family, formula)
+            assert _report_fields(rep) == want[:6], (label, trial, formula)
+            outcomes.add(rep.is_lattice)
+    assert outcomes == {True, False}
+
+
+def test_verify_lattice_a4_closed():
+    """Table 1's 6,942 closed sets of A4 form a lattice, not a graded one."""
+    members = level_members_dfs(system("A4"), Level.CLOSED)
+    rep = verify_lattice(members, cap=len(members))
+    assert rep.family_size == 6942
+    assert rep.is_lattice and not rep.graded
+    assert rep.formula_matches_bruteforce is None and rep.witness is None
+
+
+@pytest.mark.parametrize("label,size", [("A4", 4231), ("D4", 12_361)])
+def test_verify_lattice_rank4_posets(label, size):
+    """The posets of A4 and D4 form a graded lattice; the cover count from
+    the cover graph equals the count from the posets cover formulas."""
+    members = enumerate_posets(system(label))
+    rep = verify_lattice(members, cap=len(members))
+    assert rep.family_size == size
+    assert rep.is_lattice and rep.graded and rep.witness is None
+    assert rep.cover_count == sum(len(covers(Level.POSETS, r)) for r in members)
