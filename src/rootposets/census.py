@@ -20,21 +20,19 @@ root sums linking it to the tail require, and a branch whose mask is 0
 is cut.  A head leaf stands for the sets head | tail[k], k ascending over
 the mask's bits.  Deciding the head first and taking the tail sets in
 their own backtracking order is the order of one backtracking over all
-roots, so every count, checksum and member list is unchanged; a count
-needs only the mask's bit count.
+roots, so every count and member list is unchanged.
 
-A head leaf's sets go to a leaf: count_family hashes them in one
-update, and level_members lists them, refusing past a cap.
-level_members takes every subset for all, the 3^N sign choices for
-antisym, closed subsets of Phi^+ times those of Phi^- for semiclosed,
-and the backtracking for closed and posets.  Every enumeration visits
-candidates in one fixed order, so counts and checksums are identical
-across reruns.
+count_family counts per head leaf, by the mask's bit count, and builds
+no set.  level_members lists the sets of each head leaf, refusing past
+a cap: every subset for all, the 3^N sign choices for antisym, closed
+subsets of Phi^+ times those of Phi^- for semiclosed, and the
+backtracking for closed and posets.  Every enumeration visits
+candidates in one fixed order, so member lists are identical across
+reruns.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import time
@@ -54,11 +52,12 @@ from .rootsys import build_from_label
 from .weyl import weyl_group
 
 CLOSED_BITSET_LIMIT = 32    # |Phi| cap for the backtracking counters
-# the backtracking's tail: its last TAIL_SIZE roots.  Against 10, on the
-# closed and posets rows of A5, B4, C4 and D4, 8 took 12% longer and 12
-# took 15% less, but 12 took 9% longer on the rows of rank 2 to 4 (2-core
-# x86-64, Python 3.11); the best size grows with |Phi|: D5 posets took
-# 1.14 s at 10, 0.70 s at 14
+# the backtracking's tail: its last TAIL_SIZE roots.  Counting with 14
+# against 10 (best of 3 in each of two runs, 2-core x86-64, Python 3.11),
+# posets rows gain (D5 0.65-0.83 -> 0.26-0.28 s, B4 0.039 -> 0.020 s),
+# closed rows lose (A5 0.070-0.087 -> 0.096-0.100 s, C4 0.061-0.079 ->
+# 0.071-0.092 s) and rank 3-4 rows take 2-3 times as long (A4 closed
+# 0.004 -> 0.010 s): the best size grows with |Phi|
 TAIL_SIZE = 10
 
 
@@ -69,7 +68,6 @@ class CensusResult:
     count: int
     elapsed: float
     method: str
-    checksum: str
 
 
 def _closed_sets(system, indices, antisymmetric, leaf):
@@ -198,6 +196,10 @@ def _backtrack(system, order, antisymmetric, has, full, leaf):
     rec(0, 0, 0, 0, full)
 
 
+def _skip(mask, allowed, tails):
+    """A leaf for counts alone: _closed_sets sums the batch sizes."""
+
+
 def _batch(mask, allowed, tails):
     """The sets of one head leaf, in backtracking order."""
     return [mask | tails[k] for k in _indices(allowed)]
@@ -262,39 +264,29 @@ def enumerate_posets(system):
 
 
 def count_family(system, family, group=None):
-    """Exact count of one family over the system, with method and checksum.
+    """Exact count of one family over the system.
 
     ``family`` is a level name other than all, a family name such as
     'COIP(bip)', or a FamilyId.
     """
     t0 = time.perf_counter()
     level = wo.Level.named(family)
-    h = hashlib.sha256()  # of the sets found, or of the count if none are
-
-    def digest(*leaf):  # one update per head leaf
-        h.update(b"".join([bits.to_bytes(16, "little") for bits in _batch(*leaf)]))
-
     if level is wo.Level.ANTISYM:
         count, method = 3 ** system.num_positive, "closed-form"
     elif level is wo.Level.SEMICLOSED:
-        half = _closed_sets(system, range(system.num_positive), False,
-                            lambda *leaf: None)
+        half = _closed_sets(system, range(system.num_positive), False, _skip)
         count, method = half * half, "backtracking"
     elif level in (wo.Level.CLOSED, wo.Level.POSETS):
         _require_dfs(system, level)
         count = _closed_sets(system, range(system.num_roots),
-                             level is wo.Level.POSETS, digest)
+                             level is wo.Level.POSETS, _skip)
         method = "backtracking"
     else:
         family = fam.FamilyId.parse(family) if isinstance(family, str) else family
-        members = fam.family_bits(group or weyl_group(system), family)
-        for bits in members:  # one update per set: no copy of a whole family
-            h.update(bits.to_bytes(16, "little"))
-        count, method = len(members), "exhaustive"
-    if level in (wo.Level.ANTISYM, wo.Level.SEMICLOSED):
-        h.update(str(count).encode())
+        count = len(fam.family_set(group or weyl_group(system), family))
+        method = "exhaustive"
     return CensusResult(system.label, str(family) if level is None else level.value,
-                        count, time.perf_counter() - t0, method, h.hexdigest())
+                        count, time.perf_counter() - t0, method)
 
 
 # -- Table 1 reference data ---------------------------------------------------

@@ -2,10 +2,11 @@
 
 Every family is a set of interval posets R(lo)^- | R(hi)^+, with lo and
 hi taken from elements, cosets, Cambrian classes or the boolean posets
-R(A); family_bits streams the (lo, hi) pairs of each tag as bits and
-keeps the distinct posets, which construct_family wraps once.  Where the source material gives
-one, an intrinsic membership predicate on posets is asserted to coincide
-with the construction by verify_family_equality; the COEP predicate is
+R(A); family_set streams the (lo, hi) pairs of each tag as bits and
+keeps the distinct posets, which family_bits orders and construct_family
+wraps once.  Where the source material gives one, an intrinsic
+membership predicate on posets is asserted to coincide with the
+construction by verify_family_equality; the COEP predicate is
 conjectural and must be opted into explicitly.
 """
 
@@ -116,8 +117,8 @@ def _interval_pairs(group, tag, c):
         raise ContractViolationError(f"unhandled family {tag}")
 
 
-def family_bits(group, family, cap=None):
-    """The bits of the family's posets, each once, ordered by (grade, bits).
+def family_set(group, family, cap=None):
+    """The bits of the family's posets, unordered.
 
     A family of more than ``cap`` sets is refused as soon as its
     intervals have given cap + 1 distinct posets.
@@ -131,8 +132,14 @@ def family_bits(group, family, cap=None):
         if cap is not None and len(found) > cap:
             raise ResourceCapError(
                 f"{family} family of {system.label} has more than {cap} sets")
-    neg, pos = system.neg_mask, system.pos_mask
-    ordered = sorted(found)  # then stably by grade, faster than by a pair
+    return found
+
+
+def family_bits(group, family, cap=None):
+    """The bits of family_set, ordered by (grade, bits)."""
+    neg, pos = group.system.neg_mask, group.system.pos_mask
+    ordered = sorted(family_set(group, family, cap))
+    # then stably by grade, faster than by a pair
     ordered.sort(key=lambda b: (b & neg).bit_count() - (b & pos).bit_count())
     return ordered
 
@@ -142,27 +149,12 @@ def construct_family(group, family, cap=None):
     return [RootSet(group.system, b) for b in family_bits(group, family, cap)]
 
 
-def _same_sign_pairs(system):
-    """(a, b, a+b) triples with a, b of one sign and a+b a root, each once."""
-    out = []
-    table = system.sum_table
-    n = system.num_positive
-    for lo, hi in ((0, n), (n, 2 * n)):
-        for a in range(lo, hi):
-            row = table[a]
-            for b in range(a, hi):
-                k = row[b]
-                if k >= 0:
-                    out.append((a, b, k))
-    return out
-
-
 def _coip_sums_hold(system, c, bits):
     """The COIP condition on a poset: of each same-sign pair summing to a
     root of the set, the c-later positive (c-earlier negative) root is in."""
     pos = c.c_position
     n = system.num_positive
-    for a, b, k in _same_sign_pairs(system):
+    for a, b, k in system.same_sign_sums:
         if not (bits >> k) & 1:
             continue
         if a < n:  # positive pair: the <c-larger root must be present
@@ -180,7 +172,7 @@ def _coip_sums_hold(system, c, bits):
 def _boip_sums_hold(system, bits):
     """The BOIP condition on a poset: both roots of each same-sign pair
     summing to a root of the set are in."""
-    for a, b, k in _same_sign_pairs(system):
+    for a, b, k in system.same_sign_sums:
         if (bits >> k) & 1 and not ((bits >> a) & 1 and (bits >> b) & 1):
             return False
     return True
@@ -204,7 +196,7 @@ def member_predicate(group, family, rset, allow_conjectural=False, memo=None):
         return (bits | neg) == system.full_mask
 
     if tag == "WOIP":
-        for a, b, k in _same_sign_pairs(system):
+        for a, b, k in system.same_sign_sums:
             if (bits >> k) & 1 and not ((bits >> a) & 1 or (bits >> b) & 1):
                 return False
         return True
@@ -262,7 +254,7 @@ def verify_family_equality(group, family, all_posets, allow_conjectural=False):
     if tag == "COFP":
         raise UnsupportedOperationError("COFP has no predicate to compare")
     family = FamilyId(family.tag, _resolve_coxeter(group, family))
-    cbits = set(family_bits(group, family))
+    cbits = family_set(group, family)
     memo = {}
     pbits = {r.bits for r in all_posets
              if member_predicate(group, family, r, allow_conjectural, memo)}

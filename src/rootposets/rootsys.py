@@ -156,6 +156,14 @@ def _symmetrizer(cartan):
     return d
 
 
+def _same_sign_sums(sum_table, n):
+    """(a, b, a+b) triples with a <= b of one sign and a+b a root: the
+    pairs of the n positive roots, then those of their negatives."""
+    return tuple((a, b, sum_table[a][b]) for lo, hi in ((0, n), (n, 2 * n))
+                 for a in range(lo, hi) for b in range(a, hi)
+                 if sum_table[a][b] >= 0)
+
+
 class Root:
     """A single root: exact coordinates plus cached height and sign."""
 
@@ -277,6 +285,7 @@ class RootSystem:
                 row[j] = k
                 sum_table[j][i] = k
         self.sum_table = sum_table
+        self.same_sign_sums = _same_sign_sums(sum_table, n)
         self.pos_mask = (1 << n) - 1
         self.full_mask = (1 << n2) - 1
         self.neg_mask = self.full_mask ^ self.pos_mask

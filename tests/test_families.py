@@ -12,7 +12,9 @@ from rootposets.families import (
 )
 from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weakorder import Level, lattice_op, weak_le
-from rootposets.weyl import WeylGroup, coset_poset, enumerate_cosets, interval_poset
+from rootposets.weyl import (
+    WeylGroup, coset_poset, enumerate_cosets, interval_poset, weyl_group,
+)
 
 from conftest import group, system
 from oracles import descent_classes, family_reference, linear_extensions
@@ -113,10 +115,13 @@ def test_construction_equals_predicate_a3():
 def _count_sweep_calls(monkeypatch, label, family):
     """Calls of member_predicate, classify and coxeter_element made by one
     predicate sweep over the posets of ``label``, the poset count, and the
-    sweep's report."""
+    sweep's report.  The sweep runs on a system built inside it, and
+    builds the same-sign sum triples once, with the system."""
     import rootposets.cambrian as camb
     import rootposets.families as families
-    calls = {"member_predicate": 0, "classify": 0, "coxeter_element": 0}
+    import rootposets.rootsys as rootsys
+    calls = {"member_predicate": 0, "classify": 0, "coxeter_element": 0,
+             "_same_sign_sums": 0}
 
     def count(module, name):
         real = getattr(module, name)
@@ -127,11 +132,13 @@ def _count_sweep_calls(monkeypatch, label, family):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((families, "member_predicate"), (families, "classify"),
-                         (camb, "coxeter_element")):
+                         (camb, "coxeter_element"), (rootsys, "_same_sign_sums")):
         count(module, name)
-    posets = enumerate_posets(system(label))
-    report = verify_family_equality(group(label), family, posets,
+    rs = rootsys.build_from_label(label)
+    posets = enumerate_posets(rs)
+    report = verify_family_equality(weyl_group(rs), family, posets,
                                     allow_conjectural=True)
+    assert calls.pop("_same_sign_sums") == 1
     return calls, len(posets), report
 
 

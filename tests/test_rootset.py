@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootposets.coeff import Coeff, PSI
 from rootposets.errors import ContractViolationError, UnsupportedOperationError
@@ -92,6 +93,22 @@ def test_closure_operator_laws_exhaustive(label):
         small = rng.getrandbits(rs.num_roots)
         big = small | rng.getrandbits(rs.num_roots)
         assert closure_bits(rs, small) & ~closure_bits(rs, big) == 0
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "F4"])
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_closure_operator_laws_property(label, data):
+    """closure_bits is extensive, monotone and idempotent, on sets of at
+    most six roots and their unions with another such set."""
+    rs = system(label)
+    roots = st.sets(st.integers(0, rs.num_roots - 1), max_size=6)
+    small = sum(1 << i for i in data.draw(roots))
+    big = small | sum(1 << i for i in data.draw(roots))
+    cl = closure_bits(rs, small)
+    assert small & ~cl == 0
+    assert cl & ~closure_bits(rs, big) == 0
+    assert closure_bits(rs, cl) == cl
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
