@@ -9,6 +9,10 @@ closed / posets backtracking over roots ordered by absolute height, with
                 forced-inclusion propagation: once two included roots sum
                 to a root, that sum is either already decided (checked) or
                 forced into the set at its own position
+WOIP            the pairs v <= u, from up-set bitmasks over element ids
+                swept by length from the top
+WOFP            the cosets xW_I, sum over x of 2^(rank - |D_R(x)|)
+other families  the distinct posets of the family's intervals
 
 The backtracking meets in the middle.  Its last TAIL_SIZE roots, the
 tail, are decided once: the K tail sets closed among themselves (and
@@ -283,7 +287,7 @@ def count_family(system, family, group=None):
         method = "backtracking"
     else:
         family = fam.FamilyId.parse(family) if isinstance(family, str) else family
-        count = len(fam.family_set(group or weyl_group(system), family))
+        count = fam.family_count(group or weyl_group(system), family)
         method = "exhaustive"
     return CensusResult(system.label, str(family) if level is None else level.value,
                         count, time.perf_counter() - t0, method)

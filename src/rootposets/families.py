@@ -4,14 +4,19 @@ Every family is a set of interval posets R(lo)^- | R(hi)^+, with lo and
 hi taken from elements, cosets, Cambrian classes or the boolean posets
 R(A); family_set streams the (lo, hi) pairs of each tag as bits and
 keeps the distinct posets, which family_bits orders and construct_family
-wraps once.  Where the source material gives one, an intrinsic
-membership predicate on posets is asserted to coincide with the
-construction by verify_family_equality; the COEP predicate is
+wraps once.  interval_bits is injective on pairs: the negative half of
+R(lo, hi) is -inv(lo) and its positive half Phi^+ minus inv(hi).  So a
+family has as many posets as distinct pairs, and family_count counts
+the WOIP and WOFP pairs, each streamed once, from the group's tables
+without building a poset.  Where the source material gives one, an
+intrinsic membership predicate on posets is asserted to coincide with
+the construction by verify_family_equality; the COEP predicate is
 conjectural and must be opted into explicitly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,7 +88,8 @@ def _boolean_bits(group, subset):
 
 def _interval_pairs(group, tag, c):
     """(lo, hi) poset bits whose interval posets R(lo)^- | R(hi)^+ make
-    up the family, possibly with repeats."""
+    up the family; distinct pairs give distinct posets (interval_bits is
+    injective), and the WOIP and WOFP streams give each pair once."""
     bits = group.poset_bits
     if tag == "WOEP":
         yield from ((b, b) for b in bits)
@@ -133,6 +139,49 @@ def family_set(group, family, cap=None):
             raise ResourceCapError(
                 f"{family} family of {system.label} has more than {cap} sets")
     return found
+
+
+def family_count(group, family):
+    """len(family_set(group, family)); WOIP and WOFP count their pairs
+    from the group's tables and build no poset."""
+    tag = family.normalized_tag()
+    if tag == "WOIP":
+        return _count_weak_intervals(group)
+    if tag == "WOFP":
+        return _count_faces(group)
+    return len(family_set(group, family))
+
+
+def _count_weak_intervals(group):
+    """The pairs v <= u, as the sum of the up-set sizes.  The up-set of v
+    is v with the up-sets of its upper covers v s_i, one longer; ids run
+    by length, so the levels are swept from the top, each reading only
+    the masks of the level above, ids hi.. on."""
+    lengths = [w.length for w in group.elements]
+    total, above, hi = 0, [], len(lengths)
+    while hi:
+        lo = bisect_left(lengths, lengths[hi - 1])
+        level = []
+        for v in range(lo, hi):
+            mask = 1 << v
+            for row in group.right:
+                u = row[v]
+                if u >= hi:  # one longer, an upper cover
+                    mask |= above[u - hi]
+            level.append(mask)
+            total += mask.bit_count()
+        above, hi = level, lo
+    return total
+
+
+def _count_faces(group):
+    """The cosets (x, I) with I free of the right descents of x,
+    2^(rank - |D_R(x)|) for each x.  Every w_{o,I} is still resolved, so
+    a system that lacks one is refused as by enumerate_cosets."""
+    rank = group.system.rank
+    for mask in range(1 << rank):
+        group.parabolic_data(_indices(mask))
+    return sum(1 << rank - len(d) for d in group.right_descent_cache)
 
 
 def family_bits(group, family, cap=None):

@@ -311,14 +311,16 @@ def make_coset(group, x, subset):
 
 def enumerate_cosets(group):
     """Every standard parabolic coset (x, I), each exactly once."""
-    n = group.system.rank
-    subsets = sorted((frozenset(_indices(mask)) for mask in range(1 << n)),
-                     key=lambda s: (len(s), sorted(s)))
+    masks = sorted(range(1 << group.system.rank),
+                   key=lambda mask: (mask.bit_count(), _indices(mask)))
+    # the right descents of each x as bits of simple positions, like I
+    descents = [sum(1 << i for i in d) for d in group.right_descent_cache]
     out = []  # ordered by (|I|, sorted I, x.id)
-    for subset in subsets:
+    for mask in masks:
+        subset = frozenset(_indices(mask))
         word = group.parabolic_data(subset)[1].word()  # of w_{o,I}
-        for x in group.elements:
-            if not subset & x.right_descents():
+        for x, d in zip(group.elements, descents):
+            if not d & mask:
                 out.append(ParabolicCoset(x=x, subset=subset,
                                           w_long=group._walk(x.id, word)))
     return out

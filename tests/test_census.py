@@ -9,13 +9,14 @@ from rootposets.census import (
 )
 from rootposets import cambrian as camb
 from rootposets import families as fam
+from rootposets import weyl
 from rootposets.errors import (
     ContractViolationError, ResourceCapError, UnsupportedOperationError,
 )
 from rootposets.families import (
     CAMBRIAN_TAGS, FAMILY_TAGS, FamilyId, construct_family, family_bits,
 )
-from rootposets.rootset import RootSet, classify, parse_set_literal
+from rootposets.rootset import RootSet, _indices, classify, parse_set_literal
 from rootposets.rootsys import build_from_label
 from rootposets.weakorder import Level
 
@@ -123,12 +124,14 @@ def _row_digest(label, family):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "G2", "H3", "I2(5)"])
+@pytest.mark.parametrize("label", [
+    "A3", "B3", "G2", "H3", "I2(5)", "A4", "D4", "F4"])
 def test_counts_match_the_listed_sets(label):
     """A count builds no set, yet equals the number of sets listed.  The
-    levels of H3 (1,357,133 closed sets) are too large to list."""
+    levels of H3 (1,357,133 closed sets), D4 (788,544 semiclosed) and F4
+    (3,602,271 closed) are too large to list."""
     rs, g = system(label), group(label)
-    levels = () if label == "H3" else (
+    levels = () if label in ("H3", "D4", "F4") else (
         Level.ANTISYM, Level.SEMICLOSED, Level.CLOSED, Level.POSETS)
     for level in levels:
         assert (count_family(rs, level.value).count
@@ -138,6 +141,51 @@ def test_counts_match_the_listed_sets(label):
             family = FamilyId(tag, spec)
             assert (count_family(rs, family, g).count
                     == len(family_bits(g, family))), family
+
+
+@pytest.mark.parametrize("label,woip,wofp", [
+    # OEIS A007767 and A000670 at n = rank + 1
+    ("A5", 31_711, 4_683), ("A6", 672_697, 47_293),
+])
+def test_weak_order_rows_match_oeis(label, woip, wofp):
+    rs = system(label)
+    assert count_family(rs, "WOIP").count == woip
+    assert count_family(rs, "WOFP").count == wofp
+
+
+@pytest.mark.parametrize("label", ["A5", "B5", "D5", "F4", "D6"])
+def test_wofp_counts_the_cosets_of_every_parabolic(label):
+    """WOFP = sum over I of |W| / |W_I|, with |W_I| read as the size of
+    the interval [e, w_{o,I}]."""
+    g = group(label)
+    order = len(g.elements)
+    cosets = 0
+    for mask in range(1 << g.system.rank):
+        span_bits, _ = g.parabolic_data(_indices(mask))
+        cosets += order // len(g.interval(0, span_bits))
+    assert count_family(g.system, "WOFP", g).count == cosets
+
+
+@pytest.mark.parametrize("tag,count", [("WOIP", 457), ("WOFP", 147)])
+def test_weak_order_rows_walk_no_interval(monkeypatch, tag, count):
+    """The WOIP and WOFP rows are counted from the group's tables: they
+    list no family, walk no interval and enumerate no coset."""
+    calls = {"family_set": 0, "interval": 0, "enumerate_cosets": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    for owner, name in ((fam, "family_set"), (weyl.WeylGroup, "interval"),
+                        (weyl, "enumerate_cosets")):
+        counted(owner, name)
+    # a system whose group is built inside the count
+    assert count_family(build_from_label("B3"), tag).count == count
+    assert calls == {"family_set": 0, "interval": 0, "enumerate_cosets": 0}
 
 
 @pytest.mark.parametrize("label", [

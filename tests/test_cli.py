@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rootposets.census import CONJECTURE_IDS, COUNTEREXAMPLE_IDS
 from rootposets.cli import main
-from rootposets.families import FamilyId, member_predicate
+from rootposets.families import FAMILY_TAGS, FamilyId, member_predicate
 from rootposets.rootset import parse_set_literal
+from rootposets.weakorder import Level
 
 from conftest import group, system
 
@@ -204,6 +209,72 @@ def test_exit_code_contract(capsys, tmp_path, argv, code):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# malformed tokens, which replace or join the drawn ones
+_JUNK = ["", "x", "A0", "E9", "a2", "I2(1)", "A2..A1", "A1..B2", "-1", "s9",
+         "s1s1", "COIP(", "WOIP(lin)", "+[1,0", "+[9,9]", "--bogus"]
+_LEVELS = [level.value for level in Level]
+_SYSTEM = st.sampled_from(["A1", "A2", "B2", "G2"])
+_FAMILY = st.sampled_from(
+    _LEVELS + list(FAMILY_TAGS) + ["woip", "COIP(bip)", "COEP(s2s1)"])
+_COXETER = st.sampled_from(["lin", "bip", "s1s2", "s2s1"])
+_LEVEL = st.sampled_from(_LEVELS)
+# argparse reads a leading "-" as an option, so each literal starts with "+"
+_LITERAL = st.sampled_from(["+[1,0]", "+[0,1],+[1,1]", "+[0,1],-[1,0]"])
+# small caps keep every level of the cheap systems quick to refuse
+_CAP = st.sampled_from(["0", "3", "300", "1e3"])
+_COMMANDS = [
+    ["rootsys", "info", _SYSTEM],
+    ["families", "build", "--type", _SYSTEM, "--family", _FAMILY,
+     "--coxeter", _COXETER],
+    ["order", "compare", "--type", _SYSTEM, _LITERAL, _LITERAL,
+     "--level", _LEVEL],
+    ["lattice", "verify", "--type", _SYSTEM, "--family", _FAMILY,
+     "--coxeter", _COXETER, "--formula", _LEVEL, "--cap", _CAP],
+    ["hasse", "--type", _SYSTEM, "--family", _FAMILY, "--format",
+     st.sampled_from(["dot", "json"])],
+    ["census", "table1", "--types", st.sampled_from(["A1..A2", "B2,G2", "E6"]),
+     "--families", st.sampled_from(["WOIP,WOFP", "closed,COIP(bip)", "BOFP"])],
+    ["check-conjecture", st.sampled_from(CONJECTURE_IDS), "--type", _SYSTEM,
+     "--coxeter", _COXETER, "--rank-cap", _CAP],
+    ["counterexample", st.sampled_from(COUNTEREXAMPLE_IDS)],
+]
+
+
+@st.composite
+def _argv(draw):
+    """A real subcommand with each slot drawn, then perhaps one token
+    dropped, or replaced by a malformed one, or one malformed token
+    inserted."""
+    argv = [draw(part) if isinstance(part, st.SearchStrategy) else part
+            for part in draw(st.sampled_from(_COMMANDS))]
+    edit = draw(st.sampled_from(["keep", "keep", "drop", "replace", "insert"]))
+    if edit != "keep":
+        k = draw(st.integers(0, len(argv) - (edit != "insert")))
+        if edit != "insert":
+            del argv[k]
+        if edit != "drop":
+            argv.insert(k, draw(st.sampled_from(_JUNK)))
+    return argv
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_argv())
+def test_cli_fuzz_keeps_the_exit_code_contract(argv):
+    """Any argv exits 0-3, or 2 through argparse, without a traceback;
+    an error prints nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (2, 3):
+        assert out.getvalue() == "", argv
 
 
 def test_printed_family_name_is_accepted(capsys):
