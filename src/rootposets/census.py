@@ -449,21 +449,29 @@ class SublatticeReport:
 
 
 def check_sublattice(members, level, op=None):
-    """Is the family closed under the level's meet and join (or a custom op)?"""
+    """Is the family closed under the level's meet and join (or a custom op)?
+
+    The witness is the first pair in canonical order, meet before join,
+    whose result is missing.  The level's formula runs once per distinct
+    pair key (weakorder.first_rejected_pair); a custom ``op`` is called on
+    every pair.
+    """
     members = wo.canonical_sort(members)
     have = {r.bits for r in members}
     system = members[0].system if members else None
     if op is None and system is not None:
         wo.require_lattice_ops(system, level)
-    memos = {"meet": {}, "join": {}}
+        bad = wo.first_rejected_pair(system, level, [r.bits for r in members],
+                                     lambda direction, x, out: out in have)
+        if bad is None:
+            return SublatticeReport(len(members), True)
+        i, j, direction, out = bad
+        return SublatticeReport(len(members), False, (members[i], members[j], direction,
+                                                      RootSet(system, out)))
     for i, r in enumerate(members):
         for s in members[i + 1:]:
             for direction in ("meet", "join"):
-                if op is None:
-                    out = wo.lattice_op_bits(system, level, direction,
-                                             r.bits, s.bits, memos[direction])
-                else:
-                    out = op(direction, r, s).bits
+                out = op(direction, r, s).bits
                 if out not in have:
                     return SublatticeReport(
                         len(members), False,

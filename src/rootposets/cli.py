@@ -251,8 +251,9 @@ def build_parser():
     osub = p.add_subparsers(dest="subcommand", required=True)
     pc = osub.add_parser("compare", help="compare two set literals")
     pc.add_argument("--type", dest="system", required=True)
-    pc.add_argument("left")
-    pc.add_argument("right")
+    negative = "; put -- before the literals when one starts with '-'"
+    pc.add_argument("left", help="set literal, e.g. '+[1,0],-[0,1]'" + negative)
+    pc.add_argument("right", help="set literal" + negative)
     pc.add_argument("--level", choices=[l.value for l in wo.Level])
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_order_compare)

@@ -12,11 +12,15 @@ verify_lattice certifies lattice-ness of an explicit family from its
 cover graph: a finite bounded poset is a lattice iff every two elements
 covering a common element have a join (Bjorner-Edelman-Ziegler 1990,
 Lemma 2.1), so only pairs of upper covers of one element are tested.  It
-optionally checks a level formula against the glb and lub of every pair,
-running the closure and deletion once per mask combination such as
-(R+ u S+) | (R- n S-); a non-lattice is scanned pair by pair up to its
-first pair without a glb or a lub.  On level members the set
-handed to ncd/pcd is semiclosed by construction (a closure on one side, an
+optionally checks a level formula.  Every formula reads a pair only
+through its all-level meet (join), its key, and so do the pair's glb and
+lub: the members below R and S are those below the key.  So the formula
+runs once per distinct key, and on a lattice its result is tested
+against the glb (lub) of the key by a cover test, with no loop per pair;
+a failing formula's witness is looked for in one row of pairs.  A
+non-lattice is scanned pair by pair up to its first pair without a glb
+or a lub, or where the formula fails.  On level members the set handed
+to ncd/pcd is semiclosed by construction (a closure on one side, an
 intersection of closed sets on the other), so the fast deletion applies
 after checking the one half, with no full classification.
 """
@@ -25,9 +29,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import and_
 from typing import Optional
 
-from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
+from .errors import (
+    ContractViolationError, InvariantError, ResourceCapError, UnsupportedOperationError,
+)
 from .rootset import RootSet, _closed_bits, _indices, classify, closure_bits, deletion_bits
 
 VERIFY_CAP = 5000
@@ -75,12 +84,8 @@ def _level_member(system, bits, level):
     return flags.poset
 
 
-def lattice_op_bits(system, level, direction, rbits, sbits, memo=None):
-    """Meet or join at a level, raw-bits variant without membership checks.
-
-    ``memo``: an optional dict from mask combinations to results, kept by
-    the caller for one system, level and direction.
-    """
+def lattice_op_bits(system, level, direction, rbits, sbits):
+    """Meet or join at a level, raw-bits variant without membership checks."""
     if direction == "meet":
         grown, kept, side = system.pos_mask, system.neg_mask, "negative"
     elif direction == "join":
@@ -90,16 +95,59 @@ def lattice_op_bits(system, level, direction, rbits, sbits, memo=None):
     key = ((rbits | sbits) & grown) | (rbits & sbits & kept)
     if level in (Level.ALL, Level.ANTISYM):
         return key
-    if memo is not None and key in memo:
-        return memo[key]
     out = closure_bits(system, key & grown) | (key & kept)
     if level in (Level.CLOSED, Level.POSETS):
         # the grown half is closed: the fast deletion is complete iff the kept one is
         fast = system.crystallographic and _closed_bits(system, key & kept)
         out = deletion_bits(system, out, side, fast)
-    if memo is not None:
-        memo[key] = out
     return out
+
+
+def first_rejected_pair(system, level, bits_list, accept):
+    """The first pair i < j of bits_list, in order, whose level meet or join
+    ``accept(direction, x, result)`` rejects, as (i, j, direction, result),
+    meet before join; None when it rejects none.
+
+    A formula reads a pair only through its key, the all-level meet (join)
+    (R+ u S+) | (R- n S-), and the key of (key, key) is the key itself, so
+    lattice_op_bits and ``accept`` run once per distinct key, on (key,
+    key).  With f = bits ^ grown (Phi+ for meets, Phi- for joins) the key
+    of a pair is x ^ grown, x = f_R & f_S, and ``accept`` gets x.  The keys
+    of the pairs (i, j > i) are gathered by C-level set updates over blocks
+    of rows i that double in length, so a rejection early in the order
+    stops the work early; only the first row with a rejected key is then
+    walked pair by pair, for the witness.
+    """
+    sides = [(direction, grown, [b ^ grown for b in bits_list], set(), {})
+             for direction, grown in (("meet", system.pos_mask), ("join", system.neg_mask))]
+    k, lo, hi = len(bits_list), 0, 1
+    while lo < k:
+        for direction, grown, flips, seen, rejected in sides:
+            keys = set()
+            for i in range(lo, hi):
+                keys.update(map(flips[i].__and__, flips[i + 1:]))
+            keys -= seen
+            seen |= keys
+            for x in keys:
+                out = lattice_op_bits(system, level, direction, x ^ grown, x ^ grown)
+                if not accept(direction, x, out):
+                    rejected[x] = out
+        if any(rejected for *_, rejected in sides):
+            break
+        lo, hi = hi, min(k, 2 * hi)
+    else:
+        return None
+    for i in range(lo, hi):
+        if all(rejected.keys().isdisjoint(map(flips[i].__and__, flips[i + 1:]))
+               for _, _, flips, _, rejected in sides):
+            continue
+        for j in range(i + 1, k):
+            for direction, _, flips, _, rejected in sides:
+                out = rejected.get(flips[i] & flips[j])
+                if out is not None:
+                    return i, j, direction, out
+    raise InvariantError(f"{system.label}: the {level.value} check rejects a key"
+                         " that no pair has")
 
 
 def require_lattice_ops(system, level):
@@ -201,23 +249,21 @@ def _below_masks(system, bits_list):
     """below[i] / above[i]: masks of the j with family[j] <= / >= family[i].
 
     R <= S iff R xor Phi+ is a subset of S xor Phi+, so each bound is an
-    intersection of one family mask per root.
+    intersection of one family mask per root.  Those masks are the columns
+    of the keys written as fixed-width binary rows, read off in one
+    transpose; a row, as 0/1 bytes, then selects its columns.
     """
-    keys = [b ^ system.pos_mask for b in bits_list]
-    having = [0] * system.num_roots  # having[r] bit j set iff r in keys[j]
-    for j, key in enumerate(keys):
-        for r in _indices(key):
-            having[r] |= 1 << j
-    full = (1 << len(keys)) - 1
+    full = (1 << len(bits_list)) - 1
+    rows = [format(b ^ system.pos_mask, f"0{system.num_roots}b") for b in bits_list]
+    # rows reversed, so the string's last character (row 0) becomes bit 0
+    having = [int("".join(col), 2) for col in zip(*reversed(rows))]
+    lacking = [full ^ col for col in having]
+    has, lacks = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"01", b"\1\0")
     below, above = [], []
-    for key in keys:
-        lo = hi = full
-        for r in _indices(system.full_mask & ~key):
-            lo &= ~having[r]
-        for r in _indices(key):
-            hi &= having[r]
-        below.append(lo)
-        above.append(hi)
+    for row in rows:
+        row = row.encode()
+        below.append(reduce(and_, compress(lacking, row.translate(lacks)), full))
+        above.append(reduce(and_, compress(having, row.translate(has)), full))
     return below, above
 
 
@@ -257,16 +303,42 @@ def _covered_pairs_have_joins(above, upper_covers):
     return True
 
 
-def _first_bad_pair(system, bits_list, below, above, formula, is_lattice):
-    """The first pair (i, j), i < j, in canonical order that fails, or None.
+def _formula_checker(system, bits_list, upper_covers):
+    """accept(direction, x, result) for first_rejected_pair on a lattice:
+    whether the result is the glb (lub) of the pairs with key x.
 
-    A pair fails when it has no glb or no lub (never on a lattice, where
-    that check is skipped) or, when ``formula`` names a level, when the
-    level's meet or join of the pair is not that glb or lub.  The glb of
-    a pair is the element whose lower bounds are exactly the pair's common
-    lower bounds, so each formula result is memoised by its mask key as
-    the below (above) mask of the set it names, or -1 off the family, and
-    lattice_op_bits runs once per key and direction.
+    The members below R and S are the F with f_F inside x = f_R & f_S
+    (f = bits ^ Phi+); with f = bits ^ Phi- the same test picks the
+    members above both.  On a lattice those have a glb (lub), and a member
+    m is that glb iff f_m lies inside x and no upper cover of m does: were
+    m strictly below the glb, one of its upper covers would lie below the
+    glb too.  Joins use the lower covers.
+    """
+    index_of = {b: i for i, b in enumerate(bits_list)}
+    lower_covers = [[] for _ in bits_list]
+    for i, found in enumerate(upper_covers):
+        for j in found:
+            lower_covers[j].append(i)
+    sides = {"meet": ([b ^ system.pos_mask for b in bits_list], upper_covers),
+             "join": ([b ^ system.neg_mask for b in bits_list], lower_covers)}
+
+    def accept(direction, x, out):
+        flips, covers = sides[direction]
+        m = index_of.get(out)
+        return (m is not None and flips[m] | x == x
+                and all(flips[c] | x != x for c in covers[m]))
+    return accept
+
+
+def _first_bad_pair(system, bits_list, below, above, formula):
+    """The first pair (i, j), i < j, in canonical order of a non-lattice
+    that has no glb or no lub or, when ``formula`` names a level, whose
+    level meet or join is not that glb or lub.
+
+    The glb of a pair is the element whose lower bounds are exactly the
+    pair's common lower bounds, so each formula result is memoised by its
+    mask key as the below (above) mask of the set it names, or -1 off the
+    family, and lattice_op_bits runs once per key and direction.
     """
     pos, neg = system.pos_mask, system.neg_mask
     plus, minus = [b & pos for b in bits_list], [b & neg for b in bits_list]
@@ -278,8 +350,7 @@ def _first_bad_pair(system, bits_list, below, above, formula, is_lattice):
         for j, sp, sn, bj, aj in zip(range(i + 1, k), plus[i + 1:], minus[i + 1:],
                                      below[i + 1:], above[i + 1:]):
             lows, highs = bi & bj, ai & aj
-            if not is_lattice and (
-                    lows != below[lows.bit_length() - 1]
+            if (lows != below[lows.bit_length() - 1]
                     or highs != above[(highs & -highs).bit_length() - 1]):
                 return i, j
             if formula is None:
@@ -314,10 +385,12 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     below all and its last above all, and the only possible lub of a pair
     is its first common upper bound (glb: its last common lower bound).
     So lattice-ness is decided from the cover graph, which also gives
-    gradedness and the cover count.  The pairs are scanned only to check
-    ``formula``, when it names a level, against the glb and lub of every
-    pair, or to find the witness of a non-lattice; the witness is the
-    first failing pair in canonical order and the scan stops there.
+    gradedness and the cover count.  On a lattice, ``formula``, when it
+    names a level, is checked once per distinct meet and join key, by the
+    cover test of _formula_checker, in first_rejected_pair; only the row
+    of the first rejected key is walked pair by pair, for the witness.  A
+    non-lattice is scanned pair by pair up to its witness, the first pair
+    in canonical order without a glb or a lub or where the formula fails.
     """
     family = canonical_sort(family)
     k = len(family)
@@ -336,11 +409,13 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     full = (1 << k) - 1
     is_lattice = (above[0] == full and below[-1] == full
                   and _covered_pairs_have_joins(above, upper_covers))
-    witness = None
-    if formula is not None or not is_lattice:
-        bad = _first_bad_pair(system, bits_list, below, above, formula, is_lattice)
-        if bad is not None:
-            witness = (family[bad[0]], family[bad[1]])
+    bad = None
+    if not is_lattice:
+        bad = _first_bad_pair(system, bits_list, below, above, formula)
+    elif formula is not None:
+        bad = first_rejected_pair(system, formula, bits_list,
+                                  _formula_checker(system, bits_list, upper_covers))
+    witness = None if bad is None else (family[bad[0]], family[bad[1]])
     grades = [r.grade() for r in family]
     return LatticeReport(
         family_size=k,

@@ -62,6 +62,11 @@ def test_order_compare(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"] == {"le": True, "ge": False}
+    # a literal starting with a negative root needs -- (see the exit-code test)
+    code, out = run(capsys, "order", "compare", "--type", "A2", "--",
+                    "-[1,0]", "+[0,1]")
+    assert code == 0
+    assert json.loads(out)["result"] == {"le": False, "ge": True}
 
 
 def test_lattice_verify(capsys):
@@ -195,6 +200,8 @@ def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
     (["families", "build", "--type", "E7", "--family", "woep"], 3),
     (["census", "table1", "--types", "A2..A1"], 2),
     (["census", "table1", "--types", ""], 2),
+    # argparse reads a literal starting with "-" as an option: usage error
+    (["order", "compare", "--type", "A2", "-[1,0]", "+[0,1]"], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

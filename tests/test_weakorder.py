@@ -271,21 +271,17 @@ def test_verify_lattice_matches_naive_oracle(label):
 
 
 def _check_formula_pairs(rs, level, pairs):
-    memos = {"meet": {}, "join": {}}
     for a, b in pairs:
         for direction in ("meet", "join"):
             want = lattice_op_reference(rs, level, direction, a, b)
             assert lattice_op_bits(rs, level, direction, a, b) == want, \
                 (rs.label, level, direction, a, b)
-            assert lattice_op_bits(rs, level, direction, a, b,
-                                   memos[direction]) == want, \
-                (rs.label, level, direction, a, b)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_lattice_op_bits_matches_reference_on_levels(label):
-    """Every pair of each level whose formula closes or deletes, with and
-    without a memo, against the formulas applied one pair at a time."""
+    """Every pair of each level whose formula closes or deletes, against
+    the formulas applied one pair at a time."""
     rs = system(label)
     for level in (Level.SEMICLOSED, Level.CLOSED, Level.POSETS):
         bits = [r.bits for r in level_members(rs, level)]
@@ -344,10 +340,11 @@ def _mask_key(rs, direction, a, b):
 def test_formula_stops_after_first_mismatch(monkeypatch, label, family_level,
                                             formula):
     """The report equals the oracle's, which evaluates the formula on every
-    pair, while verify_lattice evaluates each mask key once per direction,
-    at the first pair in canonical order that has it, and no pair after
-    the witness: every meet key up to the witness and every join key
-    before it, and nothing else."""
+    pair, while verify_lattice evaluates each mask key at most once per
+    direction, only at keys that some pair of the family has, and every
+    key of the pairs before the witness (the meet key of the witness too:
+    a pair's meet is checked before its join).  The witness lies in the
+    first row here, so it stops before it has evaluated every key."""
     rs = system(label)
     family = level_members(rs, family_level)
     want = naive_lattice_report(family, formula)
@@ -361,20 +358,58 @@ def test_formula_stops_after_first_mismatch(monkeypatch, label, family_level,
     order = [r.bits for r in canonical_sort(family)]
     k = len(order)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    pairs = pairs[:pairs.index((order.index(rep.witness[0].bits),
-                                order.index(rep.witness[1].bits))) + 1]
-    first = {}
-    for i, j in pairs:
-        for direction in ("meet", "join"):
-            first.setdefault((direction, _mask_key(rs, direction, order[i], order[j])),
-                             (i, j))
+    keys = {(direction, _mask_key(rs, direction, order[i], order[j]))
+            for i, j in pairs for direction in ("meet", "join")}
     seen = [(args[2], _mask_key(rs, *args[2:])) for args in calls]
     assert len(set(seen)) == len(seen)
-    for args, key in zip(calls, seen):
-        assert first[key] == (order.index(args[3]), order.index(args[4]))
-    must = {key for key, pair in first.items()
-            if key[0] == "meet" or pair != pairs[-1]}
+    assert set(seen) < keys
+    last = pairs.index((order.index(rep.witness[0].bits),
+                        order.index(rep.witness[1].bits)))
+    must = {(direction, _mask_key(rs, direction, order[i], order[j]))
+            for n, (i, j) in enumerate(pairs[:last + 1])
+            for direction in ("meet", "join") if direction == "meet" or n < last}
     assert must <= set(seen)
+
+
+def _masks_by_definition(family):
+    below = [sum(1 << j for j, s in enumerate(family) if weak_le(s, r)) for r in family]
+    above = [sum(1 << j for j, s in enumerate(family) if weak_le(r, s)) for r in family]
+    return below, above
+
+
+def test_below_masks_match_weak_le_on_e6():
+    """E6 has 72 roots, so each key is wider than a machine word.  Seeded
+    sets, each with a few sets above it (fewer positives, more
+    negatives), so that comparable and incomparable pairs both occur."""
+    import random
+    rng = random.Random("E6 masks")
+    rs = system("E6")
+    pos = [i for i in range(rs.num_roots) if rs.is_positive(i)]
+    neg = [i for i in range(rs.num_roots) if not rs.is_positive(i)]
+    family = set()
+    while len(family) < 40:
+        bits = sum(1 << i for i in rng.sample(pos, 30) + rng.sample(neg, 6))
+        for _ in range(3):
+            family.add(bits)
+            bits &= ~sum(1 << i for i in rng.sample(pos, 4))
+            bits |= sum(1 << i for i in rng.sample(neg, 4))
+    family = [RootSet(rs, b) for b in sorted(family)]
+    below, above = wo._below_masks(rs, [r.bits for r in family])
+    assert (below, above) == _masks_by_definition(family)
+    assert any(m & (m - 1) for m in below)
+
+
+def test_below_masks_match_weak_le_on_b4_posets():
+    """A seeded B4 posets subfamily of 90 members, with Phi+ and Phi-, so
+    each mask is wider than a machine word."""
+    import random
+    rs = system("B4")
+    posets = enumerate_posets(rs)
+    family = canonical_sort(random.Random("B4 masks").sample(posets, 88)
+                            + [RootSet.positive_roots(rs), RootSet.negative_roots(rs)])
+    below, above = wo._below_masks(rs, [r.bits for r in family])
+    assert (below, above) == _masks_by_definition(family)
+    assert above[0] == below[-1] == (1 << 90) - 1
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
@@ -410,9 +445,12 @@ def test_verify_lattice_a4_closed():
 @pytest.mark.parametrize("label,size", [("A4", 4231), ("D4", 12_361)])
 def test_verify_lattice_rank4_posets(label, size):
     """The posets of A4 and D4 form a graded lattice; the cover count from
-    the cover graph equals the count from the posets cover formulas."""
+    the cover graph equals the count from the posets cover formulas.  On
+    A4 the posets formulas give every meet and join (D4 takes 18 s)."""
+    formula = Level.POSETS if label == "A4" else None
     members = enumerate_posets(system(label))
-    rep = verify_lattice(members, cap=len(members))
+    rep = verify_lattice(members, formula, cap=len(members))
     assert rep.family_size == size
     assert rep.is_lattice and rep.graded and rep.witness is None
+    assert rep.formula_matches_bruteforce is (None if formula is None else True)
     assert rep.cover_count == sum(len(covers(Level.POSETS, r)) for r in members)
