@@ -260,7 +260,7 @@ def build_parser():
 
     p = sub.add_parser("lattice", help="lattice verification")
     lsub = p.add_subparsers(dest="subcommand", required=True)
-    pv = lsub.add_parser("verify", help="brute-force certify a family")
+    pv = lsub.add_parser("verify", help="certify a family as a lattice")
     pv.add_argument("--type", dest="system", required=True)
     pv.add_argument("--family", required=True,
                     help="level name (" + "/".join(l.value for l in wo.Level)

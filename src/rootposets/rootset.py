@@ -277,24 +277,19 @@ def deletion_bits(system, bits, side, fast):
     return out
 
 
-def closure_deletion(rset, side, method="auto"):
+def closure_deletion(rset, side):
     """ncd (side='negative') or pcd (side='positive') of a subset.
 
-    The fast path requires a semiclosed crystallographic input; the
-    exhaustive path accepts anything.  method='auto' picks fast when its
-    preconditions hold.
+    The fast path, taken when its preconditions hold, requires a
+    semiclosed crystallographic input; the exhaustive path accepts
+    anything.
     """
     if side not in ("negative", "positive"):
         raise ContractViolationError("side must be 'negative' or 'positive'")
     system, bits = rset.system, rset.bits
-    if method == "auto":
-        fast = (system.crystallographic
-                and _closed_bits(system, bits & system.pos_mask)
-                and _closed_bits(system, bits & system.neg_mask))
-    else:
-        fast = method == "fast"
-        if fast and not system.crystallographic:
-            raise ContractViolationError("fast path requires a crystallographic system")
+    fast = (system.crystallographic
+            and _closed_bits(system, bits & system.pos_mask)
+            and _closed_bits(system, bits & system.neg_mask))
     return RootSet(system, deletion_bits(system, bits, side, fast))
 
 

@@ -11,25 +11,25 @@ Level formulas (meet shown; join is the mirror image):
 verify_lattice certifies lattice-ness of an explicit family from its
 cover graph: a finite bounded poset is a lattice iff every two elements
 covering a common element have a join (Bjorner-Edelman-Ziegler 1990,
-Lemma 2.1), so only pairs of upper covers of one element are tested.  It
-optionally checks a level formula.  Every formula reads a pair only
-through its all-level meet (join), its key, and so do the pair's glb and
-lub: the members below R and S are those below the key.  So the formula
-runs once per distinct key, and on a lattice its result is tested
-against the glb (lub) of the key by a cover test, with no loop per pair;
-a failing formula's witness is looked for in one row of pairs.  A
-non-lattice is scanned pair by pair up to its first pair without a glb
-or a lub, or where the formula fails.  On level members the set handed
-to ncd/pcd is semiclosed by construction (a closure on one side, an
-intersection of closed sets on the other), so the fast deletion applies
-after checking the one half, with no full classification.
+Lemma 2.1), so only pairs of upper covers of one element are tested.
+Its witness, and its check of a level formula, come from one search,
+first_rejected_pair.  A formula, a glb and a lub each read a pair only
+through its key, the all-level meet (join): with f = bits ^ Phi+ the
+members below R and S are those with f inside f_R & f_S, an AND of one
+column of members per root.  So each distinct key is tested once, for a
+glb (lub) and, with a formula, for the formula naming it, and only the
+row of the first rejected key is walked pair by pair.  On level members
+the set handed to ncd/pcd is semiclosed by construction (a closure on
+one side, an intersection of closed sets on the other), so the fast
+deletion applies after checking the one half, with no full
+classification.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress
 from operator import and_
 from typing import Optional
@@ -162,16 +162,15 @@ def require_lattice_ops(system, level):
                 f"{level.value} lattice operations need a crystallographic system")
 
 
-def lattice_op(level, direction, rset, sset, check_membership=True):
+def lattice_op(level, direction, rset, sset):
     """Meet/join of two sets inside the given level of the weak order."""
     rset._check_same(sset)
     system = rset.system
     require_lattice_ops(system, level)
-    if check_membership:
-        for x in (rset, sset):
-            if not _level_member(system, x.bits, level):
-                raise ContractViolationError(
-                    f"input is not in level {level.value}")
+    for x in (rset, sset):
+        if not _level_member(system, x.bits, level):
+            raise ContractViolationError(
+                f"input is not in level {level.value}")
     bits = lattice_op_bits(system, level, direction, rset.bits, sset.bits)
     return RootSet(system, bits)
 
@@ -245,26 +244,29 @@ def canonical_sort(family):
     return sorted(family, key=lambda r: (r.grade(), r.bits))
 
 
-def _below_masks(system, bits_list):
-    """below[i] / above[i]: masks of the j with family[j] <= / >= family[i].
+_HOLDS, _LACKS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"01", b"\1\0")
 
-    R <= S iff R xor Phi+ is a subset of S xor Phi+, so each bound is an
-    intersection of one family mask per root.  Those masks are the columns
-    of the keys written as fixed-width binary rows, read off in one
+
+def _key_row(system, x):
+    """x as ASCII 0/1 bytes, root r at byte r."""
+    return format(x, f"0{system.num_roots}b")[::-1].encode()
+
+
+def _order_masks(system, bits_list):
+    """having[r] / above[i]: masks of the members whose key f = bits ^ Phi+
+    holds root r, and of the j with family[j] >= family[i].
+
+    R <= S iff f_R is a subset of f_S, so above[i] is the AND of the
+    columns of the roots in f_i.  The columns are read off the keys,
+    written as fixed-width binary rows with root r at character r, in one
     transpose; a row, as 0/1 bytes, then selects its columns.
     """
     full = (1 << len(bits_list)) - 1
-    rows = [format(b ^ system.pos_mask, f"0{system.num_roots}b") for b in bits_list]
-    # rows reversed, so the string's last character (row 0) becomes bit 0
-    having = [int("".join(col), 2) for col in zip(*reversed(rows))]
-    lacking = [full ^ col for col in having]
-    has, lacks = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"01", b"\1\0")
-    below, above = [], []
-    for row in rows:
-        row = row.encode()
-        below.append(reduce(and_, compress(lacking, row.translate(lacks)), full))
-        above.append(reduce(and_, compress(having, row.translate(has)), full))
-    return below, above
+    rows = [_key_row(system, b ^ system.pos_mask) for b in bits_list]
+    # rows reversed, so the last row (row 0) becomes bit 0 of each column
+    having = [int(bytes(col), 2) for col in zip(*reversed(rows))]
+    above = [reduce(and_, compress(having, row.translate(_HOLDS)), full) for row in rows]
+    return having, above
 
 
 def _upper_covers(above):
@@ -303,75 +305,40 @@ def _covered_pairs_have_joins(above, upper_covers):
     return True
 
 
-def _formula_checker(system, bits_list, upper_covers):
-    """accept(direction, x, result) for first_rejected_pair on a lattice:
-    whether the result is the glb (lub) of the pairs with key x.
+def _bounds_checker(system, bits_list, having, formula):
+    """accept(direction, x, result) for first_rejected_pair: whether the
+    pairs with key x have a glb (lub) m and, when ``formula`` names a
+    level, the result is bits_list[m].
 
-    The members below R and S are the F with f_F inside x = f_R & f_S
-    (f = bits ^ Phi+); with f = bits ^ Phi- the same test picks the
-    members above both.  On a lattice those have a glb (lub), and a member
-    m is that glb iff f_m lies inside x and no upper cover of m does: were
-    m strictly below the glb, one of its upper covers would lie below the
-    glb too.  Joins use the lower covers.
+    With f = bits ^ Phi+ the members below R and S are the F with f_F
+    inside x = f_R & f_S: those lacking every root outside x.  With g =
+    bits ^ Phi-, the complement of f, the members above both are the F
+    with g_F inside x = g_R & g_S: those whose f holds every root outside
+    x.  In canonical order the only candidate glb is the last of them (lub:
+    the first), m, and it is the glb iff they are its down-set (up-set),
+    the bounds of its own key.  Those lie among them, so comparing sizes
+    decides it, and each m's size is found once.
     """
-    index_of = {b: i for i, b in enumerate(bits_list)}
-    lower_covers = [[] for _ in bits_list]
-    for i, found in enumerate(upper_covers):
-        for j in found:
-            lower_covers[j].append(i)
-    sides = {"meet": ([b ^ system.pos_mask for b in bits_list], upper_covers),
-             "join": ([b ^ system.neg_mask for b in bits_list], lower_covers)}
+    full = (1 << len(bits_list)) - 1
+    grown = {"meet": system.pos_mask, "join": system.neg_mask}
+    columns = {"meet": [full ^ col for col in having], "join": having}
+
+    def bounds(direction, x):
+        outside = _key_row(system, x).translate(_LACKS)
+        return reduce(and_, compress(columns[direction], outside), full)
+
+    @cache
+    def own_size(direction, m):
+        return bounds(direction, bits_list[m] ^ grown[direction]).bit_count()
 
     def accept(direction, x, out):
-        flips, covers = sides[direction]
-        m = index_of.get(out)
-        return (m is not None and flips[m] | x == x
-                and all(flips[c] | x != x for c in covers[m]))
+        found = bounds(direction, x)
+        m = (found.bit_length() if direction == "meet"
+             else (found & -found).bit_length()) - 1
+        # an empty mask picks index -1, whose own bounds are not empty
+        return (found.bit_count() == own_size(direction, m)
+                and (formula is None or out == bits_list[m]))
     return accept
-
-
-def _first_bad_pair(system, bits_list, below, above, formula):
-    """The first pair (i, j), i < j, in canonical order of a non-lattice
-    that has no glb or no lub or, when ``formula`` names a level, whose
-    level meet or join is not that glb or lub.
-
-    The glb of a pair is the element whose lower bounds are exactly the
-    pair's common lower bounds, so each formula result is memoised by its
-    mask key as the below (above) mask of the set it names, or -1 off the
-    family, and lattice_op_bits runs once per key and direction.
-    """
-    pos, neg = system.pos_mask, system.neg_mask
-    plus, minus = [b & pos for b in bits_list], [b & neg for b in bits_list]
-    index_of = {b: i for i, b in enumerate(bits_list)}
-    meets, joins = {}, {}
-    k = len(bits_list)
-    for i in range(k):
-        rp, rn, bi, ai = plus[i], minus[i], below[i], above[i]
-        for j, sp, sn, bj, aj in zip(range(i + 1, k), plus[i + 1:], minus[i + 1:],
-                                     below[i + 1:], above[i + 1:]):
-            lows, highs = bi & bj, ai & aj
-            if (lows != below[lows.bit_length() - 1]
-                    or highs != above[(highs & -highs).bit_length() - 1]):
-                return i, j
-            if formula is None:
-                continue
-            key = rp | sp | (rn & sn)
-            got = meets.get(key)
-            if got is None:
-                out = index_of.get(lattice_op_bits(system, formula, "meet",
-                                                   bits_list[i], bits_list[j]))
-                got = meets[key] = -1 if out is None else below[out]
-            if got != lows:
-                return i, j
-            key = rn | sn | (rp & sp)
-            got = joins.get(key)
-            if got is None:
-                out = index_of.get(lattice_op_bits(system, formula, "join",
-                                                   bits_list[i], bits_list[j]))
-                got = joins[key] = -1 if out is None else above[out]
-            if got != highs:
-                return i, j
-    return None
 
 
 def verify_lattice(family, formula=None, cap=VERIFY_CAP):
@@ -385,12 +352,12 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     below all and its last above all, and the only possible lub of a pair
     is its first common upper bound (glb: its last common lower bound).
     So lattice-ness is decided from the cover graph, which also gives
-    gradedness and the cover count.  On a lattice, ``formula``, when it
-    names a level, is checked once per distinct meet and join key, by the
-    cover test of _formula_checker, in first_rejected_pair; only the row
-    of the first rejected key is walked pair by pair, for the witness.  A
-    non-lattice is scanned pair by pair up to its witness, the first pair
-    in canonical order without a glb or a lub or where the formula fails.
+    gradedness and the cover count.  When the family is not a lattice or
+    ``formula`` names a level, first_rejected_pair looks for the witness,
+    the first pair in canonical order without a glb or a lub or whose
+    level meet or join is not that glb or lub; it tests each distinct
+    meet and join key once (_bounds_checker), with the all-level formula,
+    which names the key itself, when no formula is given.
     """
     family = canonical_sort(family)
     k = len(family)
@@ -404,17 +371,14 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     bits_list = [r.bits for r in family]
     if len(set(bits_list)) != k:
         raise ContractViolationError("family contains duplicates")
-    below, above = _below_masks(system, bits_list)
+    having, above = _order_masks(system, bits_list)
     upper_covers = _upper_covers(above)
-    full = (1 << k) - 1
-    is_lattice = (above[0] == full and below[-1] == full
+    is_lattice = (above[0] == (1 << k) - 1 and all(a >> (k - 1) for a in above)
                   and _covered_pairs_have_joins(above, upper_covers))
     bad = None
-    if not is_lattice:
-        bad = _first_bad_pair(system, bits_list, below, above, formula)
-    elif formula is not None:
-        bad = first_rejected_pair(system, formula, bits_list,
-                                  _formula_checker(system, bits_list, upper_covers))
+    if not is_lattice or formula is not None:
+        bad = first_rejected_pair(system, formula or Level.ALL, bits_list,
+                                  _bounds_checker(system, bits_list, having, formula))
     witness = None if bad is None else (family[bad[0]], family[bad[1]])
     grades = [r.grade() for r in family]
     return LatticeReport(
@@ -434,7 +398,7 @@ def hasse_edges(family):
     family = canonical_sort(family)
     if not family:
         return family, []
-    _, above = _below_masks(family[0].system, [r.bits for r in family])
+    _, above = _order_masks(family[0].system, [r.bits for r in family])
     edges = sorted((i, j) for i, found in enumerate(_upper_covers(above))
                    for j in found)
     return family, edges

@@ -20,7 +20,7 @@ from rootposets.cambrian import (
 from rootposets.coeff import Coeff
 from rootposets.errors import ContractViolationError, UnsupportedOperationError
 from rootposets.rootset import (
-    RootSet, _indices, classify, closure_bits, closure_deletion,
+    RootSet, _indices, classify, closure_bits, deletion_bits,
 )
 from rootposets.rootsys import cartan_matrix
 from rootposets.weakorder import Level, canonical_sort, weak_le
@@ -153,11 +153,11 @@ def lattice_op_reference(system, level, direction, rbits, sbits):
         grown, kept, side = (rbits | sbits) & neg, rbits & sbits & pos, "positive"
     if level in (Level.SEMICLOSED, Level.CLOSED, Level.POSETS):
         grown = closure_bits(system, grown)
-    rset = RootSet(system, grown | kept)
+    bits = grown | kept
     if level in (Level.CLOSED, Level.POSETS):
-        fast = system.crystallographic and classify(rset).semiclosed
-        rset = closure_deletion(rset, side, "fast" if fast else "exhaustive")
-    return rset.bits
+        fast = system.crystallographic and classify(RootSet(system, bits)).semiclosed
+        bits = deletion_bits(system, bits, side, fast)
+    return bits
 
 
 def generator_perms(system):

@@ -15,9 +15,9 @@ from rootposets.families import (
     FamilyId, boip_op, coip_op, construct_family, woip_op,
 )
 from rootposets.rootset import (
-    RootSet, classify, closure, closure_bits, closure_deletion, parse_set_literal,
+    RootSet, classify, closure, closure_bits, deletion_bits, parse_set_literal,
 )
-from rootposets.weakorder import Level, lattice_op, verify_lattice
+from rootposets.weakorder import Level, lattice_op, lattice_op_bits, verify_lattice
 from rootposets.weyl import coset_poset, enumerate_cosets, facial_meet
 
 from conftest import group, system
@@ -136,8 +136,8 @@ def test_criterion_5_sublattice_suite():
                 for d in ("meet", "join"):
                     out = boip_op(g, d, r, s)
                     assert out.bits in bhave
-                    assert lattice_op(Level.POSETS, d, r, s,
-                                      check_membership=False) == out
+                    assert lattice_op_bits(g.system, Level.POSETS, d,
+                                           r.bits, s.bits) == out.bits
                     assert woip_op(g, d, r, s) == out
                     assert coip_op(g, c, d, r, s) == out
         boep = construct_family(g, FamilyId("BOEP"))
@@ -219,8 +219,8 @@ def test_criterion_8_oracle_equivalences():
             if not classify(r).semiclosed:
                 continue
             for side in ("negative", "positive"):
-                assert closure_deletion(r, side, "fast") == \
-                    closure_deletion(r, side, "exhaustive")
+                assert deletion_bits(rs, bits, side, True) == \
+                    deletion_bits(rs, bits, side, False)
     for label in ("A3", "B3"):
         rs = system(label)
         for _ in range(5000):
@@ -229,8 +229,8 @@ def test_criterion_8_oracle_equivalences():
                   << rs.num_positive) & rs.neg_mask
             r = RootSet(rs, closure_bits(rs, pb) | closure_bits(rs, nb))
             for side in ("negative", "positive"):
-                assert closure_deletion(r, side, "fast") == \
-                    closure_deletion(r, side, "exhaustive")
+                assert deletion_bits(rs, r.bits, side, True) == \
+                    deletion_bits(rs, r.bits, side, False)
     # block-nestedness against inversion-set alignment on all of W(B3)
     g = group("B3")
     for spec in ("lin", "bip"):
