@@ -448,35 +448,26 @@ class SublatticeReport:
     witness: Optional[tuple] = None  # (R, S, direction, result)
 
 
-def check_sublattice(members, level, op=None):
-    """Is the family closed under the level's meet and join (or a custom op)?
+def check_sublattice(members, level):
+    """Is the family closed under the level's meet and join?
 
     The witness is the first pair in canonical order, meet before join,
     whose result is missing.  The level's formula runs once per distinct
-    pair key (weakorder.first_rejected_pair); a custom ``op`` is called on
-    every pair.
+    pair key, row by row (weakorder.first_rejected_pair).
     """
     members = wo.canonical_sort(members)
+    if not members:
+        return SublatticeReport(0, True)
+    system = members[0].system
+    wo.require_lattice_ops(system, level)
     have = {r.bits for r in members}
-    system = members[0].system if members else None
-    if op is None and system is not None:
-        wo.require_lattice_ops(system, level)
-        bad = wo.first_rejected_pair(system, level, [r.bits for r in members],
-                                     lambda direction, x, out: out in have)
-        if bad is None:
-            return SublatticeReport(len(members), True)
-        i, j, direction, out = bad
-        return SublatticeReport(len(members), False, (members[i], members[j], direction,
-                                                      RootSet(system, out)))
-    for i, r in enumerate(members):
-        for s in members[i + 1:]:
-            for direction in ("meet", "join"):
-                out = op(direction, r, s).bits
-                if out not in have:
-                    return SublatticeReport(
-                        len(members), False,
-                        (r, s, direction, RootSet(system, out)))
-    return SublatticeReport(len(members), True)
+    bad = wo.first_rejected_pair(system, level, [r.bits for r in members],
+                                 lambda direction, x, out: out in have)
+    if bad is None:
+        return SublatticeReport(len(members), True)
+    i, j, direction, out = bad
+    return SublatticeReport(len(members), False, (members[i], members[j], direction,
+                                                  RootSet(system, out)))
 
 
 @dataclass

@@ -16,13 +16,13 @@ Its witness, and its check of a level formula, come from one search,
 first_rejected_pair.  A formula, a glb and a lub each read a pair only
 through its key, the all-level meet (join): with f = bits ^ Phi+ the
 members below R and S are those with f inside f_R & f_S, an AND of one
-column of members per root.  So each distinct key is tested once, for a
-glb (lub) and, with a formula, for the formula naming it, and only the
-row of the first rejected key is walked pair by pair.  On level members
-the set handed to ncd/pcd is semiclosed by construction (a closure on
-one side, an intersection of closed sets on the other), so the fast
-deletion applies after checking the one half, with no full
-classification.
+column of members per root.  So the keys are gathered row by row, each
+distinct key is tested once, for a glb (lub) and, with a formula, for
+the formula naming it, and only the first row with a rejected key is
+walked pair by pair.  On level members the set handed to ncd/pcd is
+semiclosed by construction (a closure on one side, an intersection of
+closed sets on the other), so the fast deletion applies after checking
+the one half, with no full classification.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from itertools import compress
 from operator import and_
 from typing import Optional
 
-from .errors import (
-    ContractViolationError, InvariantError, ResourceCapError, UnsupportedOperationError,
-)
+from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
 from .rootset import RootSet, _closed_bits, _indices, classify, closure_bits, deletion_bits
 
 VERIFY_CAP = 5000
@@ -112,42 +110,29 @@ def first_rejected_pair(system, level, bits_list, accept):
     (R+ u S+) | (R- n S-), and the key of (key, key) is the key itself, so
     lattice_op_bits and ``accept`` run once per distinct key, on (key,
     key).  With f = bits ^ grown (Phi+ for meets, Phi- for joins) the key
-    of a pair is x ^ grown, x = f_R & f_S, and ``accept`` gets x.  The keys
-    of the pairs (i, j > i) are gathered by C-level set updates over blocks
-    of rows i that double in length, so a rejection early in the order
-    stops the work early; only the first row with a rejected key is then
-    walked pair by pair, for the witness.
+    of a pair is x ^ grown, x = f_R & f_S, and ``accept`` gets x.  Rows i
+    are walked in order: the keys f_i & f_j (j > i) of both directions not
+    met in an earlier row are tested, and the first row with a rejected
+    key, all earlier ones having been accepted, holds the witness.
     """
-    sides = [(direction, grown, [b ^ grown for b in bits_list], set(), {})
+    sides = [(direction, grown, [b ^ grown for b in bits_list], set())
              for direction, grown in (("meet", system.pos_mask), ("join", system.neg_mask))]
-    k, lo, hi = len(bits_list), 0, 1
-    while lo < k:
-        for direction, grown, flips, seen, rejected in sides:
-            keys = set()
-            for i in range(lo, hi):
-                keys.update(map(flips[i].__and__, flips[i + 1:]))
-            keys -= seen
+    for i in range(len(bits_list)):
+        rejected = {}
+        for direction, grown, flips, seen in sides:
+            row = flips[i]
+            keys = {row & f for f in flips[i + 1:]} - seen
             seen |= keys
             for x in keys:
                 out = lattice_op_bits(system, level, direction, x ^ grown, x ^ grown)
                 if not accept(direction, x, out):
-                    rejected[x] = out
-        if any(rejected for *_, rejected in sides):
-            break
-        lo, hi = hi, min(k, 2 * hi)
-    else:
-        return None
-    for i in range(lo, hi):
-        if all(rejected.keys().isdisjoint(map(flips[i].__and__, flips[i + 1:]))
-               for _, _, flips, _, rejected in sides):
-            continue
-        for j in range(i + 1, k):
-            for direction, _, flips, _, rejected in sides:
-                out = rejected.get(flips[i] & flips[j])
-                if out is not None:
-                    return i, j, direction, out
-    raise InvariantError(f"{system.label}: the {level.value} check rejects a key"
-                         " that no pair has")
+                    rejected[direction, x] = out
+        if rejected:
+            return next((i, j, direction, rejected[direction, flips[i] & flips[j]])
+                        for j in range(i + 1, len(bits_list))
+                        for direction, _, flips, _ in sides
+                        if (direction, flips[i] & flips[j]) in rejected)
+    return None
 
 
 def require_lattice_ops(system, level):
@@ -355,9 +340,10 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     gradedness and the cover count.  When the family is not a lattice or
     ``formula`` names a level, first_rejected_pair looks for the witness,
     the first pair in canonical order without a glb or a lub or whose
-    level meet or join is not that glb or lub; it tests each distinct
-    meet and join key once (_bounds_checker), with the all-level formula,
-    which names the key itself, when no formula is given.
+    level meet or join is not that glb or lub.  It walks the rows in
+    canonical order and tests each distinct meet and join key once, in
+    the first row that has it (_bounds_checker), with the all-level
+    formula, which names the key itself, when no formula is given.
     """
     family = canonical_sort(family)
     k = len(family)
@@ -399,8 +385,7 @@ def hasse_edges(family):
     if not family:
         return family, []
     _, above = _order_masks(family[0].system, [r.bits for r in family])
-    edges = sorted((i, j) for i, found in enumerate(_upper_covers(above))
-                   for j in found)
+    edges = [(i, j) for i, found in enumerate(_upper_covers(above)) for j in found]
     return family, edges
 
 

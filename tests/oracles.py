@@ -88,7 +88,10 @@ def nspan_oracle(rset, slack=1):
     enough (Steinitz-style reordering bound) that some addition order
     reaching any representable root stays inside.  Tests compare this
     against the pairwise fixpoint, so an insufficient box would surface
-    as a mismatch there rather than pass silently.
+    as a mismatch there rather than pass silently.  A point is one int in
+    mixed radix, each coordinate padded by the largest root coordinate so
+    that a step from inside the box never carries into the next one, and
+    the box and the points reached are byte tables over those ints.
     """
     system = rset.system
     if not system.crystallographic:
@@ -99,23 +102,32 @@ def nspan_oracle(rset, slack=1):
         return RootSet(system, 0)
     cmax = max(abs(c) for coords in system.int_coords for c in coords)
     bound = cmax * (1 + slack * rank)
-    seen = {tuple([0] * rank)}
-    frontier = list(seen)
+    radix = 2 * (bound + cmax) + 1
+
+    def code(coords):
+        return sum((c + bound + cmax) * radix ** d for d, c in enumerate(coords))
+
+    inside = b"\1"
+    for _ in range(rank):
+        pad = bytes(cmax * len(inside))
+        inside = pad + inside * (2 * bound + 1) + pad
+    origin = code([0] * rank)
+    steps = [code(g) - origin for g in gens]
+    seen = bytearray(len(inside))
+    seen[origin] = 1
+    frontier = [origin]
     while frontier:
         nxt = []
         for point in frontier:
-            for g in gens:
-                q = tuple(p + c for p, c in zip(point, g))
-                if q in seen or any(abs(c) > bound for c in q):
-                    continue
-                seen.add(q)
-                nxt.append(q)
+            for step in steps:
+                q = point + step
+                if inside[q] and not seen[q]:
+                    seen[q] = 1
+                    nxt.append(q)
         frontier = nxt
     bits = 0
-    lookup = system.index_of_int_coords
-    for point in seen:
-        k = lookup.get(point)
-        if k is not None:
+    for k, coords in enumerate(system.int_coords):
+        if seen[code(coords)]:
             bits |= 1 << k
     return RootSet(system, bits)
 

@@ -3,8 +3,8 @@ import hashlib
 import pytest
 
 from rootposets.census import (
-    CONJECTURE_IDS, COUNTEREXAMPLE_IDS, TAIL_SIZE, _batch, _closed_sets,
-    check_conjecture, check_sublattice, count_family, enumerate_posets,
+    CONJECTURE_IDS, COUNTEREXAMPLE_IDS, TAIL_SIZE, SublatticeReport, _batch,
+    _closed_sets, check_conjecture, check_sublattice, count_family, enumerate_posets,
     level_members, reference_count, reproduce_counterexample, table1_rows,
 )
 from rootposets import cambrian as camb
@@ -323,6 +323,11 @@ def test_family_names_round_trip():
 def test_sublattice_checker_passes_on_woep(a2):
     members = construct_family(group("A2"), FamilyId("WOEP"))
     assert check_sublattice(members, Level.POSETS).closed_under_ops
+
+
+def test_sublattice_checker_accepts_the_empty_family():
+    assert check_sublattice([], Level.POSETS) == SublatticeReport(0, True)
+    assert check_sublattice(iter([]), Level.CLOSED) == SublatticeReport(0, True)
 
 
 @pytest.mark.parametrize("case", COUNTEREXAMPLE_IDS)

@@ -375,6 +375,37 @@ def test_formula_stops_after_first_mismatch(monkeypatch, label, family_level,
     assert must <= set(seen)
 
 
+@pytest.mark.parametrize("level", [Level.POSETS, Level.CLOSED])
+def test_witness_search_reads_no_row_past_the_witness(monkeypatch, level):
+    """Each member of the A3 level dropped in turn, checked with the
+    level's formula: the keys evaluated are exactly those of the rows up
+    to the witness's first row (all of them without a witness), each
+    once.  Where the witness row is deepest the report equals the oracle's
+    (the oracle takes seconds per family, so it runs on that one only)."""
+    rs = system("A3")
+    members = canonical_sort(level_members_dfs(rs, level))
+    calls = []
+    real = wo.lattice_op_bits
+    monkeypatch.setattr(wo, "lattice_op_bits",
+                        lambda *args: calls.append(args[2:4]) or real(*args))
+    deepest_row, deepest = -1, None
+    for d in range(len(members)):
+        family = members[:d] + members[d + 1:]
+        order = [r.bits for r in family]
+        calls.clear()
+        rep = verify_lattice(family, level)
+        last = len(order) - 1 if rep.witness is None else order.index(rep.witness[0].bits)
+        read = {(direction, _mask_key(rs, direction, order[i], b))
+                for i in range(last + 1) for b in order[i + 1:]
+                for direction in ("meet", "join")}
+        assert len(set(calls)) == len(calls) and set(calls) == read, d
+        if rep.witness is not None and last > deepest_row:
+            deepest_row, deepest = last, family
+    rep = verify_lattice(deepest, level)
+    assert _report_fields(rep) == naive_lattice_report(deepest, level)[:6]
+    assert rep.formula_matches_bruteforce is False
+
+
 def _masks_by_definition(family):
     """above[i]: the j with family[j] >= family[i], by weak_le."""
     return [sum(1 << j for j, s in enumerate(family) if weak_le(r, s)) for r in family]
