@@ -14,17 +14,18 @@ WOIP            the pairs v <= u, from up-set bitmasks over element ids
 WOFP            the cosets xW_I, sum over x of 2^(rank - |D_R(x)|)
 other families  the distinct posets of the family's intervals
 
-The backtracking meets in the middle.  Its last TAIL_SIZE roots, the
-tail, are decided once: the K tail sets closed among themselves (and
-antisymmetric, for posets) are listed in backtracking order, and each
-tail root gets a K-bit column of the tail sets that hold it.  The
-backtracking over the other roots, the head, carries a K-bit mask of
-the tail sets still allowed; each decision ANDs in the columns that the
-root sums linking it to the tail require, and a branch whose mask is 0
-is cut.  A head leaf stands for the sets head | tail[k], k ascending over
-the mask's bits.  Deciding the head first and taking the tail sets in
-their own backtracking order is the order of one backtracking over all
-roots, so every count and member list is unchanged.
+The backtracking meets in the middle.  Its last roots, the tail (9/20
+of them, at most 16), are decided once: the K tail sets closed among
+themselves (and antisymmetric, for posets) are listed in backtracking
+order, and each tail root gets a K-bit column of the tail sets that
+hold it.  The backtracking over the other roots, the head, carries a
+K-bit mask of the tail sets still allowed; each decision ANDs in the
+columns that the root sums linking it to the tail require, and a branch
+whose mask is 0 is cut.  A head leaf stands for the sets head |
+tail[k], k ascending over the mask's bits.  Deciding the head first and
+taking the tail sets in their own backtracking order is the order of
+one backtracking over all roots, so every count and member list is
+unchanged.
 
 count_family counts per head leaf, by the mask's bit count, and builds
 no set.  level_members lists the sets of each head leaf, refusing past
@@ -56,13 +57,6 @@ from .rootsys import build_from_label
 from .weyl import weyl_group
 
 CLOSED_BITSET_LIMIT = 32    # |Phi| cap for the backtracking counters
-# the backtracking's tail: its last TAIL_SIZE roots.  Counting with 14
-# against 10 (best of 3 in each of two runs, 2-core x86-64, Python 3.11),
-# posets rows gain (D5 0.65-0.83 -> 0.26-0.28 s, B4 0.039 -> 0.020 s),
-# closed rows lose (A5 0.070-0.087 -> 0.096-0.100 s, C4 0.061-0.079 ->
-# 0.071-0.092 s) and rank 3-4 rows take 2-3 times as long (A4 closed
-# 0.004 -> 0.010 s): the best size grows with |Phi|
-TAIL_SIZE = 10
 
 
 @dataclass
@@ -74,12 +68,28 @@ class CensusResult:
     method: str
 
 
+def _tail_size(n):
+    """How many of n roots the tail takes: 9/20 of them, about the best
+    size from 15 to 40 roots, and at most 16, since every tail set is
+    listed (E7's 63 positive roots would give 28 and about 2^28 sets)."""
+    return min(n * 9 // 20, 16)
+
+
+def _tail_columns(tails, roots):
+    """has[r]: bit k set when the tail set tails[k] holds root r, read off
+    in one transpose of the sets written as fixed-width binary rows."""
+    width = max(roots, default=0) + 1
+    # rows reversed, so tails[0] becomes bit 0; root r is character -1 - r
+    columns = list(zip(*[format(t, f"0{width}b") for t in reversed(tails)]))
+    return {r: int("".join(columns[width - 1 - r]), 2) for r in roots}
+
+
 def _closed_sets(system, indices, antisymmetric, leaf):
     """Count the subsets of `indices` closed under root sums (and
     antisymmetric if asked), handing them to ``leaf`` in backtracking order.
 
     Roots are taken by increasing absolute height, then index.  The last
-    TAIL_SIZE of them form the tail: its subsets closed among themselves
+    _tail_size(n) of the n form the tail: its subsets closed among themselves
     are listed once, in backtracking order, as ``tails``.  The backtracking
     over the other roots, the head, ends at each head set ``mask`` with a
     K-bit ``allowed`` of the tails that close it, and calls
@@ -87,12 +97,11 @@ def _closed_sets(system, indices, antisymmetric, leaf):
     the set bits k of ``allowed``, ascending.
     """
     order = sorted(indices, key=lambda i: (system.abs_height(i), i))
-    cut = max(len(order) - TAIL_SIZE, 0)
+    cut = len(order) - _tail_size(len(order))
     tails = []
     _backtrack(system, order[cut:], antisymmetric, {}, 1,
                lambda mask, allowed: tails.append(mask))
-    has = {r: sum(1 << k for k, t in enumerate(tails) if t >> r & 1)
-           for r in order[cut:]}
+    has = _tail_columns(tails, order[cut:])
     count = 0
 
     def head_leaf(mask, allowed):

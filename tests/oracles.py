@@ -12,6 +12,7 @@ snake and root, the closed sets by one backtracking over every root
 with a leaf per set.  None of them is used by the library.
 """
 
+from functools import cache, partial
 from types import SimpleNamespace
 
 from rootposets.cambrian import (
@@ -152,17 +153,26 @@ def poset_sweep(system):
 
 
 def lattice_op_reference(system, level, direction, rbits, sbits):
-    """A level's meet or join, one pair at a time with no memo.
+    """A level's meet or join, one pair at a time.
 
     The closure and the deletion are applied as the formula reads; the
     fast deletion is chosen only when ``classify`` finds the whole
     intermediate set semiclosed.
     """
+    return _apply_formula(system, level, *_formula_input(system, direction, rbits, sbits))
+
+
+def _formula_input(system, direction, rbits, sbits):
+    """All a meet (join) formula reads of a pair: the union of its
+    positive (negative) parts, the intersection of the other parts, and
+    the side its deletion takes."""
     pos, neg = system.pos_mask, system.neg_mask
     if direction == "meet":
-        grown, kept, side = (rbits | sbits) & pos, rbits & sbits & neg, "negative"
-    else:
-        grown, kept, side = (rbits | sbits) & neg, rbits & sbits & pos, "positive"
+        return (rbits | sbits) & pos, rbits & sbits & neg, "negative"
+    return (rbits | sbits) & neg, rbits & sbits & pos, "positive"
+
+
+def _apply_formula(system, level, grown, kept, side):
     if level in (Level.SEMICLOSED, Level.CLOSED, Level.POSETS):
         grown = closure_bits(system, grown)
     bits = grown | kept
@@ -342,39 +352,49 @@ def naive_lattice_report(family, formula=None):
 
     The glb of a pair is the common lower bound above every common lower
     bound, the lub the mirror image; j is covered by i when nothing lies
-    strictly between.  Pairs are visited in canonical order, which fixes
-    the witness.  Returns (family_size, is_lattice,
-    formula_matches_bruteforce, graded, witness, cover_count, covers).
+    strictly between.  Bounds are read from each member's down-set and
+    up-set, as index bitmasks built from weak_le, and the formula is
+    evaluated once per distinct input it reads of a pair.  Pairs are
+    visited in canonical order, which fixes the witness.  Returns
+    (family_size, is_lattice, formula_matches_bruteforce, graded,
+    witness, cover_count, covers).
     """
     fam = canonical_sort(family)
     k = len(fam)
     le = [[weak_le(a, b) for b in fam] for a in fam]
+    down = [sum(1 << x for x in range(k) if le[x][i]) for i in range(k)]
+    up = [sum(1 << x for x in range(k) if le[i][x]) for i in range(k)]
     index = {r.bits: i for i, r in enumerate(fam)}
+
+    def extremum(bounds, within):
+        """The first x of ``bounds`` with every bound in ``within[x]``."""
+        return next((x for x in _indices(bounds) if bounds & ~within[x] == 0), None)
+
+    system = fam[0].system if fam else None
+    apply = cache(partial(_apply_formula, system, formula))
+
+    def formula_index(direction, a, b):
+        return index.get(apply(*_formula_input(system, direction, a, b)))
+
     is_lattice, witness = True, None
     formula_ok = None if formula is None else True
     for i in range(k):
         for j in range(i + 1, k):
-            lows = [x for x in range(k) if le[x][i] and le[x][j]]
-            highs = [x for x in range(k) if le[i][x] and le[j][x]]
-            glb = next((x for x in lows if all(le[y][x] for y in lows)), None)
-            lub = next((x for x in highs if all(le[x][y] for y in highs)), None)
+            glb = extremum(down[i] & down[j], down)
+            lub = extremum(up[i] & up[j], up)
             pair_ok = glb is not None and lub is not None
             bad = not pair_ok
             if formula is not None:
-                system, a, b = fam[i].system, fam[i].bits, fam[j].bits
-                meet = lattice_op_reference(system, formula, "meet", a, b)
-                join = lattice_op_reference(system, formula, "join", a, b)
-                if not (pair_ok and index.get(meet) == glb
-                        and index.get(join) == lub):
+                a, b = fam[i].bits, fam[j].bits
+                if not (pair_ok and formula_index("meet", a, b) == glb
+                        and formula_index("join", a, b) == lub):
                     formula_ok, bad = False, True
             if bad:
                 is_lattice = is_lattice and pair_ok
                 if witness is None:
                     witness = (fam[i], fam[j])
-    covers = sorted(
-        (j, i) for i in range(k) for j in range(k)
-        if j != i and le[j][i]
-        and not any(x not in (i, j) and le[j][x] and le[x][i] for x in range(k)))
+    covers = sorted((j, i) for i in range(k) for j in _indices(down[i] ^ 1 << i)
+                    if up[j] & down[i] == 1 << i | 1 << j)
     graded = all(fam[i].grade() - fam[j].grade() == 1 for j, i in covers)
     return (k, is_lattice, formula_ok, graded, witness, len(covers), covers)
 

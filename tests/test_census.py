@@ -1,13 +1,15 @@
 import hashlib
+import random
 
 import pytest
 
 from rootposets.census import (
-    CONJECTURE_IDS, COUNTEREXAMPLE_IDS, TAIL_SIZE, SublatticeReport, _batch,
-    _closed_sets, check_conjecture, check_sublattice, count_family, enumerate_posets,
+    CONJECTURE_IDS, COUNTEREXAMPLE_IDS, SublatticeReport, _batch, _closed_sets,
+    _tail_columns, _tail_size, check_conjecture, check_sublattice, count_family, enumerate_posets,
     level_members, reference_count, reproduce_counterexample, table1_rows,
 )
 from rootposets import cambrian as camb
+from rootposets import census
 from rootposets import families as fam
 from rootposets import weyl
 from rootposets.errors import (
@@ -188,16 +190,9 @@ def test_weak_order_rows_walk_no_interval(monkeypatch, tag, count):
     assert calls == {"family_set": 0, "interval": 0, "enumerate_cosets": 0}
 
 
-@pytest.mark.parametrize("label", [
-    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2",
-    "H2", "I2(5)",
-])
-def test_closed_sets_match_the_one_pass_backtracking(label):
-    """The head/tail split lists every set of the reference backtracking,
-    in its order, for closed, posets and the closed subsets of Phi^+.
-    A1 and the rank-2 systems have an empty head; A4 and B4 cut a root
-    from its negative."""
-    rs = system(label)
+def _check_closed_sets(rs):
+    """_closed_sets against the reference backtracking, for closed, posets
+    and the closed subsets of Phi^+: the same sets in the same order."""
     for indices, antisymmetric in ((range(rs.num_roots), False),
                                    (range(rs.num_roots), True),
                                    (range(rs.num_positive), False)):
@@ -206,11 +201,54 @@ def test_closed_sets_match_the_one_pass_backtracking(label):
         got = []
         count = _closed_sets(rs, indices, antisymmetric,
                              lambda *leaf: got.extend(_batch(*leaf)))
-        assert got == want and count == len(want), (label, antisymmetric)
+        assert got == want and count == len(want), (rs.label, antisymmetric)
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2",
+    "H2", "I2(5)",
+])
+def test_closed_sets_match_the_one_pass_backtracking(label):
+    """The head/tail split lists every set of the reference backtracking,
+    in its order.  A1 and the rank-2 systems have an empty head; A4 and
+    B4 cut a root from its negative."""
+    rs = system(label)
+    _check_closed_sets(rs)
     if label in ("A4", "B4"):
         order = sorted(range(rs.num_roots), key=lambda i: (rs.abs_height(i), i))
-        head = set(order[:-TAIL_SIZE])
+        head = set(order[:len(order) - _tail_size(len(order))])
         assert any(rs.neg(r) not in head for r in head)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("rule", [lambda n: 0, lambda n: 1, lambda n: n // 2, lambda n: n],
+                         ids=["none", "one", "half", "all"])
+def test_closed_sets_match_at_any_tail_size(monkeypatch, label, rule):
+    """No tail, a one-root tail, half the roots and every root all list
+    the reference sets in their order."""
+    monkeypatch.setattr(census, "_tail_size", rule)
+    _check_closed_sets(system(label))
+
+
+def test_tail_columns_match_their_definition():
+    """Column r holds bit k exactly when tails[k] holds root r, on seeded
+    random tails, one empty tail set and an empty tail."""
+    rng = random.Random(18)
+    rs = system("B4")
+    order = sorted(range(rs.num_roots), key=lambda i: (rs.abs_height(i), i))
+    cases = [([0], []), ([0], order[-5:])]
+    for _ in range(30):
+        roots = order[-rng.randint(1, 16):]
+        cases.append(([sum(1 << r for r in roots if rng.random() < 0.5)
+                       for _ in range(rng.randint(1, 300))], roots))
+    for tails, roots in cases:
+        assert _tail_columns(tails, roots) == {
+            r: sum(1 << k for k, t in enumerate(tails) if t >> r & 1) for r in roots}
+
+
+def test_tail_size_stays_small():
+    """At most 16 roots, and never more than there are, up to E8's Phi^+."""
+    assert all(0 <= _tail_size(n) <= min(n, 16) for n in range(121))
 
 
 def test_poset_dfs_matches_sign_sweep():

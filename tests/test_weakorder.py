@@ -381,7 +381,7 @@ def test_witness_search_reads_no_row_past_the_witness(monkeypatch, level):
     level's formula: the keys evaluated are exactly those of the rows up
     to the witness's first row (all of them without a witness), each
     once.  Where the witness row is deepest the report equals the oracle's
-    (the oracle takes seconds per family, so it runs on that one only)."""
+    (the oracle takes 0.3-0.6 s per family, so it runs on that one only)."""
     rs = system("A3")
     members = canonical_sort(level_members_dfs(rs, level))
     calls = []
