@@ -9,10 +9,14 @@ closed / posets backtracking over roots ordered by absolute height, with
                 forced-inclusion propagation: once two included roots sum
                 to a root, that sum is either already decided (checked) or
                 forced into the set at its own position
-WOIP            the pairs v <= u, from up-set bitmasks over element ids
-                swept by length from the top
-WOFP            the cosets xW_I, sum over x of 2^(rank - |D_R(x)|)
+WOIP / COIP     the pairs v <= u of kept elements (all, or the c-sortable
+                ones), from kept up-set bitmasks over element ids swept
+                by length from the top
+WOFP / COFP     the cosets xW_I with x kept, sum over kept x of
+                2^(rank - |D_R(x)|)
+COEP            the number of c-sortable elements
 other families  the distinct posets of the family's intervals
+                (families.family_set, also the oracle of the rows above)
 
 The backtracking meets in the middle.  Its last roots, the tail (9/20
 of them, at most 16), are decided once: the K tail sets closed among
@@ -297,7 +301,8 @@ def count_family(system, family, group=None):
     else:
         family = fam.FamilyId.parse(family) if isinstance(family, str) else family
         count = fam.family_count(group or weyl_group(system), family)
-        method = "exhaustive"
+        method = ("group tables" if family.normalized_tag() in fam.TABLE_COUNTED
+                  else "exhaustive")
     return CensusResult(system.label, str(family) if level is None else level.value,
                         count, time.perf_counter() - t0, method)
 

@@ -7,11 +7,11 @@ keeps the distinct posets, which family_bits orders and construct_family
 wraps once.  interval_bits is injective on pairs: the negative half of
 R(lo, hi) is -inv(lo) and its positive half Phi^+ minus inv(hi).  So a
 family has as many posets as distinct pairs, and family_count counts
-the WOIP and WOFP pairs, each streamed once, from the group's tables
-without building a poset.  Where the source material gives one, an
-intrinsic membership predicate on posets is asserted to coincide with
-the construction by verify_family_equality; the COEP predicate is
-conjectural and must be opted into explicitly.
+the weak-order and Cambrian pairs from the tables without building a
+poset; the constructions are its oracle in the tests.  Where the
+source material gives one, an intrinsic membership predicate on posets
+is asserted to coincide with the construction by verify_family_equality;
+the COEP predicate is conjectural and must be opted into explicitly.
 """
 
 from __future__ import annotations
@@ -141,47 +141,59 @@ def family_set(group, family, cap=None):
     return found
 
 
+TABLE_COUNTED = ("WOIP", "WOFP", "COEP", "COIP", "COFP")
+
+
 def family_count(group, family):
-    """len(family_set(group, family)); WOIP and WOFP count their pairs
-    from the group's tables and build no poset."""
+    """len(family_set(group, family)); the TABLE_COUNTED families count
+    from the tables and build no poset.  The Cambrian ones keep only the
+    c-sortable elements, one bottom per class: COEP counts them, COIP
+    the pairs v <= u of them and COFP the cosets (x, I) of them, one per
+    facial class (the Reading-Speyer h-vector sum)."""
     tag = family.normalized_tag()
-    if tag == "WOIP":
-        return _count_weak_intervals(group)
-    if tag == "WOFP":
-        return _count_faces(group)
-    return len(family_set(group, family))
+    if tag not in TABLE_COUNTED:
+        return len(family_set(group, family))
+    c = _resolve_coxeter(group, family)
+    keep = c.sortable if c else [True] * len(group.elements)
+    if tag == "COEP":
+        return sum(keep)
+    if tag in ("WOIP", "COIP"):
+        return _count_weak_intervals(group, keep)
+    return _count_faces(group, keep)
 
 
-def _count_weak_intervals(group):
-    """The pairs v <= u, as the sum of the up-set sizes.  The up-set of v
-    is v with the up-sets of its upper covers v s_i, one longer; ids run
-    by length, so the levels are swept from the top, each reading only
-    the masks of the level above, ids hi.. on."""
+def _count_weak_intervals(group, keep):
+    """The pairs v <= u of kept elements, as the sum over kept v of the
+    kept part of its up-set: v, if kept, with those of its upper covers
+    v s_i, one longer.  Ids run by length, so the levels are swept from
+    the top, each reading only the masks of the level above, ids hi.. on."""
     lengths = [w.length for w in group.elements]
     total, above, hi = 0, [], len(lengths)
     while hi:
         lo = bisect_left(lengths, lengths[hi - 1])
         level = []
         for v in range(lo, hi):
-            mask = 1 << v
+            mask = keep[v] << v
             for row in group.right:
                 u = row[v]
                 if u >= hi:  # one longer, an upper cover
                     mask |= above[u - hi]
             level.append(mask)
-            total += mask.bit_count()
+            if keep[v]:
+                total += mask.bit_count()
         above, hi = level, lo
     return total
 
 
-def _count_faces(group):
-    """The cosets (x, I) with I free of the right descents of x,
-    2^(rank - |D_R(x)|) for each x.  Every w_{o,I} is still resolved, so
+def _count_faces(group, keep):
+    """The cosets (x, I) with x kept and I free of the right descents of
+    x, 2^(rank - |D_R(x)|) for each.  Every w_{o,I} is still resolved, so
     a system that lacks one is refused as by enumerate_cosets."""
     rank = group.system.rank
     for mask in range(1 << rank):
         group.parabolic_data(_indices(mask))
-    return sum(1 << rank - len(d) for d in group.right_descent_cache)
+    return sum(1 << rank - len(d)
+               for d, kept in zip(group.right_descent_cache, keep) if kept)
 
 
 def family_bits(group, family, cap=None):

@@ -152,14 +152,20 @@ def poset_sweep(system):
     return out
 
 
-def lattice_op_reference(system, level, direction, rbits, sbits):
-    """A level's meet or join, one pair at a time.
+def lattice_op_reference(system, level):
+    """A level's meet or join as op(direction, rbits, sbits), one pair at
+    a time.
 
     The closure and the deletion are applied as the formula reads; the
     fast deletion is chosen only when ``classify`` finds the whole
-    intermediate set semiclosed.
+    intermediate set semiclosed.  The formula is a function of the input
+    it reads of a pair, so it runs once per distinct input.
     """
-    return _apply_formula(system, level, *_formula_input(system, direction, rbits, sbits))
+    apply = cache(partial(_apply_formula, system, level))
+
+    def op(direction, rbits, sbits):
+        return apply(*_formula_input(system, direction, rbits, sbits))
+    return op
 
 
 def _formula_input(system, direction, rbits, sbits):
@@ -370,11 +376,10 @@ def naive_lattice_report(family, formula=None):
         """The first x of ``bounds`` with every bound in ``within[x]``."""
         return next((x for x in _indices(bounds) if bounds & ~within[x] == 0), None)
 
-    system = fam[0].system if fam else None
-    apply = cache(partial(_apply_formula, system, formula))
+    reference = lattice_op_reference(fam[0].system if fam else None, formula)
 
     def formula_index(direction, a, b):
-        return index.get(apply(*_formula_input(system, direction, a, b)))
+        return index.get(reference(direction, a, b))
 
     is_lattice, witness = True, None
     formula_ok = None if formula is None else True

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -61,8 +62,12 @@ def test_d4_closed_matches_table_but_posets_do_not():
 def test_family_counts_via_census(a2):
     res = count_family(a2, "WOEP", group("A2"))
     assert res.count == 6 and res.method == "exhaustive"
+    res = count_family(a2, "BOIP", group("A2"))
+    assert res.count == 9 and res.method == "exhaustive"
     res = count_family(a2, "COIP(bip)", group("A2"))
-    assert res.count == 13
+    assert res.count == 13 and res.method == "group tables"
+    for name in ("WOIP", "WOFP", "COEP", "COFP"):
+        assert count_family(a2, name, group("A2")).method == "group tables"
 
 
 def test_cambrian_rows_share_one_coxeter_element(monkeypatch):
@@ -138,8 +143,10 @@ def test_counts_match_the_listed_sets(label):
     for level in levels:
         assert (count_family(rs, level.value).count
                 == len(level_members(rs, level))), level
+    # a third Coxeter word, neither lin nor bip, where every rank-4 type has one
+    words = ("lin", "bip") + (("s2s1s3s4",) if rs.rank == 4 else ())
     for tag in FAMILY_TAGS:
-        for spec in ("lin", "bip") if tag in CAMBRIAN_TAGS else (None,):
+        for spec in words if tag in CAMBRIAN_TAGS else (None,):
             family = FamilyId(tag, spec)
             assert (count_family(rs, family, g).count
                     == len(family_bits(g, family))), family
@@ -168,14 +175,13 @@ def test_wofp_counts_the_cosets_of_every_parabolic(label):
     assert count_family(g.system, "WOFP", g).count == cosets
 
 
-@pytest.mark.parametrize("tag,count", [("WOIP", 457), ("WOFP", 147)])
-def test_weak_order_rows_walk_no_interval(monkeypatch, tag, count):
-    """The WOIP and WOFP rows are counted from the group's tables: they
-    list no family, walk no interval and enumerate no coset."""
-    calls = {"family_set": 0, "interval": 0, "enumerate_cosets": 0}
+def _count_construction_calls(monkeypatch):
+    """Count the calls of each construction a table count must skip."""
+    calls = {}
 
     def counted(owner, name):
         real = getattr(owner, name)
+        calls[name] = 0
 
         def counting(*args, **kwargs):
             calls[name] += 1
@@ -183,11 +189,75 @@ def test_weak_order_rows_walk_no_interval(monkeypatch, tag, count):
         monkeypatch.setattr(owner, name, counting)
 
     for owner, name in ((fam, "family_set"), (weyl.WeylGroup, "interval"),
-                        (weyl, "enumerate_cosets")):
+                        (weyl, "enumerate_cosets"), (camb, "cambrian_classes"),
+                        (camb, "facial_cambrian_classes")):
         counted(owner, name)
+    return calls
+
+
+@pytest.mark.parametrize("tag,count", [("WOIP", 457), ("WOFP", 147)])
+def test_weak_order_rows_walk_no_interval(monkeypatch, tag, count):
+    """The WOIP and WOFP rows are counted from the group's tables: they
+    list no family, walk no interval and enumerate no coset."""
+    calls = _count_construction_calls(monkeypatch)
     # a system whose group is built inside the count
     assert count_family(build_from_label("B3"), tag).count == count
-    assert calls == {"family_set": 0, "interval": 0, "enumerate_cosets": 0}
+    assert set(calls.values()) == {0}, calls
+
+
+@pytest.mark.parametrize("name,count", [
+    ("COEP", 20), ("COIP(lin)", 132), ("COIP(bip)", 138), ("COFP", 63)])
+def test_cambrian_rows_build_no_class(monkeypatch, name, count):
+    """The Cambrian rows are counted from the Coxeter element's sortable
+    flags: they build no class, walk no interval and enumerate no coset."""
+    calls = _count_construction_calls(monkeypatch)
+    # a system whose group and Coxeter element are built inside the count
+    assert count_family(build_from_label("B3"), name).count == count
+    assert set(calls.values()) == {0}, calls
+
+
+def _narayana_h_vector(family, n):
+    """h_k of the type-A, B or D cluster complex of rank n (Fomin and
+    Reading, *Root systems and generalized associahedra*, 2007): the
+    Narayana numbers C(n+1,k) C(n+1,k+1) / (n+1), C(n,k)^2, and
+    C(n,k)^2 - n/(n-1) C(n-1,k) C(n-1,k-1)."""
+    comb = math.comb
+    if family == "A":
+        return [comb(n + 1, k) * comb(n + 1, k + 1) // (n + 1) for k in range(n + 1)]
+    if family == "B":
+        return [comb(n, k) ** 2 for k in range(n + 1)]
+    return [comb(n, k) ** 2 - n * comb(n - 1, k) * comb(n - 1, k - 1) // (n - 1)
+            if k else 1 for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("label,degrees,faces", [
+    ("A5", (2, 3, 4, 5, 6), 903), ("B5", (2, 4, 6, 8, 10), 1683),
+    ("D5", (2, 4, 5, 6, 8), 1233), ("F4", (2, 6, 8, 12), None),
+], ids=["A5", "B5", "D5", "F4"])
+def test_cambrian_rows_match_independent_values(label, degrees, faces):
+    """COEP is the Coxeter-Catalan number prod (h + d_i) / d_i of the
+    degrees; COFP, the faces of the generalized associahedron, is
+    sum h_k 2^(n-k) over the cluster complex's h-vector (A001003 on A5,
+    the central Delannoy number A001850 on B5).  Neither reads the
+    library."""
+    rs, g = system(label), group(label)
+    h = max(degrees)
+    catalan = math.prod(h + d for d in degrees) // math.prod(degrees)
+    assert count_family(rs, "COEP", g).count == catalan
+    if faces is not None:
+        n = rs.rank
+        hv = _narayana_h_vector(label[0], n)
+        assert sum(hv) == catalan
+        assert sum(hk << n - k for k, hk in enumerate(hv)) == faces
+        assert count_family(rs, "COFP", g).count == faces
+
+
+def test_a5_coip_lin_counts_the_tamari_intervals():
+    """The Tamari lattice on m = 6 leaves has 2 (4m+1)! / ((m+1)! (3m+2)!)
+    intervals (Chapoton 2006)."""
+    m, fact = 6, math.factorial
+    tamari = 2 * fact(4 * m + 1) // (fact(m + 1) * fact(3 * m + 2))
+    assert count_family(system("A5"), "COIP(lin)", group("A5")).count == tamari == 2530
 
 
 def _check_closed_sets(rs):

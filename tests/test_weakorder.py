@@ -275,9 +275,12 @@ def test_verify_lattice_matches_naive_oracle(label):
 
 
 def _check_formula_pairs(rs, level, pairs):
+    """lattice_op_bits on every pair and direction against the reference,
+    which runs once per distinct formula input."""
+    reference = lattice_op_reference(rs, level)
     for a, b in pairs:
         for direction in ("meet", "join"):
-            want = lattice_op_reference(rs, level, direction, a, b)
+            want = reference(direction, a, b)
             assert lattice_op_bits(rs, level, direction, a, b) == want, \
                 (rs.label, level, direction, a, b)
 
