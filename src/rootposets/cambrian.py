@@ -1,13 +1,13 @@
 """Coxeter elements, sortable elements, Cambrian classes, snakes.
 
-Each (group, word) has one CoxeterElement, which builds its tables once:
-the sortable and antisortable flags, the projections pi_down / pi_up and
-the c-order on the positive roots.  The projections come from the cover
-recursion: every sortable element below w lies below some lower cover
-of w, so pi_down(w) is the largest of the lower covers' images, and the
-recursion checks that it lies above all of them (dually for pi_up).  By
-induction this local check proves the uniqueness the cited theory
-asserts.
+Each (group, word) has one CoxeterElement, which builds its tables once.
+pi_down comes from the cover recursion: every sortable element below w
+lies below some lower cover of w, so pi_down(w) is the largest of the
+lower covers' images, and the recursion checks that it lies above all
+of them, which by induction proves the uniqueness the theory asserts.
+A Cambrian class, a fiber of pi_down, is the interval from a sortable
+bottom to an antisortable top (Reading, *Sortable elements and Cambrian
+lattices*, 2007), so pi_up and the antisortable flags are read off it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ class CoxeterElement:
     """A Coxeter element given by an ordering of the simple reflections.
 
     Tables indexed by element id: ``sortable``, ``antisortable`` (flags),
-    ``down``, ``up`` (ids of the projections).  ``c_order`` lists the
-    positive-root indices in c-order and ``c_position`` inverts it.
+    ``down``, ``up`` (ids of the projections); up[w] is the longest member
+    of w's pi_down fiber, and w is antisortable iff up[w] == w.
+    ``c_order`` lists the positive-root indices in c-order and
+    ``c_position`` inverts it.
     """
 
     def __init__(self, group, word):
@@ -36,14 +38,11 @@ class CoxeterElement:
         self.word = word
         els = group.elements
         self.sortable = [_is_sortable(group, word, w) for w in els]
-        # w is antisortable iff w w0 is sortable for the reversed word;
-        # inv(w w0) is Phi^+ minus inv(w)
-        pos = group.system.pos_mask
-        self.antisortable = [
-            _is_sortable(group, word[::-1], els[group._by_inv[pos ^ w.inv_bits]])
-            for w in els]
-        self.down = _cover_projection(group, self.sortable, "down")
-        self.up = _cover_projection(group, self.antisortable, "up")
+        self.down = _cover_projection(group, self.sortable)
+        # ids ascend by length, so the last id of a fiber is its top
+        top = {d: w for w, d in enumerate(self.down)}
+        self.up = [top[d] for d in self.down]
+        self.antisortable = [u == w for w, u in enumerate(self.up)]
         self.c_order = _c_root_order(group, word)
         self.c_position = [0] * len(self.c_order)
         for rank_, idx in enumerate(self.c_order):
@@ -155,35 +154,23 @@ def is_sortable(c, w, kind="sortable"):
     raise ContractViolationError("kind must be 'sortable' or 'antisortable'")
 
 
-def _cover_projection(group, keep, direction):
-    """Ids of the largest kept element below each w ("down"), or of the
-    smallest kept element above it ("up"), by the cover recursion.
-
-    Raises InvariantError where the lower (upper) covers' images have no
-    largest (smallest) element among them.
-    """
-    down = direction == "down"
+def _cover_projection(group, keep):
+    """Ids of the largest kept element below each w, by the cover
+    recursion; raises InvariantError where the lower covers' images have
+    no largest element among them."""
     els = group.elements  # sorted by length
     out = [None] * len(els)
-    for w in (els if down else reversed(els)):
+    for w in els:
         if keep[w.id]:
             out[w.id] = w.id
             continue
-        descents = w.right_descents()
         images = [els[out[group.mult_gen_right(w, i).id]]
-                  for i in range(group.system.rank) if (i in descents) == down]
-        if down:
-            best = max(images, key=lambda x: x.length)
-            ok = all(x.weak_le(best) for x in images)
-        else:
-            best = min(images, key=lambda x: x.length)
-            ok = all(best.weak_le(x) for x in images)
-        if not ok:
+                  for i in sorted(w.right_descents())]
+        best = max(images, key=lambda x: x.length)
+        if not all(x.weak_le(best) for x in images):
             raise InvariantError(
-                f"{group.system.label}: no unique "
-                f"{'largest' if down else 'smallest'} kept element "
-                f"{'below' if down else 'above'} {w!r}; covers project to "
-                f"{sorted(images, key=lambda x: x.id)!r}")
+                f"{group.system.label}: no unique largest kept element below "
+                f"{w!r}; covers project to {sorted(images, key=lambda x: x.id)!r}")
         out[w.id] = best.id
     return out
 
@@ -207,12 +194,12 @@ class CambrianClass:
 def cambrian_classes(c):
     """The fibers of pi_down, in bottom order; WeylGroup.interval_classes
     checks each is the interval from its shortest member, which must be
-    its own pi_down, to its longest, which must be every member's pi_up."""
+    its own pi_down, to its longest, every member's pi_up."""
     group = c.group
     classes = []
     for key, members in group.interval_classes(lambda w: c.down[w.id]).items():
         bottom, top = members[0], members[-1]
-        if key != bottom.id or any(c.up[w.id] != top.id for w in members):
+        if key != bottom.id:
             raise InvariantError(f"{group.system.label}: the Cambrian class "
                                  f"[{bottom!r}, {top!r}] misses its projections")
         classes.append(CambrianClass(bottom=bottom, top=top,

@@ -427,6 +427,9 @@ class Table1Row:
 
 
 def table1_rows(system_labels, family_names):
+    for name in family_names:  # a bad name is a usage error, whatever the types
+        if wo.Level.named(name) is None:
+            fam.FamilyId.parse(name)
     systems = [build_from_label(label) for label in system_labels]
     for system in systems:  # refuse an oversized row before counting any row
         for name in family_names:

@@ -97,6 +97,9 @@ def cmd_families_build(args):
     system = build_from_label(args.system)
     group = weyl_group(system)
     family = _family_id(args.family, args.coxeter)
+    if fam.family_count(group, family) > wo.BUILD_CAP:  # before any listing
+        raise ResourceCapError(f"{family} family of {system.label} has more "
+                               f"than {wo.BUILD_CAP} sets")
     members = fam.construct_family(group, family)
     payload = _json_result(system.label, str(family),
                            [format_set_literal(r) for r in members])

@@ -6,9 +6,9 @@ R(A); family_set streams the (lo, hi) pairs of each tag as bits and
 keeps the distinct posets, which family_bits orders and construct_family
 wraps once.  interval_bits is injective on pairs: the negative half of
 R(lo, hi) is -inv(lo) and its positive half Phi^+ minus inv(hi).  So a
-family has as many posets as distinct pairs, and family_count counts
-the weak-order and Cambrian pairs from the tables without building a
-poset; the constructions are its oracle in the tests.  Where the
+family has as many posets as distinct pairs.  One up-set sweep over the
+kept elements (all, or the c-sortable class bottoms) lists the pairs
+v <= u of WOIP and COIP, and family_count sums its masks.  Where the
 source material gives one, an intrinsic membership predicate on posets
 is asserted to coincide with the construction by verify_family_equality;
 the COEP predicate is conjectural and must be opted into explicitly.
@@ -89,24 +89,23 @@ def _boolean_bits(group, subset):
 def _interval_pairs(group, tag, c):
     """(lo, hi) poset bits whose interval posets R(lo)^- | R(hi)^+ make
     up the family; distinct pairs give distinct posets (interval_bits is
-    injective), and the WOIP and WOFP streams give each pair once."""
+    injective), and every stream gives each pair once.  WO keeps every
+    element and CO the c-sortable class bottoms, with top[u] = u or
+    pi_up(u): WOEP and COEP pair each kept v with top[v], WOIP and COIP
+    with top[u] for each kept u >= v in the up-set sweep."""
     bits = group.poset_bits
-    if tag == "WOEP":
-        yield from ((b, b) for b in bits)
-    elif tag == "WOIP":
-        yield from ((bits[v], bits[u]) for v in range(len(bits))
-                    for u in group.interval(v, group.system.pos_mask))
+    if tag in ("WOEP", "WOIP", "COEP", "COIP"):
+        keep = c.sortable if c else [True] * len(bits)
+        top = c.up if c else range(len(bits))
+        if tag in ("WOEP", "COEP"):
+            yield from ((bits[v], bits[top[v]])
+                        for v in range(len(bits)) if keep[v])
+        else:
+            for v, mask in _weak_intervals(group, keep):
+                yield from ((bits[v], bits[top[u]]) for u in _indices(mask))
     elif tag == "WOFP":
         yield from ((co.x.poset_bits, co.w_long.poset_bits)
                     for co in wy.enumerate_cosets(group))
-    elif tag == "COEP":
-        yield from ((cl.bottom.poset_bits, cl.top.poset_bits)
-                    for cl in camb.cambrian_classes(c))
-    elif tag == "COIP":
-        classes = camb.cambrian_classes(c)
-        yield from ((x.bottom.poset_bits, y.top.poset_bits)
-                    for x in classes for y in classes
-                    if x.bottom.weak_le(y.bottom))
     elif tag == "COFP":
         # the interval from the class's least minimum to its largest maximum
         yield from ((fc.down.x.poset_bits, fc.up.w_long.poset_bits) for fc in
@@ -147,9 +146,10 @@ TABLE_COUNTED = ("WOIP", "WOFP", "COEP", "COIP", "COFP")
 def family_count(group, family):
     """len(family_set(group, family)); the TABLE_COUNTED families count
     from the tables and build no poset.  The Cambrian ones keep only the
-    c-sortable elements, one bottom per class: COEP counts them, COIP
-    the pairs v <= u of them and COFP the cosets (x, I) of them, one per
-    facial class (the Reading-Speyer h-vector sum)."""
+    c-sortable elements, one bottom per class: COEP counts them, WOIP
+    and COIP sum the masks of _weak_intervals, and COFP counts the cosets
+    (x, I) of kept x, one per facial class (the Reading-Speyer h-vector
+    sum)."""
     tag = family.normalized_tag()
     if tag not in TABLE_COUNTED:
         return len(family_set(group, family))
@@ -158,17 +158,18 @@ def family_count(group, family):
     if tag == "COEP":
         return sum(keep)
     if tag in ("WOIP", "COIP"):
-        return _count_weak_intervals(group, keep)
+        return sum(mask.bit_count() for _, mask in _weak_intervals(group, keep))
     return _count_faces(group, keep)
 
 
-def _count_weak_intervals(group, keep):
-    """The pairs v <= u of kept elements, as the sum over kept v of the
-    kept part of its up-set: v, if kept, with those of its upper covers
-    v s_i, one longer.  Ids run by length, so the levels are swept from
-    the top, each reading only the masks of the level above, ids hi.. on."""
+def _weak_intervals(group, keep):
+    """Yield (v, mask) for each kept v, the mask holding the bits of the
+    ids of the kept u >= v.  The mask of any v is v, if kept, with the
+    masks of its upper covers v s_i, one longer.  Ids run by length, so
+    the levels are swept from the top, each reading only the masks of the
+    level above, ids hi.. on."""
     lengths = [w.length for w in group.elements]
-    total, above, hi = 0, [], len(lengths)
+    above, hi = [], len(lengths)
     while hi:
         lo = bisect_left(lengths, lengths[hi - 1])
         level = []
@@ -180,9 +181,8 @@ def _count_weak_intervals(group, keep):
                     mask |= above[u - hi]
             level.append(mask)
             if keep[v]:
-                total += mask.bit_count()
+                yield v, mask
         above, hi = level, lo
-    return total
 
 
 def _count_faces(group, keep):

@@ -39,6 +39,7 @@ from .rootset import RootSet, _closed_bits, _indices, classify, closure_bits, de
 
 VERIFY_CAP = 5000
 HASSE_CAP = 10_000
+BUILD_CAP = 1_000_000  # sets that `families build` lists
 
 
 class Level(enum.Enum):

@@ -285,6 +285,59 @@ def family_reference(group, family):
     return canonical_sort(RootSet(system, bits) for bits in set(found))
 
 
+def interval_pairs_reference(group, family):
+    """The (lo, hi) poset bits of WOEP, WOIP, COEP or COIP, streamed the
+    way the construction once did: WOIP by WeylGroup.interval above each
+    element, COEP as the bottom and top of each Cambrian class, COIP as
+    the bottom of one class with the top of every class whose bottom lies
+    above it in the weak order."""
+    tag = family.normalized_tag()
+    els = group.elements
+    if tag == "WOEP":
+        return [(w.poset_bits, w.poset_bits) for w in els]
+    if tag == "WOIP":
+        return [(els[v].poset_bits, els[u].poset_bits) for v in range(len(els))
+                for u in group.interval(v, group.system.pos_mask)]
+    classes = cambrian_classes(coxeter_element(group, family.coxeter or "lin"))
+    if tag == "COEP":
+        return [(cl.bottom.poset_bits, cl.top.poset_bits) for cl in classes]
+    assert tag == "COIP"
+    return [(x.bottom.poset_bits, y.top.poset_bits) for x in classes
+            for y in classes if x.bottom.weak_le(y.bottom)]
+
+
+def binary_tree_posets_reference(system):
+    """The posets of the binary trees on the in-order labels 1..n+1 of
+    A_n, with e_i - e_j in R iff i lies in the subtree of j: for i < j
+    the root alpha_i + ... + alpha_(j-1), for i > j its negative.  Trees
+    are built by choosing a root label and recursing on both sides;
+    root indices come from the integer coordinates alone."""
+    assert system.family == "A"
+    n = system.rank
+
+    def trees(lo, hi):  # {node: its subtree} for each tree on lo..hi-1
+        if lo == hi:
+            yield {}
+            return
+        for r in range(lo, hi):
+            for left in trees(lo, r):
+                for right in trees(r + 1, hi):
+                    yield {**left, **right, r: set(range(lo, hi))}
+
+    found = set()
+    for subtrees in trees(1, n + 2):
+        bits = 0
+        for j, below in subtrees.items():
+            for i in below - {j}:
+                lo, hi = min(i, j), max(i, j)
+                coords = tuple(int(lo <= k + 1 < hi) for k in range(n))
+                if i > j:
+                    coords = tuple(-x for x in coords)
+                bits |= 1 << system.index_of_int_coords[coords]
+        found.add(bits)
+    return found
+
+
 def linear_extensions(rset, group):
     """All group elements w with R contained in R(w) = w(Phi^+).
 

@@ -1,5 +1,6 @@
 import pytest
 
+from rootposets import cambrian as camb
 from rootposets.cambrian import (
     _cover_projection, cambrian_classes, cambrian_project,
     coxeter_element, facial_cambrian_classes, is_c_aligned, is_sortable,
@@ -106,15 +107,25 @@ def test_tables_match_projection_reference(label):
 
 
 def test_cover_projection_refuses_a_non_sortable_keep_set():
-    """On A2, {e, s1, s2} has no largest element below w0, and
-    {s1s2, s2s1, w0} no smallest above e: the local check must fire."""
+    """On A2, {e, s1, s2} has no largest element below w0: the local
+    check must fire."""
     g = group("A2")
     keep = [w.length <= 1 for w in g.elements]
     with pytest.raises(InvariantError):
-        _cover_projection(g, keep, "down")
-    keep = [w.length >= 2 for w in g.elements]
-    with pytest.raises(InvariantError):
-        _cover_projection(g, keep, "up")
+        _cover_projection(g, keep)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_coxeter_element_sorts_each_element_once(monkeypatch, label):
+    """The tables rest on one sorting scan per element: pi_up and the
+    antisortable flags are read off the fibers of pi_down."""
+    g = group(label)
+    calls = []
+    real = camb._is_sortable
+    monkeypatch.setattr(camb, "_is_sortable", lambda *args:
+                        calls.append(args) or real(*args))
+    camb.CoxeterElement(g, coxeter_element(g, "bip").word)
+    assert len(calls) == len(g.elements)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3", "B3"])

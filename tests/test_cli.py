@@ -155,16 +155,17 @@ def test_resource_cap_exit_code(capsys):
 
 
 def test_family_cap_fires_before_walking_w(capsys, monkeypatch):
-    """D5 WOIP has 146,649 sets; the default cap refuses it after a few
-    of the 1,920 interval walks."""
-    from rootposets.weyl import WeylGroup
+    """D5 WOIP has 146,649 sets, one per streamed pair; the default cap
+    refuses it after cap + 1 of them."""
+    from rootposets import weyl
+    from rootposets.weakorder import VERIFY_CAP
     calls = []
-    walk = WeylGroup.interval
-    monkeypatch.setattr(WeylGroup, "interval", lambda self, lo, cap:
-                        calls.append(lo) or walk(self, lo, cap))
+    pair_bits = weyl.interval_bits
+    monkeypatch.setattr(weyl, "interval_bits", lambda system, lo, hi:
+                        calls.append(lo) or pair_bits(system, lo, hi))
     code, out = run(capsys, "lattice", "verify", "--type", "D5", "--family", "woip")
     assert (code, out) == (3, "")
-    assert 0 < len(calls) < 1920 // 10
+    assert len(calls) == VERIFY_CAP + 1 < 146_649 // 10
 
 
 def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
@@ -202,6 +203,9 @@ def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
     (["census", "table1", "--types", ""], 2),
     # argparse reads a literal starting with "-" as an option: usage error
     (["order", "compare", "--type", "A2", "-[1,0]", "+[0,1]"], 2),
+    (["families", "build", "--type", "D6", "--family", "woip"], 3),
+    (["census", "table1", "--types", "E6", "--families", "bogus"], 2),
+    (["census", "table1", "--types", "B6", "--families", "closed,bogus"], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from rootposets import weyl
 from rootposets.cambrian import cambrian_classes, coxeter_element, facial_cambrian_classes
 from rootposets.census import enumerate_posets
 from rootposets.errors import (
@@ -7,17 +10,20 @@ from rootposets.errors import (
 )
 from rootposets.families import (
     CAMBRIAN_TAGS, FAMILY_TAGS, FamilyId, boip_components_of, boip_op, boolean_element_poset,
-    construct_family, member_predicate, verify_family_equality,
+    construct_family, family_set, member_predicate, verify_family_equality,
     woip_interval_of, woip_op, coip_op,
 )
 from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weakorder import Level, lattice_op, lattice_op_bits, weak_le
 from rootposets.weyl import (
-    WeylGroup, coset_poset, enumerate_cosets, interval_poset, weyl_group,
+    coset_poset, enumerate_cosets, interval_bits, interval_poset, weyl_group,
 )
 
 from conftest import group, system
-from oracles import descent_classes, family_reference, linear_extensions
+from oracles import (
+    binary_tree_posets_reference, descent_classes, family_reference,
+    interval_pairs_reference, linear_extensions,
+)
 
 
 def lit(rs, text):
@@ -218,23 +224,51 @@ def test_construction_matches_reference(label, tag, spec):
 
 
 def test_family_cap_stops_the_walk(monkeypatch):
-    """The walk above e reaches all 48 elements of B3, so a cap of 40
-    stops the WOIP stream after one of the 48 walks."""
+    """The WOIP stream of B3 gives one new poset per pair, so a cap of 40
+    refuses it after 41 of its 457 pairs, and a cap of 457 admits it."""
     g = group("B3")
     calls = []
-    walk = WeylGroup.interval
+    pair_bits = weyl.interval_bits
 
-    def counting(self, lo, cap):
-        calls.append(lo)
-        return walk(self, lo, cap)
+    def counting(system, lo, hi):
+        calls.append((lo, hi))
+        return pair_bits(system, lo, hi)
 
-    monkeypatch.setattr(WeylGroup, "interval", counting)
+    monkeypatch.setattr(weyl, "interval_bits", counting)
     with pytest.raises(ResourceCapError, match="WOIP family of B3"):
         construct_family(g, FamilyId("WOIP"), cap=40)
-    assert calls == [0]
+    assert len(calls) == 41
     calls.clear()
     assert len(construct_family(g, FamilyId("WOIP"), cap=457)) == 457
-    assert len(calls) == len(g.elements)
+    assert len(calls) == 457
+
+
+@pytest.mark.parametrize("label,tag,spec", [
+    (label, tag, spec)
+    for label in ("A3", "B3", "C3", "G2", "A4", "B4", "C4", "D4")
+    for tag in ("WOEP", "WOIP", "COEP", "COIP")
+    for spec in ((("lin", "bip") + (("s2s1s3s4",) if label[1] == "4" else ()))
+                 if tag in CAMBRIAN_TAGS else (None,))])
+def test_family_set_matches_interval_pairs_reference(label, tag, spec):
+    """The up-set sweep over the kept elements gives the posets of the
+    interval walks (WOIP) and of the Cambrian classes (COEP, COIP)."""
+    g = group(label)
+    family = FamilyId(tag, spec)
+    want = {interval_bits(g.system, lo, hi)
+            for lo, hi in interval_pairs_reference(g, family)}
+    assert family_set(g, family) == want
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])
+def test_coep_lin_matches_binary_trees(label):
+    """COEP(lin) of A_n is the set of binary tree posets on n+1 nodes,
+    the Catalan number of them (2, 5, 14, 42), built without the
+    Cambrian tables."""
+    g = group(label)
+    trees = binary_tree_posets_reference(g.system)
+    nodes = g.system.rank + 1
+    assert len(trees) == math.comb(2 * nodes, nodes) // (nodes + 1)
+    assert family_set(g, FamilyId("COEP", "lin")) == trees
 
 
 def test_descent_classes(b2):
