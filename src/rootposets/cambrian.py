@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContractViolationError, InvariantError
+from .errors import (ContractViolationError, InvariantError,
+                     UnsupportedOperationError)
 from .rootset import _indices
 from .weyl import ParabolicCoset, facial_le, format_word
 
@@ -26,16 +27,15 @@ class CoxeterElement:
     ``down``, ``up`` (ids of the projections); up[w] is the longest member
     of w's pi_down fiber, and w is antisortable iff up[w] == w.
     ``c_order`` lists the positive-root indices in c-order and
-    ``c_position`` inverts it.
+    ``c_position`` inverts it.  Of the positive pairs summing to the
+    positive root k, ``earlier[k]`` is the mask of the c-earlier roots and
+    ``later[k]`` that of the c-later ones.  ``snake_sums`` caches the
+    roots found per snake multiset (snake_decomposable_roots).
     """
 
     def __init__(self, group, word):
-        word = tuple(word)
-        if sorted(word) != list(range(group.system.rank)):
-            raise ContractViolationError(
-                "a Coxeter element uses every simple reflection exactly once")
         self.group = group
-        self.word = word
+        self.word = word = tuple(word)
         els = group.elements
         self.sortable = [_is_sortable(group, word, w) for w in els]
         self.down = _cover_projection(group, self.sortable)
@@ -44,9 +44,17 @@ class CoxeterElement:
         self.up = [top[d] for d in self.down]
         self.antisortable = [u == w for w, u in enumerate(self.up)]
         self.c_order = _c_root_order(group, word)
-        self.c_position = [0] * len(self.c_order)
+        pos = self.c_position = [0] * len(self.c_order)
         for rank_, idx in enumerate(self.c_order):
-            self.c_position[idx] = rank_
+            pos[idx] = rank_
+        n = len(pos)
+        self.earlier, self.later = [0] * n, [0] * n
+        for a, b, k in group.system.same_sign_sums:
+            if k < n:  # a positive pair, ordered a <c b
+                a, b = (a, b) if pos[a] < pos[b] else (b, a)
+                self.earlier[k] |= 1 << a
+                self.later[k] |= 1 << b
+        self.snake_sums = {}
 
     def label(self):
         return "".join(f"s{i + 1}" for i in self.word)
@@ -55,19 +63,18 @@ class CoxeterElement:
         return f"CoxeterElement({self.label()})"
 
 
-def coxeter_element(group, spec):
-    """The group's Coxeter element for a word spec, or the aliases lin / bip.
+def coxeter_word(system, spec):
+    """The word of a spec: an index sequence, a word such as 's2s1s3', or
+    the aliases lin / bip.
 
     lin is s1 s2 ... sn, except sn ... s1 in types B/C (the special
     vertex, on the double edge, goes first) and s(n-1) sn s(n-2) ... s1
     in type D; bip multiplies one part of the diagram bipartition, then
-    the other.  Specs naming the same word give the same object, so its
-    tables are built once per group.
+    the other.  A word that does not use every simple reflection exactly
+    once is refused, before any group is built.
     """
-    if isinstance(spec, CoxeterElement):
-        return spec
-    n = group.system.rank
-    family = group.system.family
+    n = system.rank
+    family = system.family
     if spec == "lin":
         if family in ("B", "C"):
             word = range(n - 1, -1, -1)
@@ -76,7 +83,7 @@ def coxeter_element(group, spec):
         else:
             word = range(n)
     elif spec == "bip":
-        cartan = group.system.cartan
+        cartan = system.cartan
         color = [None] * n
         for start in range(n):
             if color[start] is not None:
@@ -106,6 +113,21 @@ def coxeter_element(group, spec):
     else:
         word = spec
     word = tuple(word)
+    if sorted(word) != list(range(n)):
+        raise ContractViolationError(
+            "a Coxeter element uses every simple reflection exactly once")
+    return word
+
+
+def coxeter_element(group, spec):
+    """The group's Coxeter element for a spec (see coxeter_word).
+
+    Specs naming the same word give the same object, so its tables are
+    built once per group.
+    """
+    if isinstance(spec, CoxeterElement):
+        return spec
+    word = coxeter_word(group.system, spec)
     got = group._coxeter_elements.get(word)
     if got is None:
         got = group._coxeter_elements[word] = CoxeterElement(group, word)
@@ -144,16 +166,6 @@ def sorting_word(c, w):
     return _sorting_word(c.group, c.word, w)
 
 
-def is_sortable(c, w, kind="sortable"):
-    """Is w c-sortable (nested blocks), or c-antisortable (w*w0 is
-    c^-1-sortable)?  Read from c's tables."""
-    if kind == "sortable":
-        return c.sortable[w.id]
-    if kind == "antisortable":
-        return c.antisortable[w.id]
-    raise ContractViolationError("kind must be 'sortable' or 'antisortable'")
-
-
 def _cover_projection(group, keep):
     """Ids of the largest kept element below each w, by the cover
     recursion; raises InvariantError where the lower covers' images have
@@ -173,12 +185,6 @@ def _cover_projection(group, keep):
                 f"{w!r}; covers project to {sorted(images, key=lambda x: x.id)!r}")
         out[w.id] = best.id
     return out
-
-
-def cambrian_project(c, w, direction="down"):
-    """pi_down (maximal sortable below) or pi_up (minimal antisortable above)."""
-    table = c.down if direction == "down" else c.up
-    return c.group.elements[table[w.id]]
 
 
 @dataclass
@@ -226,23 +232,19 @@ def _c_root_order(group, word):
     return order
 
 
+def requires(masks, bits):
+    """Does every root k in bits have masks[k] inside bits?"""
+    return all(not masks[k] & ~bits for k in _indices(bits))
+
+
 def is_c_aligned(c, rset):
     """alpha <_c beta and alpha+beta in S imply alpha in S, for S inside Phi^+."""
     system = c.group.system
+    if not system.crystallographic:  # sum-aligned is not sortable there
+        raise UnsupportedOperationError("c-alignment needs a crystallographic system")
     if rset.bits & system.neg_mask:
         raise ContractViolationError("alignment is defined for sets of positive roots")
-    pos = c.c_position
-    table = system.sum_table
-    n = system.num_positive
-    bits = rset.bits
-    for a in range(n):
-        row = table[a]
-        for b in range(n):
-            if pos[a] < pos[b]:
-                k = row[b]
-                if 0 <= k < n and (bits >> k) & 1 and not (bits >> a) & 1:
-                    return False
-    return True
+    return requires(c.earlier, rset.bits)
 
 
 # -- snakes -------------------------------------------------------------------
@@ -320,29 +322,26 @@ def _snake_sum_roots(system, key, bound):
     return frozenset(found)
 
 
-def snake_decomposable_roots(c, rset, memo=None):
+def snake_decomposable_roots(c, rset):
     """All roots of Phi admitting a c-snake decomposition in R (bulk form).
 
     Snakes have at most 2 rank + 2 roots, and each enters with a
     coefficient of at most the largest root coordinate.  A coefficient
     may be 0, so only the maximal snakes count, and only their signed
-    root multisets: one search per multiset.  ``memo``: an optional dict
-    from multisets to found roots, kept by the caller for one system.
+    root multisets: one search per multiset, kept in c.snake_sums.
     """
     system = c.group.system
     if not system.crystallographic:
         raise ContractViolationError("snake search needs integer coordinates")
     max_len = 2 * system.rank + 2
     coeff_bound = max(abs(x) for row in system.int_coords for x in row)
-    if memo is None:
-        memo = {}
     found = set(_indices(rset.bits))
     for key in _maximal_snake_keys(c, rset, max_len):
         if len(found) == system.num_roots:
             break
-        got = memo.get(key)
+        got = c.snake_sums.get(key)
         if got is None:
-            got = memo[key] = _snake_sum_roots(system, key, coeff_bound)
+            got = c.snake_sums[key] = _snake_sum_roots(system, key, coeff_bound)
         found |= got
     return found
 

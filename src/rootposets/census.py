@@ -427,10 +427,14 @@ class Table1Row:
 
 
 def table1_rows(system_labels, family_names):
-    for name in family_names:  # a bad name is a usage error, whatever the types
-        if wo.Level.named(name) is None:
-            fam.FamilyId.parse(name)
+    # a bad name or Coxeter word is a usage error, whatever the caps
+    families = [fam.FamilyId.parse(name) for name in family_names
+                if wo.Level.named(name) is None]
     systems = [build_from_label(label) for label in system_labels]
+    for system in systems:
+        for family in families:
+            if family.tag in fam.CAMBRIAN_TAGS:
+                camb.coxeter_word(system, family.coxeter or "lin")
     for system in systems:  # refuse an oversized row before counting any row
         for name in family_names:
             _require_dfs(system, wo.Level.named(name))

@@ -213,21 +213,8 @@ def construct_family(group, family, cap=None):
 def _coip_sums_hold(system, c, bits):
     """The COIP condition on a poset: of each same-sign pair summing to a
     root of the set, the c-later positive (c-earlier negative) root is in."""
-    pos = c.c_position
-    n = system.num_positive
-    for a, b, k in system.same_sign_sums:
-        if not (bits >> k) & 1:
-            continue
-        if a < n:  # positive pair: the <c-larger root must be present
-            first, second = (a, b) if pos[a] < pos[b] else (b, a)
-            if not (bits >> second) & 1:
-                return False
-        else:      # negative pair, ordered through the positive versions
-            pa, pb = system.neg(a), system.neg(b)
-            first, second = (a, b) if pos[pa] < pos[pb] else (b, a)
-            if not (bits >> first) & 1:
-                return False
-    return True
+    return (camb.requires(c.later, bits & system.pos_mask)
+            and camb.requires(c.earlier, bits >> system.num_positive))
 
 
 def _boip_sums_hold(system, bits):
@@ -239,16 +226,18 @@ def _boip_sums_hold(system, bits):
     return True
 
 
-def member_predicate(group, family, rset, allow_conjectural=False, memo=None):
+def member_predicate(group, family, rset, allow_conjectural=False):
     """The intrinsic characterization of family membership, taken literally.
 
-    Raises for COFP (the source material leaves it open) and for COEP
-    unless allow_conjectural is set.  ``memo``: an optional dict for the
-    COEP snake search, kept by the caller for one system.
+    Raises for COFP (the source material leaves it open), for COEP unless
+    allow_conjectural is set, and off the crystallographic types for
+    every tag but WOFP: there the sums of two roots are not the closure.
     """
     system = group.system
     tag = family.normalized_tag()
     bits = rset.bits
+    if tag != "WOFP" and not system.crystallographic:
+        raise UnsupportedOperationError(f"{tag} predicate needs a crystallographic system")
     if not classify(rset).poset:
         return False
 
@@ -288,7 +277,7 @@ def member_predicate(group, family, rset, allow_conjectural=False, memo=None):
         c = _resolve_coxeter(group, family)
         if not _coip_sums_hold(system, c, bits):
             return False
-        good = camb.snake_decomposable_roots(c, rset, memo)
+        good = camb.snake_decomposable_roots(c, rset)
         return len(good) == system.num_roots
 
     if tag == "COFP":
@@ -316,9 +305,8 @@ def verify_family_equality(group, family, all_posets, allow_conjectural=False):
         raise UnsupportedOperationError("COFP has no predicate to compare")
     family = FamilyId(family.tag, _resolve_coxeter(group, family))
     cbits = family_set(group, family)
-    memo = {}
     pbits = {r.bits for r in all_posets
-             if member_predicate(group, family, r, allow_conjectural, memo)}
+             if member_predicate(group, family, r, allow_conjectural)}
     return FamilyEqualityReport(
         family=tag,
         system=group.system.label,

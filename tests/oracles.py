@@ -457,6 +457,23 @@ def naive_lattice_report(family, formula=None):
     return (k, is_lattice, formula_ok, graded, witness, len(covers), covers)
 
 
+def coip_sums_reference(system, c, bits):
+    """The COIP sum condition, one pair of roots at a time: for a, b of
+    one sign with a + b a root of the set and |a| <c |b|, the set holds
+    b if they are positive and a if they are negative."""
+    pos = c.c_position
+    n = system.num_positive
+    for a in range(system.num_roots):
+        for b in range(system.num_roots):
+            k = system.sum_table[a][b]
+            if (k < 0 or (a < n) != (b < n) or not (bits >> k) & 1
+                    or pos[a % n] > pos[b % n]):
+                continue
+            if not (bits >> (b if a < n else a)) & 1:
+                return False
+    return True
+
+
 # -- snakes, one search per snake and root -------------------------------------
 
 def _snakes(c, rset, max_len):

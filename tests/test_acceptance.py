@@ -6,7 +6,7 @@ Counts are exact integers (tolerance zero).
 import random
 import time
 
-from rootposets.cambrian import coxeter_element, is_c_aligned, is_sortable
+from rootposets.cambrian import coxeter_element, is_c_aligned
 from rootposets.census import (
     check_conjecture, check_sublattice, count_family, enumerate_posets,
     reproduce_counterexample,
@@ -236,7 +236,7 @@ def test_criterion_8_oracle_equivalences():
     for spec in ("lin", "bip"):
         c = coxeter_element(g, spec)
         for w in g.elements:
-            assert is_sortable(c, w) == \
+            assert c.sortable[w.id] == \
                 is_c_aligned(c, RootSet(g.system, w.inv_bits))
     elapsed = time.time() - t0
     _report(8, elapsed,

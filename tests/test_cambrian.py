@@ -2,11 +2,13 @@ import pytest
 
 from rootposets import cambrian as camb
 from rootposets.cambrian import (
-    _cover_projection, cambrian_classes, cambrian_project,
-    coxeter_element, facial_cambrian_classes, is_c_aligned, is_sortable,
-    snake_decomposable_roots, sorting_word,
+    _cover_projection, cambrian_classes, coxeter_element, coxeter_word,
+    facial_cambrian_classes, is_c_aligned, snake_decomposable_roots,
+    sorting_word,
 )
-from rootposets.errors import ContractViolationError, InvariantError
+from rootposets.errors import (
+    ContractViolationError, InvariantError, UnsupportedOperationError,
+)
 from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weyl import enumerate_cosets
 
@@ -33,6 +35,18 @@ def test_coxeter_element_specs(a3):
     assert coxeter_element(group("B3"), "lin").word == (2, 1, 0)
 
 
+def test_coxeter_word_needs_no_group():
+    """Words are read and checked from the system alone: E6 is over the
+    group cap, so building its group would be refused."""
+    e6 = system("E6")
+    assert coxeter_word(e6, "lin") == tuple(range(6))
+    assert coxeter_word(e6, "s2s1s3s4s5s6") == (1, 0, 2, 3, 4, 5)
+    for bad in ("x", "s1s2", "s1s2s3s4s5s7"):
+        with pytest.raises(ContractViolationError):
+            coxeter_word(e6, bad)
+    assert e6._group is None
+
+
 def test_sorting_word_examples(a2):
     g = group("A2")
     c = cox("A2")
@@ -49,10 +63,10 @@ def test_sorting_word_examples(a2):
 def test_sortable_examples(a2):
     g = group("A2")
     c = cox("A2")
-    assert is_sortable(c, g.identity)
-    sortables = {tuple(w.word()) for w in g.elements if is_sortable(c, w)}
+    assert c.sortable[g.identity.id]
+    sortables = {tuple(w.word()) for w in g.elements if c.sortable[w.id]}
     assert sortables == {(), (0,), (1,), (0, 1), (0, 1, 0)}
-    assert not is_sortable(c, g.from_word([1, 0]))
+    assert not c.sortable[g.from_word([1, 0]).id]
 
 
 @pytest.mark.parametrize("label,catalan", [
@@ -61,15 +75,14 @@ def test_sortable_examples(a2):
 def test_sortable_counts_match_catalan(label, catalan):
     g = group(label)
     c = coxeter_element(g, "lin")
-    assert sum(is_sortable(c, w) for w in g.elements) == catalan
+    assert sum(c.sortable) == catalan
     assert system(label).coxeter_catalan() == catalan
 
 
 def test_antisortable_via_longest_element(a2):
     g = group("A2")
     c = cox("A2")
-    anti = {tuple(w.word()) for w in g.elements
-            if is_sortable(c, w, "antisortable")}
+    anti = {tuple(w.word()) for w in g.elements if c.antisortable[w.id]}
     assert anti == {(), (0,), (0, 1), (1, 0), (0, 1, 0)}
 
 
@@ -77,15 +90,14 @@ def test_projections(a2):
     g = group("A2")
     c = cox("A2")
     s2s1 = g.from_word([1, 0])
-    down = cambrian_project(c, s2s1, "down")
+    down = g.elements[c.down[s2s1.id]]
     assert tuple(down.word()) == (1,)
     for w in g.elements:
-        lo = cambrian_project(c, w, "down")
-        hi = cambrian_project(c, w, "up")
+        lo, hi = g.elements[c.down[w.id]], g.elements[c.up[w.id]]
         assert lo.weak_le(w) and w.weak_le(hi)
-        if is_sortable(c, w):
+        if c.sortable[w.id]:
             assert lo.id == w.id
-        if is_sortable(c, w, "antisortable"):
+        if c.antisortable[w.id]:
             assert hi.id == w.id
 
 
@@ -133,18 +145,16 @@ def test_projections_are_order_preserving_and_idempotent(label):
     g = group(label)
     for spec in ("lin", "bip"):
         c = coxeter_element(g, spec)
+        down = [g.elements[d] for d in c.down]
+        up = [g.elements[u] for u in c.up]
         for w in g.elements:
-            lo = cambrian_project(c, w, "down")
-            assert cambrian_project(c, lo, "down").id == lo.id
-            hi = cambrian_project(c, w, "up")
-            assert cambrian_project(c, hi, "up").id == hi.id
+            assert c.down[down[w.id].id] == down[w.id].id
+            assert c.up[up[w.id].id] == up[w.id].id
         for v in g.elements:
-            pv_d = cambrian_project(c, v, "down")
-            pv_u = cambrian_project(c, v, "up")
             for w in g.elements:
                 if v.weak_le(w):
-                    assert pv_d.weak_le(cambrian_project(c, w, "down"))
-                    assert pv_u.weak_le(cambrian_project(c, w, "up"))
+                    assert down[v.id].weak_le(down[w.id])
+                    assert up[v.id].weak_le(up[w.id])
 
 
 @pytest.mark.parametrize("label,classes", [("A1", 2), ("A2", 5), ("B2", 6)])
@@ -160,8 +170,8 @@ def test_classes_partition_and_are_intervals(b2):
     classes = cambrian_classes(c)
     seen = set()
     for cl in classes:
-        assert is_sortable(c, cl.bottom)
-        assert is_sortable(c, cl.top, "antisortable")
+        assert c.sortable[cl.bottom.id]
+        assert c.antisortable[cl.top.id]
         for w in cl.members:
             assert cl.bottom.weak_le(w) and w.weak_le(cl.top)
             assert w.id not in seen
@@ -204,14 +214,25 @@ def test_alignment_examples(a2):
         is_c_aligned(c, parse_set_literal(a2, "-[1,0]"))
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "B3"])
+@pytest.mark.parametrize("label", ["A2", "B2", "B3", "A3", "C3", "G2", "D4"])
 @pytest.mark.parametrize("spec", ["lin", "bip"])
 def test_aligned_iff_sortable(label, spec):
+    """The alignment masks against the sorting scan behind c.sortable."""
     g = group(label)
     c = coxeter_element(g, spec)
     rs = g.system
     for w in g.elements:
-        assert is_sortable(c, w) == is_c_aligned(c, RootSet(rs, w.inv_bits))
+        assert c.sortable[w.id] == is_c_aligned(c, RootSet(rs, w.inv_bits))
+
+
+@pytest.mark.parametrize("label", ["H2", "H3", "I2(5)"])
+def test_alignment_refuses_noncrystallographic(label):
+    """Off the crystallographic types sum-alignment is not sortability
+    (H2 has 10 sum-aligned inversion sets against 7 sortables), so the
+    test is refused."""
+    c = cox(label)
+    with pytest.raises(UnsupportedOperationError):
+        is_c_aligned(c, RootSet(c.group.system, 0))
 
 
 def test_snake_trivial_cases(a2):
@@ -243,11 +264,9 @@ def test_snake_decomposable_matches_reference(label):
     g = group(label)
     for spec in ("lin", "bip"):
         c = coxeter_element(g, spec)
-        memo = {}
         for r in construct_family(g, FamilyId("COIP", c)):
             want = snake_decomposable_reference(c, r)
             assert snake_decomposable_roots(c, r) == want, (spec, r)
-            assert snake_decomposable_roots(c, r, memo) == want, (spec, r)
 
 
 def test_facial_class_counts(a2, b2):

@@ -206,6 +206,9 @@ def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
     (["families", "build", "--type", "D6", "--family", "woip"], 3),
     (["census", "table1", "--types", "E6", "--families", "bogus"], 2),
     (["census", "table1", "--types", "B6", "--families", "closed,bogus"], 2),
+    # a bad Coxeter word is refused before the E6 group hits its cap
+    (["census", "table1", "--types", "E6", "--families", "COIP(x)"], 2),
+    (["census", "table1", "--types", "E6", "--families", "COIP(s1s2)"], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

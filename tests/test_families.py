@@ -9,11 +9,12 @@ from rootposets.errors import (
     ContractViolationError, ResourceCapError, UnsupportedOperationError,
 )
 from rootposets.families import (
-    CAMBRIAN_TAGS, FAMILY_TAGS, FamilyId, boip_components_of, boip_op, boolean_element_poset,
-    construct_family, family_set, member_predicate, verify_family_equality,
-    woip_interval_of, woip_op, coip_op,
+    CAMBRIAN_TAGS, FAMILY_TAGS, FamilyId, _coip_sums_hold, boip_components_of, boip_op,
+    boolean_element_poset, construct_family, family_set, member_predicate,
+    verify_family_equality, woip_interval_of, woip_op, coip_op,
 )
 from rootposets.rootset import RootSet, parse_set_literal
+from rootposets.rootsys import build_from_label
 from rootposets.weakorder import Level, lattice_op, lattice_op_bits, weak_le
 from rootposets.weyl import (
     coset_poset, enumerate_cosets, interval_bits, interval_poset, weyl_group,
@@ -21,8 +22,8 @@ from rootposets.weyl import (
 
 from conftest import group, system
 from oracles import (
-    binary_tree_posets_reference, descent_classes, family_reference,
-    interval_pairs_reference, linear_extensions,
+    binary_tree_posets_reference, coip_sums_reference, descent_classes,
+    family_reference, interval_pairs_reference, linear_extensions,
 )
 
 
@@ -97,6 +98,67 @@ def test_cofp_has_no_predicate(a2):
         member_predicate(g, FamilyId("COFP", "lin"), RootSet(a2, 0))
     with pytest.raises(UnsupportedOperationError):
         member_predicate(g, FamilyId("COEP", "lin"), RootSet(a2, 0))
+
+
+@pytest.mark.parametrize("tag", [t for t in FAMILY_TAGS if t != "WOFP"])
+def test_sum_predicates_refuse_noncrystallographic(h2, tag):
+    """On H2 the pairwise-sum fixpoint is not the closure, and the sum
+    predicates accept far more than the construction (WOIP: 243 against
+    39), so every predicate but WOFP is refused."""
+    family = FamilyId(tag, "lin" if tag in CAMBRIAN_TAGS else None)
+    with pytest.raises(UnsupportedOperationError):
+        member_predicate(group("H2"), family, RootSet(h2, 0),
+                         allow_conjectural=True)
+
+
+def test_wofp_predicate_holds_on_h2(h2):
+    """WOFP separates by a hyperplane, which needs no sums: 21 = 21."""
+    report = verify_family_equality(group("H2"), FamilyId("WOFP"),
+                                    enumerate_posets(h2))
+    assert report.equal and report.construction_count == 21
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("spec", ["lin", "bip"])
+def test_coip_masks_match_pairwise_reference(label, spec):
+    """The per-root sum masks give the pair-by-pair COIP condition on
+    every poset."""
+    g = group(label)
+    c = coxeter_element(g, spec)
+    for r in enumerate_posets(g.system):
+        assert _coip_sums_hold(g.system, c, r.bits) == \
+            coip_sums_reference(g.system, c, r.bits), r
+
+
+def test_coip_predicate_is_one_per_coxeter_element():
+    """s1s2s4s3, s1s4s2s3 and s4s1s2s3 are words of one A4 element, and
+    the COIP predicate gives one answer for all three on every poset."""
+    g = group("A4")
+    words = ("s1s2s4s3", "s1s4s2s3", "s4s1s2s3")
+    accepted = [{r.bits for r in enumerate_posets(g.system)
+                 if member_predicate(g, FamilyId("COIP", w), r)} for w in words]
+    assert accepted[0] == accepted[1] == accepted[2]
+    assert accepted[0] == family_set(g, FamilyId("COIP", words[0]))
+
+
+def test_coep_sweep_reuses_the_snake_cache(monkeypatch):
+    """The snake searches are kept on the Coxeter element, so a second
+    COEP sweep with the same element searches no snake again."""
+    import rootposets.cambrian as camb
+    g = weyl_group(build_from_label("B3"))
+    c = coxeter_element(g, "lin")
+    posets = enumerate_posets(g.system)
+    calls = []
+    real = camb._snake_sum_roots
+    monkeypatch.setattr(camb, "_snake_sum_roots",
+                        lambda *args: calls.append(args) or real(*args))
+    first = verify_family_equality(g, FamilyId("COEP", c), posets,
+                                   allow_conjectural=True)
+    assert calls and len(calls) == len(c.snake_sums)
+    calls.clear()
+    again = verify_family_equality(g, FamilyId("COEP", c), posets,
+                                   allow_conjectural=True)
+    assert calls == [] and again == first
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
