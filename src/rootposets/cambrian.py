@@ -1,6 +1,7 @@
 """Coxeter elements, sortable elements, Cambrian classes, snakes.
 
 Each (group, word) has one CoxeterElement, which builds its tables once.
+The sortable flags come from one pass over W by length (_sortable_flags).
 pi_down comes from the cover recursion: every sortable element below w
 lies below some lower cover of w, so pi_down(w) is the largest of the
 lower covers' images, and the recursion checks that it lies above all
@@ -36,8 +37,7 @@ class CoxeterElement:
     def __init__(self, group, word):
         self.group = group
         self.word = word = tuple(word)
-        els = group.elements
-        self.sortable = [_is_sortable(group, word, w) for w in els]
+        self.sortable = _sortable_flags(group, word)
         self.down = _cover_projection(group, self.sortable)
         # ids ascend by length, so the last id of a fiber is its top
         top = {d: w for w, d in enumerate(self.down)}
@@ -125,8 +125,6 @@ def coxeter_element(group, spec):
     Specs naming the same word give the same object, so its tables are
     built once per group.
     """
-    if isinstance(spec, CoxeterElement):
-        return spec
     word = coxeter_word(group.system, spec)
     got = group._coxeter_elements.get(word)
     if got is None:
@@ -134,36 +132,28 @@ def coxeter_element(group, spec):
     return got
 
 
-def _sorting_word(group, word, w):
-    simples = group.simple_root_indices
-    letters = []
-    blocks = []
-    u = w
-    while u.length:
-        block = set()
-        for i in word:
-            if (u.inv_bits >> simples[i]) & 1:  # left descent at i
-                u = group.mult_gen_left(i, u)
-                letters.append(i)
-                block.add(i)
-        if not block:
-            raise InvariantError("sorting scan made no progress")
-        blocks.append(frozenset(block))
-    return letters, blocks
+def _sortable_flags(group, word):
+    """Is each element, by id, sortable for the Coxeter element word?
 
-
-def _is_sortable(group, word, w):
-    _, blocks = _sorting_word(group, word, w)
-    return all(blocks[i] >= blocks[i + 1] for i in range(len(blocks) - 1))
-
-
-def sorting_word(c, w):
-    """(letters, blocks) of the c-sorting word of w.
-
-    Greedy scan of c^infinity taking every letter that shortens w from
-    the left; the letters taken during one pass over c form one block.
+    The first block B(w) holds the letters of one pass over c that each
+    shorten w from the left, leaving the shorter rest u; the c-sorting
+    word of w is B(w) followed by that of u.  So w is sortable iff u is
+    and B(w) contains B(u).  Ids ascend by length, so u comes first.
+    Blocks are bits of simple positions.
     """
-    return _sorting_word(c.group, c.word, w)
+    rows = [(group.left[i], 1 << i) for i in word]
+    blocks, flags = [0], [True]
+    for w in range(1, len(group.elements)):
+        u, block = w, 0
+        for row, bit in rows:
+            v = row[u]
+            if v < u:  # s_i u is shorter: a left descent
+                u, block = v, block | bit
+        if not block:
+            raise InvariantError(f"{group.system.label}: empty first block at {w}")
+        blocks.append(block)
+        flags.append(flags[u] and not blocks[u] & ~block)
+    return flags
 
 
 def _cover_projection(group, keep):
@@ -216,18 +206,22 @@ def cambrian_classes(c):
 # -- the c-order on positive roots and alignment ------------------------------
 
 def _c_root_order(group, word):
-    """Total order on positive-root indices from the c-sorting word of w0."""
-    system = group.system
-    letters, _ = _sorting_word(group, word, group.longest)
-    if len(letters) != system.num_positive:
-        raise InvariantError("sorting word of w0 has wrong length")
+    """Total order on positive-root indices: the inversion sequence of the
+    c-sorting word of w0, the greedy reduced subword of c c c ..., which
+    takes each letter q whose root prefix(alpha_q) is positive."""
+    n = group.system.num_positive
     order = []
     prefix = group.identity
-    for q in letters:
-        root = prefix.perm[group.simple_root_indices[q]]
-        order.append(root)
-        prefix = group.mult_gen_right(prefix, q)
-    if sorted(order) != list(range(system.num_positive)):
+    while len(order) < n:
+        before = len(order)
+        for q in word:
+            root = prefix.perm[group.simple_root_indices[q]]
+            if root < n:
+                order.append(root)
+                prefix = group.mult_gen_right(prefix, q)
+        if len(order) == before:
+            raise InvariantError("a pass over c took no letter before w0")
+    if sorted(order) != list(range(n)):
         raise InvariantError("c-order does not enumerate the positive roots")
     return order
 

@@ -433,8 +433,7 @@ def table1_rows(system_labels, family_names):
     systems = [build_from_label(label) for label in system_labels]
     for system in systems:
         for family in families:
-            if family.tag in fam.CAMBRIAN_TAGS:
-                camb.coxeter_word(system, family.coxeter or "lin")
+            fam.check_coxeter(system, family)
     for system in systems:  # refuse an oversized row before counting any row
         for name in family_names:
             _require_dfs(system, wo.Level.named(name))
@@ -445,7 +444,7 @@ def table1_rows(system_labels, family_names):
             if wo.Level.named(name) is None and group is None:
                 group = weyl_group(system)
             res = count_family(system, name, group)
-            ref = reference_count(label, name)
+            ref = reference_count(label, res.family)
             match = None
             variant = None
             if isinstance(ref, dict):
@@ -456,7 +455,8 @@ def table1_rows(system_labels, family_names):
                     match = False
             elif ref is not None:
                 match = res.count == ref
-            rows.append(Table1Row(label, name, res.count, ref, match, variant))
+            rows.append(Table1Row(label, res.family, res.count, ref, match,
+                                  variant))
     return rows
 
 
@@ -508,6 +508,7 @@ def check_conjecture(conj_id, system, coxeter_spec="lin", rank_cap=3):
     """Exhaustively test one of the open conjectures on a desk-scale system."""
     if conj_id not in CONJECTURE_IDS:
         raise ContractViolationError(f"unknown conjecture {conj_id!r}")
+    camb.coxeter_word(system, coxeter_spec)  # a bad word exits 2, not on a cap
     if system.rank > rank_cap:
         raise ResourceCapError(
             f"conjecture scope capped at rank {rank_cap}")

@@ -86,17 +86,11 @@ def cmd_rootsys_info(args):
     return 0
 
 
-def _family_id(name, coxeter):
-    """FamilyId of a --family value; only the tag is case-insensitive, so
-    a printed name such as COIP(bip) reads back."""
-    tag, paren, spec = name.partition("(")
-    return fam.FamilyId.parse(tag.upper() + paren + spec, coxeter)
-
-
 def cmd_families_build(args):
     system = build_from_label(args.system)
+    family = fam.FamilyId.parse(args.family, args.coxeter)
+    fam.check_coxeter(system, family)
     group = weyl_group(system)
-    family = _family_id(args.family, args.coxeter)
     if fam.family_count(group, family) > wo.BUILD_CAP:  # before any listing
         raise ResourceCapError(f"{family} family of {system.label} has more "
                                f"than {wo.BUILD_CAP} sets")
@@ -129,7 +123,8 @@ def _members(system, name, coxeter, cap):
     level = wo.Level.named(name)
     if level is not None:
         return cns.level_members(system, level, cap), level
-    family = _family_id(name, coxeter)
+    family = fam.FamilyId.parse(name, coxeter)
+    fam.check_coxeter(system, family)
     return fam.construct_family(weyl_group(system), family, cap), None
 
 

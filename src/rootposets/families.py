@@ -44,9 +44,11 @@ class FamilyId:
     def parse(cls, name, coxeter=None):
         """Inverse of str(): 'WOIP', 'COIP(bip)', 'COIP(s2s1s3)'.
 
-        A bare Cambrian tag takes ``coxeter``; other tags ignore it.
+        A bare Cambrian tag takes ``coxeter``; other tags ignore it.  Only
+        the tag is case-insensitive, so 'coip(bip)' reads as COIP(bip).
         """
         tag, paren, spec = name.partition("(")
+        tag = tag.upper()
         if paren:
             if tag not in CAMBRIAN_TAGS or not spec.endswith(")"):
                 raise ContractViolationError(f"malformed family name {name!r}")
@@ -64,13 +66,19 @@ class FamilyId:
         return "BOIP" if self.tag == "BOFP" else self.tag
 
 
+def check_coxeter(system, family):
+    """Refuse a bad Coxeter word of a Cambrian family from the system
+    alone, before any group is built."""
+    if family.tag in CAMBRIAN_TAGS:
+        camb.coxeter_word(system, family.coxeter or "lin")
+
+
 def _resolve_coxeter(group, family):
     if family.tag not in CAMBRIAN_TAGS:
         return None
-    if isinstance(family.coxeter, camb.CoxeterElement):
+    if isinstance(family.coxeter, camb.CoxeterElement):  # resolved once per sweep
         return family.coxeter
-    return camb.coxeter_element(
-        group, family.coxeter if family.coxeter is not None else "lin")
+    return camb.coxeter_element(group, family.coxeter or "lin")
 
 
 def boolean_element_poset(group, subset):

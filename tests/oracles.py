@@ -348,6 +348,34 @@ def linear_extensions(rset, group):
     return [w for w in group.elements if bits & ~w.poset_bits == 0]
 
 
+@cache
+def _left_products(group):
+    """The simple reflections as root permutations, and each element by
+    its permutation."""
+    return generator_perms(group.system), {w.perm: w for w in group.elements}
+
+
+def sorting_word(group, word, w):
+    """(letters, blocks) of the c-sorting word of w, c given by word.
+
+    Greedy scan of c c c ... taking every letter that shortens w from
+    the left, s_i w composed as root permutations; the letters taken
+    during one pass over c form one block.
+    """
+    simples = group.simple_root_indices
+    gens, by_perm = _left_products(group)
+    letters, blocks = [], []
+    while w.length:
+        block = set()
+        for i in word:
+            if (w.inv_bits >> simples[i]) & 1:
+                w = by_perm[compose(gens[i], w.perm)]
+                letters.append(i)
+                block.add(i)
+        blocks.append(frozenset(block))
+    return letters, blocks
+
+
 def cambrian_projection_reference(group, word):
     """The Cambrian tables of the Coxeter element ``word``, by brute force.
 
@@ -361,23 +389,10 @@ def cambrian_projection_reference(group, word):
     """
     system = group.system
     simples = group.simple_root_indices
-    gens = generator_perms(system)
-    by_perm = {w.perm: w for w in group.elements}
-
-    def sorting_word(letters_of_c, w):
-        letters, blocks = [], []
-        while w.length:
-            block = set()
-            for i in letters_of_c:
-                if (w.inv_bits >> simples[i]) & 1:
-                    w = by_perm[compose(gens[i], w.perm)]
-                    letters.append(i)
-                    block.add(i)
-            blocks.append(block)
-        return letters, blocks
+    _, by_perm = _left_products(group)
 
     def nested(letters_of_c, w):
-        _, blocks = sorting_word(letters_of_c, w)
+        _, blocks = sorting_word(group, letters_of_c, w)
         return all(b <= a for a, b in zip(blocks, blocks[1:]))
 
     els = group.elements
@@ -396,7 +411,7 @@ def cambrian_projection_reference(group, word):
     down = [extremum(sortable, lambda s, w=w: s.weak_le(w), True) for w in els]
     up = [extremum(anti, lambda a, w=w: w.weak_le(a), False) for w in els]
 
-    letters, _ = sorting_word(word, w0)
+    letters, _ = sorting_word(group, word, w0)
     order = []
     for k, q in enumerate(letters):
         root = simples[q]

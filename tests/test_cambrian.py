@@ -1,10 +1,11 @@
+import itertools
+
 import pytest
 
 from rootposets import cambrian as camb
 from rootposets.cambrian import (
     _cover_projection, cambrian_classes, coxeter_element, coxeter_word,
     facial_cambrian_classes, is_c_aligned, snake_decomposable_roots,
-    sorting_word,
 )
 from rootposets.errors import (
     ContractViolationError, InvariantError, UnsupportedOperationError,
@@ -13,7 +14,9 @@ from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weyl import enumerate_cosets
 
 from conftest import group, system
-from oracles import cambrian_projection_reference, snake_decomposable_reference
+from oracles import (
+    cambrian_projection_reference, snake_decomposable_reference, sorting_word,
+)
 
 
 def cox(label, spec="lin"):
@@ -50,13 +53,13 @@ def test_coxeter_word_needs_no_group():
 def test_sorting_word_examples(a2):
     g = group("A2")
     c = cox("A2")
-    letters, blocks = sorting_word(c, g.identity)
+    letters, blocks = sorting_word(g, c.word, g.identity)
     assert letters == [] and blocks == []
-    letters, blocks = sorting_word(c, g.longest)
+    letters, blocks = sorting_word(g, c.word, g.longest)
     assert letters == [0, 1, 0]
     assert blocks == [frozenset({0, 1}), frozenset({0})]
     s2s1 = g.from_word([1, 0])
-    letters, blocks = sorting_word(c, s2s1)
+    letters, blocks = sorting_word(g, c.word, s2s1)
     assert blocks == [frozenset({1}), frozenset({0})]
 
 
@@ -127,17 +130,44 @@ def test_cover_projection_refuses_a_non_sortable_keep_set():
         _cover_projection(g, keep)
 
 
+class _CountingRow(list):
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingRow.reads += 1
+        return super().__getitem__(key)
+
+
 @pytest.mark.parametrize("label", ["A3", "B3"])
-def test_coxeter_element_sorts_each_element_once(monkeypatch, label):
-    """The tables rest on one sorting scan per element: pi_up and the
-    antisortable flags are read off the fibers of pi_down."""
+def test_coxeter_element_reads_left_rank_times_per_element(monkeypatch, label):
+    """The sortable flags read one first block per element, one left
+    product per letter of c; no element is sorted in full (on B3 a full
+    scan of each element and of w0 reads 225 entries, against 144)."""
     g = group(label)
-    calls = []
-    real = camb._is_sortable
-    monkeypatch.setattr(camb, "_is_sortable", lambda *args:
-                        calls.append(args) or real(*args))
+    monkeypatch.setattr(_CountingRow, "reads", 0)
+    monkeypatch.setattr(g, "left", [_CountingRow(row) for row in g.left])
     camb.CoxeterElement(g, coxeter_element(g, "bip").word)
-    assert len(calls) == len(g.elements)
+    assert 0 < _CountingRow.reads <= g.system.rank * len(g.elements)
+
+
+@pytest.mark.parametrize("label", ["A4", "B4", "D4", "H3"])
+def test_tables_do_not_depend_on_the_word(label):
+    """Every word of one Coxeter element gives the same sortable flags
+    and projections, and one word per element gives the reference's.
+    The c-order is left out: it may change when commuting letters of
+    the word are swapped."""
+    g = group(label)
+    by_element = {}
+    for word in itertools.permutations(range(g.system.rank)):
+        c = coxeter_element(g, word)
+        tables = (c.sortable, c.down, c.up)
+        got = by_element.setdefault(g.from_word(word).id, tables)
+        assert got == tables, word
+        if got is tables:
+            sortable, _, down, up, _ = cambrian_projection_reference(g, word)
+            assert [w for w, keep in enumerate(c.sortable) if keep] == sortable
+            assert (c.down, c.up) == (down, up)
+    assert len(by_element) == 2 ** (g.system.rank - 1)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3", "B3"])
@@ -217,7 +247,8 @@ def test_alignment_examples(a2):
 @pytest.mark.parametrize("label", ["A2", "B2", "B3", "A3", "C3", "G2", "D4"])
 @pytest.mark.parametrize("spec", ["lin", "bip"])
 def test_aligned_iff_sortable(label, spec):
-    """The alignment masks against the sorting scan behind c.sortable."""
+    """The alignment masks against the first-block recursion behind
+    c.sortable."""
     g = group(label)
     c = coxeter_element(g, spec)
     rs = g.system

@@ -423,7 +423,10 @@ def test_family_names_round_trip():
         assert str(FamilyId.parse(name)) == name
     assert FamilyId.parse("COIP", "bip") == FamilyId("COIP", "bip")
     assert FamilyId.parse("WOIP", "bip") == FamilyId("WOIP")
-    for bad in ("WOIP(lin)", "COIP(lin", "woip", "all"):
+    # only the tag is case-insensitive
+    assert FamilyId.parse("woip") == FamilyId("WOIP")
+    assert str(FamilyId.parse("coip(bip)")) == "COIP(bip)"
+    for bad in ("WOIP(lin)", "COIP(lin", "all"):
         with pytest.raises(ContractViolationError):
             FamilyId.parse(bad)
 

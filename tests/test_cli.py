@@ -114,6 +114,16 @@ def test_census_table1_csv(capsys):
     assert "B2,WOEP,8,8,match" in lines
 
 
+def test_census_table1_family_tags_are_case_insensitive(capsys):
+    """--families reads a tag in any case, as --family does, and the rows
+    print the family's own name."""
+    table = ("census", "table1", "--types", "A2,B2")
+    upper = run(capsys, *table, "--families", "WOIP,COIP(bip),COIP(lin),COFP")
+    lower = run(capsys, *table, "--families", "woip,coip(bip),Coip(lin),cofp")
+    assert upper == lower and upper[0] == 0
+    assert "A2,COIP(bip),13,13,match" in upper[1].splitlines()
+
+
 def test_census_table1_exit_code_on_mismatch(capsys):
     # D4 posets: the published value disagrees with the exhaustive count
     code, out = run(capsys, "census", "table1", "--types", "D4",
@@ -209,6 +219,11 @@ def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
     # a bad Coxeter word is refused before the E6 group hits its cap
     (["census", "table1", "--types", "E6", "--families", "COIP(x)"], 2),
     (["census", "table1", "--types", "E6", "--families", "COIP(s1s2)"], 2),
+    (["families", "build", "--type", "E6", "--family", "coip", "--coxeter", "x"], 2),
+    (["lattice", "verify", "--type", "E6", "--family", "COIP", "--coxeter", "x"], 2),
+    (["hasse", "--type", "E6", "--family", "COIP", "--coxeter", "x"], 2),
+    (["check-conjecture", "coip-sublattice", "--type", "E6", "--coxeter", "x",
+      "--rank-cap", "9"], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line
