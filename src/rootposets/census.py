@@ -9,14 +9,15 @@ closed / posets backtracking over roots ordered by absolute height, with
                 forced-inclusion propagation: once two included roots sum
                 to a root, that sum is either already decided (checked) or
                 forced into the set at its own position
-WOIP / COIP     the pairs v <= u of kept elements (all, or the c-sortable
-                ones), from kept up-set bitmasks over element ids swept
-                by length from the top
+WOEP / COEP     the number of kept elements (all, or the c-sortable ones)
+WOIP / COIP     the pairs v <= u of kept elements, from kept up-set
+                bitmasks over element ids swept by length from the top
 WOFP / COFP     the cosets xW_I with x kept, sum over kept x of
                 2^(rank - |D_R(x)|)
-COEP            the number of c-sortable elements
-other families  the distinct posets of the family's intervals
-                (families.family_set, also the oracle of the rows above)
+BOEP / BOIP     closed forms 2^rank and 3^rank, the cube's vertices and
+                faces
+Every family row is families.family_count, which lists no poset; the
+listed families (families.family_set) are its oracle in the tests.
 
 The backtracking meets in the middle.  Its last roots, the tail (9/20
 of them, at most 16), are decided once: the K tail sets closed among
@@ -280,10 +281,10 @@ def enumerate_posets(system):
     return level_members(system, wo.Level.POSETS)
 
 
-def count_family(system, family, group=None):
+def count_family(system, family):
     """Exact count of one family over the system.
 
-    ``family`` is a level name other than all, a family name such as
+    ``family`` is a level other than all, a family name such as
     'COIP(bip)', or a FamilyId.
     """
     t0 = time.perf_counter()
@@ -300,9 +301,8 @@ def count_family(system, family, group=None):
         method = "backtracking"
     else:
         family = fam.FamilyId.parse(family) if isinstance(family, str) else family
-        count = fam.family_count(group or weyl_group(system), family)
-        method = ("group tables" if family.normalized_tag() in fam.TABLE_COUNTED
-                  else "exhaustive")
+        count = fam.family_count(weyl_group(system), family)
+        method = "group tables"
     return CensusResult(system.label, str(family) if level is None else level.value,
                         count, time.perf_counter() - t0, method)
 
@@ -428,34 +428,31 @@ class Table1Row:
 
 def table1_rows(system_labels, family_names):
     # a bad name or Coxeter word is a usage error, whatever the caps
-    families = [fam.FamilyId.parse(name) for name in family_names
-                if wo.Level.named(name) is None]
+    names = [wo.Level.named(name) or fam.FamilyId.parse(name)
+             for name in family_names]
+    if wo.Level.ALL in names:
+        raise ContractViolationError(
+            "the all level (every subset) has no Table 1 row")
     systems = [build_from_label(label) for label in system_labels]
     for system in systems:
-        for family in families:
-            fam.check_coxeter(system, family)
+        for name in names:
+            if isinstance(name, fam.FamilyId):
+                fam.check_coxeter(system, name)
     for system in systems:  # refuse an oversized row before counting any row
-        for name in family_names:
-            _require_dfs(system, wo.Level.named(name))
+        for name in names:
+            _require_dfs(system, name)
     rows = []
-    for label, system in zip(system_labels, systems):
-        group = None
-        for name in family_names:
-            if wo.Level.named(name) is None and group is None:
-                group = weyl_group(system)
-            res = count_family(system, name, group)
-            ref = reference_count(label, res.family)
-            match = None
+    for system in systems:
+        for name in names:
+            res = count_family(system, name)
+            ref = reference_count(res.system, res.family)
             variant = None
             if isinstance(ref, dict):
-                for key, val in ref.items():
-                    if val == res.count:
-                        match, variant = True, key
-                if match is None:
-                    match = False
-            elif ref is not None:
-                match = res.count == ref
-            rows.append(Table1Row(label, res.family, res.count, ref, match,
+                variant = next((k for k, v in ref.items() if v == res.count), None)
+                match = variant is not None
+            else:
+                match = None if ref is None else res.count == ref
+            rows.append(Table1Row(res.system, res.family, res.count, ref, match,
                                   variant))
     return rows
 

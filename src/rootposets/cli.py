@@ -54,12 +54,12 @@ def _json_result(system_label, family, result):
 
 
 def _expand_types(spec):
-    """Parse 'A1..A4,B2,B3' into a label list."""
+    """Parse 'A1..A4,B2,B3' (or 'a1..a4,b2,b3') into a label list."""
     out = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            m = re.fullmatch(r"([A-Z])(\d+)\.\.([A-Z])(\d+)", chunk)
+            m = re.fullmatch(r"([A-Z])(\d+)\.\.([A-Z])(\d+)", chunk.upper())
             if m is None or m[1] != m[3] or int(m[2]) > int(m[4]):
                 raise ContractViolationError(
                     f"bad type range {chunk!r}; expected e.g. A1..A4")
@@ -90,11 +90,7 @@ def cmd_families_build(args):
     system = build_from_label(args.system)
     family = fam.FamilyId.parse(args.family, args.coxeter)
     fam.check_coxeter(system, family)
-    group = weyl_group(system)
-    if fam.family_count(group, family) > wo.BUILD_CAP:  # before any listing
-        raise ResourceCapError(f"{family} family of {system.label} has more "
-                               f"than {wo.BUILD_CAP} sets")
-    members = fam.construct_family(group, family)
+    members = fam.construct_family(weyl_group(system), family, wo.BUILD_CAP)
     payload = _json_result(system.label, str(family),
                            [format_set_literal(r) for r in members])
     _emit(payload, args.out)
@@ -118,7 +114,7 @@ def _members(system, name, coxeter, cap):
     """The sets a --family name denotes, and the level it names (or None).
 
     A level or family of more than ``cap`` sets is refused before it is
-    built in full.
+    built in full; a family, from its count, before any set is built.
     """
     level = wo.Level.named(name)
     if level is not None:

@@ -6,11 +6,13 @@ R(A); family_set streams the (lo, hi) pairs of each tag as bits and
 keeps the distinct posets, which family_bits orders and construct_family
 wraps once.  interval_bits is injective on pairs: the negative half of
 R(lo, hi) is -inv(lo) and its positive half Phi^+ minus inv(hi).  So a
-family has as many posets as distinct pairs.  One up-set sweep over the
-kept elements (all, or the c-sortable class bottoms) lists the pairs
-v <= u of WOIP and COIP, and family_count sums its masks.  Where the
-source material gives one, an intrinsic membership predicate on posets
-is asserted to coincide with the construction by verify_family_equality;
+family has as many posets as distinct pairs, and family_count counts
+them from the tables without building one; construct_family refuses a
+family over its cap from that count.  One up-set sweep over the kept
+elements (all, or the c-sortable class bottoms) lists the pairs v <= u
+of WOIP and COIP, and family_count sums its masks.  Where the source
+material gives one, an intrinsic membership predicate on posets is
+asserted to coincide with the construction by verify_family_equality;
 the COEP predicate is conjectural and must be opted into explicitly.
 """
 
@@ -66,11 +68,16 @@ class FamilyId:
         return "BOIP" if self.tag == "BOFP" else self.tag
 
 
+def _spec(family):
+    """lin when no word is given; an empty word is refused as a word."""
+    return "lin" if family.coxeter is None else family.coxeter
+
+
 def check_coxeter(system, family):
     """Refuse a bad Coxeter word of a Cambrian family from the system
     alone, before any group is built."""
     if family.tag in CAMBRIAN_TAGS:
-        camb.coxeter_word(system, family.coxeter or "lin")
+        camb.coxeter_word(system, _spec(family))
 
 
 def _resolve_coxeter(group, family):
@@ -78,7 +85,7 @@ def _resolve_coxeter(group, family):
         return None
     if isinstance(family.coxeter, camb.CoxeterElement):  # resolved once per sweep
         return family.coxeter
-    return camb.coxeter_element(group, family.coxeter or "lin")
+    return camb.coxeter_element(group, _spec(family))
 
 
 def boolean_element_poset(group, subset):
@@ -130,40 +137,29 @@ def _interval_pairs(group, tag, c):
         raise ContractViolationError(f"unhandled family {tag}")
 
 
-def family_set(group, family, cap=None):
-    """The bits of the family's posets, unordered.
-
-    A family of more than ``cap`` sets is refused as soon as its
-    intervals have given cap + 1 distinct posets.
-    """
+def family_set(group, family):
+    """The bits of the family's posets, unordered."""
     system = group.system
     pairs = _interval_pairs(group, family.normalized_tag(),
                             _resolve_coxeter(group, family))
-    found = set()
-    for lo, hi in pairs:
-        found.add(wy.interval_bits(system, lo, hi))
-        if cap is not None and len(found) > cap:
-            raise ResourceCapError(
-                f"{family} family of {system.label} has more than {cap} sets")
-    return found
-
-
-TABLE_COUNTED = ("WOIP", "WOFP", "COEP", "COIP", "COFP")
+    return {wy.interval_bits(system, lo, hi) for lo, hi in pairs}
 
 
 def family_count(group, family):
-    """len(family_set(group, family)); the TABLE_COUNTED families count
-    from the tables and build no poset.  The Cambrian ones keep only the
-    c-sortable elements, one bottom per class: COEP counts them, WOIP
-    and COIP sum the masks of _weak_intervals, and COFP counts the cosets
-    (x, I) of kept x, one per facial class (the Reading-Speyer h-vector
-    sum)."""
+    """len(family_set(group, family)), from the tables alone: no poset is
+    built.  The cube has 2^rank vertices R(A), one per set A of simple
+    roots, and 3^rank faces R(A, A'), one per A inside A'.  The other
+    families keep every element, or for the Cambrian ones the c-sortable
+    elements, one bottom per class: WOEP and COEP count them, WOIP and
+    COIP sum the masks of _weak_intervals, and WOFP and COFP count the
+    cosets (x, I) of kept x, one per facial class (the Reading-Speyer
+    h-vector sum for COFP)."""
     tag = family.normalized_tag()
-    if tag not in TABLE_COUNTED:
-        return len(family_set(group, family))
+    if tag in ("BOEP", "BOIP"):
+        return (2 if tag == "BOEP" else 3) ** group.system.rank
     c = _resolve_coxeter(group, family)
     keep = c.sortable if c else [True] * len(group.elements)
-    if tag == "COEP":
+    if tag in ("WOEP", "COEP"):
         return sum(keep)
     if tag in ("WOIP", "COIP"):
         return sum(mask.bit_count() for _, mask in _weak_intervals(group, keep))
@@ -204,18 +200,23 @@ def _count_faces(group, keep):
                for d, kept in zip(group.right_descent_cache, keep) if kept)
 
 
-def family_bits(group, family, cap=None):
+def family_bits(group, family):
     """The bits of family_set, ordered by (grade, bits)."""
     neg, pos = group.system.neg_mask, group.system.pos_mask
-    ordered = sorted(family_set(group, family, cap))
+    ordered = sorted(family_set(group, family))
     # then stably by grade, faster than by a pair
     ordered.sort(key=lambda b: (b & neg).bit_count() - (b & pos).bit_count())
     return ordered
 
 
 def construct_family(group, family, cap=None):
-    """The family's posets as RootSets, in the order of family_bits."""
-    return [RootSet(group.system, b) for b in family_bits(group, family, cap)]
+    """The family's posets as RootSets, in the order of family_bits.  A
+    family of more than ``cap`` sets is refused from its count, before
+    any poset is built."""
+    if cap is not None and family_count(group, family) > cap:
+        raise ResourceCapError(
+            f"{family} family of {group.system.label} has more than {cap} sets")
+    return [RootSet(group.system, b) for b in family_bits(group, family)]
 
 
 def _coip_sums_hold(system, c, bits):

@@ -60,14 +60,14 @@ def test_d4_closed_matches_table_but_posets_do_not():
 
 
 def test_family_counts_via_census(a2):
-    res = count_family(a2, "WOEP", group("A2"))
-    assert res.count == 6 and res.method == "exhaustive"
-    res = count_family(a2, "BOIP", group("A2"))
-    assert res.count == 9 and res.method == "exhaustive"
-    res = count_family(a2, "COIP(bip)", group("A2"))
+    res = count_family(a2, "WOEP")
+    assert res.count == 6 and res.method == "group tables"
+    res = count_family(a2, "BOIP")
+    assert res.count == 9 and res.method == "group tables"
+    res = count_family(a2, "COIP(bip)")
     assert res.count == 13 and res.method == "group tables"
-    for name in ("WOIP", "WOFP", "COEP", "COFP"):
-        assert count_family(a2, name, group("A2")).method == "group tables"
+    for name in ("WOIP", "WOFP", "COEP", "COFP", "BOEP", "BOFP"):
+        assert count_family(a2, name).method == "group tables"
 
 
 def test_cambrian_rows_share_one_coxeter_element(monkeypatch):
@@ -148,7 +148,7 @@ def test_counts_match_the_listed_sets(label):
     for tag in FAMILY_TAGS:
         for spec in words if tag in CAMBRIAN_TAGS else (None,):
             family = FamilyId(tag, spec)
-            assert (count_family(rs, family, g).count
+            assert (count_family(rs, family).count
                     == len(family_bits(g, family))), family
 
 
@@ -172,7 +172,7 @@ def test_wofp_counts_the_cosets_of_every_parabolic(label):
     for mask in range(1 << g.system.rank):
         span_bits, _ = g.parabolic_data(_indices(mask))
         cosets += order // len(g.interval(0, span_bits))
-    assert count_family(g.system, "WOFP", g).count == cosets
+    assert count_family(g.system, "WOFP").count == cosets
 
 
 def _count_construction_calls(monkeypatch):
@@ -195,10 +195,11 @@ def _count_construction_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("tag,count", [("WOIP", 457), ("WOFP", 147)])
+@pytest.mark.parametrize("tag,count", [
+    ("WOEP", 48), ("WOIP", 457), ("WOFP", 147), ("BOEP", 8), ("BOIP", 27)])
 def test_weak_order_rows_walk_no_interval(monkeypatch, tag, count):
-    """The WOIP and WOFP rows are counted from the group's tables: they
-    list no family, walk no interval and enumerate no coset."""
+    """The weak order and cube rows are counted from the group's tables:
+    they list no family, walk no interval and enumerate no coset."""
     calls = _count_construction_calls(monkeypatch)
     # a system whose group is built inside the count
     assert count_family(build_from_label("B3"), tag).count == count
@@ -240,16 +241,16 @@ def test_cambrian_rows_match_independent_values(label, degrees, faces):
     sum h_k 2^(n-k) over the cluster complex's h-vector (A001003 on A5,
     the central Delannoy number A001850 on B5).  Neither reads the
     library."""
-    rs, g = system(label), group(label)
+    rs = system(label)
     h = max(degrees)
     catalan = math.prod(h + d for d in degrees) // math.prod(degrees)
-    assert count_family(rs, "COEP", g).count == catalan
+    assert count_family(rs, "COEP").count == catalan
     if faces is not None:
         n = rs.rank
         hv = _narayana_h_vector(label[0], n)
         assert sum(hv) == catalan
         assert sum(hk << n - k for k, hk in enumerate(hv)) == faces
-        assert count_family(rs, "COFP", g).count == faces
+        assert count_family(rs, "COFP").count == faces
 
 
 def test_a5_coip_lin_counts_the_tamari_intervals():
@@ -257,7 +258,7 @@ def test_a5_coip_lin_counts_the_tamari_intervals():
     intervals (Chapoton 2006)."""
     m, fact = 6, math.factorial
     tamari = 2 * fact(4 * m + 1) // (fact(m + 1) * fact(3 * m + 2))
-    assert count_family(system("A5"), "COIP(lin)", group("A5")).count == tamari == 2530
+    assert count_family(system("A5"), "COIP(lin)").count == tamari == 2530
 
 
 def _check_closed_sets(rs):
@@ -451,11 +452,10 @@ def test_cross_formula_counts():
     """|WOEP| = |W| = prod d_i, |COEP| = Cat(W), |BOEP| = 2^n, |BOIP| = 3^n."""
     for label in ("A2", "B2", "G2", "A3", "B3"):
         rs = system(label)
-        g = group(label)
-        assert count_family(rs, "WOEP", g).count == rs.weyl_order()
-        assert count_family(rs, "COEP(lin)", g).count == rs.coxeter_catalan()
-        assert count_family(rs, "BOEP", g).count == 2 ** rs.rank
-        assert count_family(rs, "BOIP", g).count == 3 ** rs.rank
+        assert count_family(rs, "WOEP").count == rs.weyl_order()
+        assert count_family(rs, "COEP(lin)").count == rs.coxeter_catalan()
+        assert count_family(rs, "BOEP").count == 2 ** rs.rank
+        assert count_family(rs, "BOIP").count == 3 ** rs.rank
 
 
 def test_unknown_ids_rejected():

@@ -166,16 +166,14 @@ def test_resource_cap_exit_code(capsys):
 
 def test_family_cap_fires_before_walking_w(capsys, monkeypatch):
     """D5 WOIP has 146,649 sets, one per streamed pair; the default cap
-    refuses it after cap + 1 of them."""
+    refuses it from its count, before any pair is streamed."""
     from rootposets import weyl
-    from rootposets.weakorder import VERIFY_CAP
     calls = []
     pair_bits = weyl.interval_bits
     monkeypatch.setattr(weyl, "interval_bits", lambda system, lo, hi:
                         calls.append(lo) or pair_bits(system, lo, hi))
     code, out = run(capsys, "lattice", "verify", "--type", "D5", "--family", "woip")
-    assert (code, out) == (3, "")
-    assert len(calls) == VERIFY_CAP + 1 < 146_649 // 10
+    assert (code, out, calls) == (3, "", [])
 
 
 def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
@@ -186,6 +184,32 @@ def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
                         lambda *args: counted.append(args))
     code, out = run(capsys, "census", "table1", "--types", "B4,C4,F4")
     assert (code, out, counted) == (3, "", [])
+
+
+def test_census_table1_refuses_the_all_level_before_counting(capsys, monkeypatch):
+    """The all level has no row; it is refused, by name, before any row
+    is counted."""
+    import rootposets.census as cns
+    counted = []
+    monkeypatch.setattr(cns, "count_family",
+                        lambda *args: counted.append(args))
+    code = main(["census", "table1", "--types", "A2", "--families", "posets,all"])
+    out, err = capsys.readouterr()
+    assert (code, out, counted) == (2, "", [])
+    assert "all level" in err
+
+
+def test_census_table1_reads_lowercase_types(capsys):
+    """A lowercase type prints its own label and is checked against the
+    reference; a lowercase range reads as the uppercase one."""
+    code, out = run(capsys, "census", "table1", "--types", "d4",
+                    "--families", "posets")
+    assert code == 1
+    assert "D4,posets,12361,219,MISMATCH" in out.splitlines()
+    table = ("census", "table1", "--families", "posets,WOIP")
+    upper = run(capsys, *table, "--types", "A1..A3")
+    assert run(capsys, *table, "--types", "a1..a3") == upper
+    assert upper[0] == 0 and "A3,WOIP,151,151,match" in upper[1].splitlines()
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -224,6 +248,11 @@ def test_census_table1_cap_fires_before_counting(capsys, monkeypatch):
     (["hasse", "--type", "E6", "--family", "COIP", "--coxeter", "x"], 2),
     (["check-conjecture", "coip-sublattice", "--type", "E6", "--coxeter", "x",
       "--rank-cap", "9"], 2),
+    # an empty Coxeter word is a bad word, not lin
+    (["census", "table1", "--types", "A3", "--families", "COIP()"], 2),
+    (["families", "build", "--type", "A2", "--family", "coip", "--coxeter", ""], 2),
+    (["lattice", "verify", "--type", "A2", "--family", "coip", "--coxeter", ""], 2),
+    (["check-conjecture", "coip-sublattice", "--type", "A2", "--coxeter", ""], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line
