@@ -3,54 +3,33 @@ and reproductions of the published counterexamples.
 
 Counting strategies
 -------------------
+all             closed form 2^|Phi|
 antisymmetric   closed form 3^|Phi^+|
 semiclosed      (number of closed subsets of Phi^+) squared
-closed / posets backtracking over roots ordered by absolute height, with
-                forced-inclusion propagation: once two included roots sum
-                to a root, that sum is either already decided (checked) or
-                forced into the set at its own position
+closed / posets backtracking over roots ordered by absolute height
+                (weakorder.level_count, which builds no set)
 WOEP / COEP     the number of kept elements (all, or the c-sortable ones)
 WOIP / COIP     the pairs v <= u of kept elements, from kept up-set
                 bitmasks over element ids swept by length from the top
 WOFP / COFP     the cosets xW_I with x kept, sum over kept x of
                 2^(rank - |D_R(x)|)
 BOEP / BOIP     closed forms 2^rank and 3^rank, the cube's vertices and
-                faces
+                faces, read off the rank before any group is built
 Every family row is families.family_count, which lists no poset; the
 listed families (families.family_set) are its oracle in the tests.
 
-The backtracking meets in the middle.  Its last roots, the tail (9/20
-of them, at most 16), are decided once: the K tail sets closed among
-themselves (and antisymmetric, for posets) are listed in backtracking
-order, and each tail root gets a K-bit column of the tail sets that
-hold it.  The backtracking over the other roots, the head, carries a
-K-bit mask of the tail sets still allowed; each decision ANDs in the
-columns that the root sums linking it to the tail require, and a branch
-whose mask is 0 is cut.  A head leaf stands for the sets head |
-tail[k], k ascending over the mask's bits.  Deciding the head first and
-taking the tail sets in their own backtracking order is the order of
-one backtracking over all roots, so every count and member list is
-unchanged.
-
-count_family counts per head leaf, by the mask's bit count, and builds
-no set.  level_members lists the sets of each head leaf, refusing past
-a cap: every subset for all, the 3^N sign choices for antisym, closed
-subsets of Phi^+ times those of Phi^- for semiclosed, and the
-backtracking for closed and posets.  Every enumeration visits
-candidates in one fixed order, so member lists are identical across
-reruns.
+The counterexamples need only roots, subsets and the weak order, so the
+group layers (cambrian, families, weyl) are imported by the functions
+that use them, not with this module.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import cambrian as camb
-from . import families as fam
 from . import weakorder as wo
 from .coeff import PSI, Coeff
 from .errors import ContractViolationError, ResourceCapError
@@ -59,9 +38,6 @@ from .rootset import (
     parse_set_literal,
 )
 from .rootsys import build_from_label
-from .weyl import weyl_group
-
-CLOSED_BITSET_LIMIT = 32    # |Phi| cap for the backtracking counters
 
 
 @dataclass
@@ -73,235 +49,27 @@ class CensusResult:
     method: str
 
 
-def _tail_size(n):
-    """How many of n roots the tail takes: 9/20 of them, about the best
-    size from 15 to 40 roots, and at most 16, since every tail set is
-    listed (E7's 63 positive roots would give 28 and about 2^28 sets)."""
-    return min(n * 9 // 20, 16)
-
-
-def _tail_columns(tails, roots):
-    """has[r]: bit k set when the tail set tails[k] holds root r, read off
-    in one transpose of the sets written as fixed-width binary rows."""
-    width = max(roots, default=0) + 1
-    # rows reversed, so tails[0] becomes bit 0; root r is character -1 - r
-    columns = list(zip(*[format(t, f"0{width}b") for t in reversed(tails)]))
-    return {r: int("".join(columns[width - 1 - r]), 2) for r in roots}
-
-
-def _closed_sets(system, indices, antisymmetric, leaf):
-    """Count the subsets of `indices` closed under root sums (and
-    antisymmetric if asked), handing them to ``leaf`` in backtracking order.
-
-    Roots are taken by increasing absolute height, then index.  The last
-    _tail_size(n) of the n form the tail: its subsets closed among themselves
-    are listed once, in backtracking order, as ``tails``.  The backtracking
-    over the other roots, the head, ends at each head set ``mask`` with a
-    K-bit ``allowed`` of the tails that close it, and calls
-    ``leaf(mask, allowed, tails)``: the sets are ``mask | tails[k]`` for
-    the set bits k of ``allowed``, ascending.
-    """
-    order = sorted(indices, key=lambda i: (system.abs_height(i), i))
-    cut = len(order) - _tail_size(len(order))
-    tails = []
-    _backtrack(system, order[cut:], antisymmetric, {}, 1,
-               lambda mask, allowed: tails.append(mask))
-    has = _tail_columns(tails, order[cut:])
-    count = 0
-
-    def head_leaf(mask, allowed):
-        nonlocal count
-        count += allowed.bit_count()
-        leaf(mask, allowed, tails)
-
-    _backtrack(system, order[:cut], antisymmetric, has, (1 << len(tails)) - 1,
-               head_leaf)
-    return count
-
-
-def _backtrack(system, order, antisymmetric, has, full, leaf):
-    """Backtrack over the roots of `order`, in that order, calling
-    ``leaf(mask, allowed)`` on each set closed among them.
-
-    ``has`` maps each root of a tail decided after `order` to its column:
-    the bits, within ``full``, of the tail sets that hold it.  ``allowed``
-    keeps the tail sets that the root sums linking the two parts admit,
-    and a branch whose ``allowed`` reaches 0 is cut.  A sum of two roots
-    of `order` is either already decided (checked) or forced into the set
-    at its own position.
-    """
-    pos_of = {r: p for p, r in enumerate(order)}
-    table = system.sum_table
-    m = len(order)
-    rbits = [1 << r for r in order]
-    negbits = [1 << system.neg(r) for r in order]
-    # per position p, for sums inside `order` with an earlier partner i:
-    # (bit of i, bit of the sum), a check where the sum comes before p, a
-    # force where after.  For sums that reach the tail: the mask that a
-    # decision ANDs into allowed always (inc_all, exc_all), or when an
-    # earlier root is in the set (inc_in, exc_in) or out of it (inc_out)
-    checks, forces = [[] for _ in order], [[] for _ in order]
-    inc_in, inc_out, exc_in = ([{} for _ in order] for _ in range(3))
-    inc_all, exc_all = [full] * m, [full] * m
-
-    def meet(links, bit, col):
-        links[bit] = links.get(bit, full) & col
-
-    roots = order + list(has)  # x before y below, so y is head only if x is
-    for a, x in enumerate(roots):
-        for y in roots[a + 1:]:
-            s = table[x][y]
-            if s < 0 or s not in pos_of and s not in has:
-                continue
-            if x in has:                     # both tail
-                if s in pos_of:              # s out: not both in the tail set
-                    exc_all[pos_of[s]] &= ~(has[x] & has[y])
-            elif y not in has:               # both head, p < q
-                p, q = pos_of[x], pos_of[y]
-                if s in has:                 # both in: s in the tail set
-                    meet(inc_in[q], rbits[p], has[s])
-                else:
-                    (checks if pos_of[s] < q else forces)[q].append(
-                        (rbits[p], 1 << s))
-            elif s in has:                   # x in: tail set with y has s
-                inc_all[pos_of[x]] &= ~has[y] | has[s]
-            elif pos_of[s] < pos_of[x]:      # x in, s out: y not in tail set
-                meet(inc_out[pos_of[x]], 1 << s, ~has[y])
-            else:
-                meet(exc_in[pos_of[s]], 1 << x, ~has[y])
-    if antisymmetric:                        # r in: -r not in the tail set
-        for p, r in enumerate(order):
-            if system.neg(r) in has:
-                inc_all[p] &= ~has[system.neg(r)]
-    inc_in, inc_out, exc_in = ([list(links.items()) for links in part]
-                               for part in (inc_in, inc_out, exc_in))
-
-    def rec(p, mask, forced, forbidden, allowed):
-        if p == m:
-            leaf(mask, allowed)
-            return
-        rbit = rbits[p]
-        # include r
-        keep = allowed & inc_all[p] if not forbidden & rbit else 0
-        if keep:
-            for ibit, sbit in checks[p]:
-                if mask & ibit and not mask & sbit:
-                    keep = 0
-                    break
-        if keep:
-            for ibit, col in inc_in[p]:
-                if mask & ibit:
-                    keep &= col
-            for sbit, col in inc_out[p]:
-                if not mask & sbit:
-                    keep &= col
-        if keep:
-            nf = forced
-            for ibit, sbit in forces[p]:
-                if mask & ibit:
-                    nf |= sbit
-            rec(p + 1, mask | rbit, nf,
-                forbidden | negbits[p] if antisymmetric else forbidden, keep)
-        # exclude r
-        if not forced & rbit:
-            keep = allowed & exc_all[p]
-            for xbit, col in exc_in[p]:
-                if mask & xbit:
-                    keep &= col
-            if keep:
-                rec(p + 1, mask, forced, forbidden, keep)
-
-    rec(0, 0, 0, 0, full)
-
-
-def _skip(mask, allowed, tails):
-    """A leaf for counts alone: _closed_sets sums the batch sizes."""
-
-
-def _batch(mask, allowed, tails):
-    """The sets of one head leaf, in backtracking order."""
-    return [mask | tails[k] for k in _indices(allowed)]
-
-
-def _collect(found, cap, refusal):
-    """A leaf that adds each batch to ``found`` and raises ``refusal``
-    once ``found`` holds more than ``cap`` sets."""
-    def leaf(mask, allowed, tails):
-        found.extend(_batch(mask, allowed, tails))
-        if cap is not None and len(found) > cap:
-            raise refusal
-    return leaf
-
-
-def _require_dfs(system, level):
-    if level in (wo.Level.CLOSED, wo.Level.POSETS) and (
-            system.num_roots > CLOSED_BITSET_LIMIT):
-        raise ResourceCapError(
-            f"{level.value} backtracking capped at |Phi| <= {CLOSED_BITSET_LIMIT}")
-
-
-def level_members(system, level, cap=None):
-    """Every set of one level of the weak order, as RootSets.
-
-    Closed and posets come in DFS order.  A level of more than ``cap``
-    sets is refused before its sets are built; the backtracking stops as
-    soon as it has found enough sets to exceed the cap.
-    """
-    n = system.num_positive
-    refusal = ResourceCapError(
-        f"{level.value} level of {system.label} has more than {cap} sets")
-    if level is wo.Level.ALL:
-        if cap is not None and 1 << system.num_roots > cap:
-            raise refusal
-        found = range(1 << system.num_roots)
-    elif level is wo.Level.ANTISYM:
-        if cap is not None and 3 ** n > cap:
-            raise refusal
-        found = [0]
-        for i in range(n):
-            found = [b | s for b in found for s in (0, 1 << i, 1 << (i + n))]
-    elif level is wo.Level.SEMICLOSED:
-        # closed subsets of Phi^+, whose negations are those of Phi^-;
-        # more than isqrt(cap) of them make more than cap products
-        halves = []
-        _closed_sets(system, range(n), False, _collect(
-            halves, None if cap is None else math.isqrt(cap), refusal))
-        negs = [system.negate_bits(h) for h in halves]
-        found = [p | q for p in halves for q in negs]
-    else:
-        _require_dfs(system, level)
-        found = []
-        _closed_sets(system, range(system.num_roots),
-                     level is wo.Level.POSETS, _collect(found, cap, refusal))
-    return [RootSet(system, b) for b in found]
-
-
 def enumerate_posets(system):
     """Deterministic list of all posets of the system (DFS order)."""
-    return level_members(system, wo.Level.POSETS)
+    return wo.level_members(system, wo.Level.POSETS)
 
 
 def count_family(system, family):
     """Exact count of one family over the system.
 
-    ``family`` is a level other than all, a family name such as
-    'COIP(bip)', or a FamilyId.
+    ``family`` is a level, a family name such as 'COIP(bip)', or a
+    FamilyId.
     """
     t0 = time.perf_counter()
     level = wo.Level.named(family)
-    if level is wo.Level.ANTISYM:
-        count, method = 3 ** system.num_positive, "closed-form"
-    elif level is wo.Level.SEMICLOSED:
-        half = _closed_sets(system, range(system.num_positive), False, _skip)
-        count, method = half * half, "backtracking"
-    elif level in (wo.Level.CLOSED, wo.Level.POSETS):
-        _require_dfs(system, level)
-        count = _closed_sets(system, range(system.num_roots),
-                             level is wo.Level.POSETS, _skip)
-        method = "backtracking"
+    if level is not None:
+        count = wo.level_count(system, level)
+        method = ("closed-form" if level in (wo.Level.ALL, wo.Level.ANTISYM)
+                  else "backtracking")
     else:
+        from . import families as fam
         family = fam.FamilyId.parse(family) if isinstance(family, str) else family
-        count = fam.family_count(weyl_group(system), family)
+        count = fam.family_count(system, family)
         method = "group tables"
     return CensusResult(system.label, str(family) if level is None else level.value,
                         count, time.perf_counter() - t0, method)
@@ -427,6 +195,7 @@ class Table1Row:
 
 
 def table1_rows(system_labels, family_names):
+    from . import families as fam
     # a bad name or Coxeter word is a usage error, whatever the caps
     names = [wo.Level.named(name) or fam.FamilyId.parse(name)
              for name in family_names]
@@ -440,7 +209,7 @@ def table1_rows(system_labels, family_names):
                 fam.check_coxeter(system, name)
     for system in systems:  # refuse an oversized row before counting any row
         for name in names:
-            _require_dfs(system, name)
+            wo.require_dfs(system, name)
     rows = []
     for system in systems:
         for name in names:
@@ -501,10 +270,18 @@ class ConjectureReport:
 CONJECTURE_IDS = ("coep-characterization", "coep-sublattice", "coip-sublattice")
 
 
+def _require_id(kind, name, ids):
+    if name not in ids:
+        raise ContractViolationError(
+            f"unknown {kind} {name!r}; expected one of {', '.join(ids)}")
+
+
 def check_conjecture(conj_id, system, coxeter_spec="lin", rank_cap=3):
     """Exhaustively test one of the open conjectures on a desk-scale system."""
-    if conj_id not in CONJECTURE_IDS:
-        raise ContractViolationError(f"unknown conjecture {conj_id!r}")
+    from . import cambrian as camb
+    from . import families as fam
+    from .weyl import weyl_group
+    _require_id("conjecture", conj_id, CONJECTURE_IDS)
     camb.coxeter_word(system, coxeter_spec)  # a bad word exits 2, not on a cap
     if system.rank > rank_cap:
         raise ResourceCapError(
@@ -570,8 +347,7 @@ def _h3_remark_roots(system):
 
 def reproduce_counterexample(case):
     """Re-derive one of the published failures from its defining roots."""
-    if case not in COUNTEREXAMPLE_IDS:
-        raise ContractViolationError(f"unknown counterexample {case!r}")
+    _require_id("counterexample", case, COUNTEREXAMPLE_IDS)
     checks = []
 
     def expect(label, ok):

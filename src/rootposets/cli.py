@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 reproduced-claim mismatch, 2 usage error,
 3 resource cap exceeded.  All outputs are deterministic.
+
+Each command imports the layers it runs.  Root systems, subsets and the
+weak order (rootsys, rootset, weakorder) load with this module; the
+group layers (weyl, cambrian, families) and census load in the commands
+that use them, so `rootsys info`, `order compare` and `hasse` or
+`lattice verify` on a level compile none of them.
 """
 
 from __future__ import annotations
@@ -14,13 +20,10 @@ import re
 import sys
 
 from . import __version__
-from . import census as cns
-from . import families as fam
 from . import weakorder as wo
 from .errors import ContractViolationError, ResourceCapError, RootPosetError
 from .rootset import format_set_literal, parse_set_literal
 from .rootsys import build_from_label
-from .weyl import weyl_group
 
 DEFAULT_TABLE1_FAMILIES = [level.value for level in wo.Level
                            if level is not wo.Level.ALL] + [
@@ -86,11 +89,19 @@ def cmd_rootsys_info(args):
     return 0
 
 
+def _family(system, name, coxeter, cap):
+    """The family a name denotes and its posets, refused from its count
+    past ``cap``; a bad Coxeter word is refused before any group is built."""
+    from . import families as fam
+    from .weyl import weyl_group
+    family = fam.FamilyId.parse(name, coxeter)
+    fam.check_coxeter(system, family)
+    return family, fam.construct_family(weyl_group(system), family, cap)
+
+
 def cmd_families_build(args):
     system = build_from_label(args.system)
-    family = fam.FamilyId.parse(args.family, args.coxeter)
-    fam.check_coxeter(system, family)
-    members = fam.construct_family(weyl_group(system), family, wo.BUILD_CAP)
+    family, members = _family(system, args.family, args.coxeter, wo.BUILD_CAP)
     payload = _json_result(system.label, str(family),
                            [format_set_literal(r) for r in members])
     _emit(payload, args.out)
@@ -118,10 +129,8 @@ def _members(system, name, coxeter, cap):
     """
     level = wo.Level.named(name)
     if level is not None:
-        return cns.level_members(system, level, cap), level
-    family = fam.FamilyId.parse(name, coxeter)
-    fam.check_coxeter(system, family)
-    return fam.construct_family(weyl_group(system), family, cap), None
+        return wo.level_members(system, level, cap), level
+    return _family(system, name, coxeter, cap)[1], None
 
 
 def cmd_lattice_verify(args):
@@ -156,6 +165,7 @@ def cmd_hasse(args):
 
 
 def cmd_census_table1(args):
+    from . import census as cns
     labels = _expand_types(args.types)
     families = (args.families.split(",") if args.families
                 else list(DEFAULT_TABLE1_FAMILIES))
@@ -180,6 +190,7 @@ def cmd_census_table1(args):
 
 
 def cmd_check_conjecture(args):
+    from . import census as cns
     system = build_from_label(args.system)
     report = cns.check_conjecture(args.conjecture, system, args.coxeter,
                                   rank_cap=args.rank_cap)
@@ -194,6 +205,7 @@ def cmd_check_conjecture(args):
 
 
 def cmd_counterexample(args):
+    from . import census as cns
     report = cns.reproduce_counterexample(args.case)
     payload = {
         "tool_version": __version__,
@@ -282,7 +294,7 @@ def build_parser():
     pt.set_defaults(func=cmd_census_table1)
 
     p = sub.add_parser("check-conjecture", help="exhaustive conjecture checks")
-    p.add_argument("conjecture", choices=list(cns.CONJECTURE_IDS))
+    p.add_argument("conjecture", help="conjecture id, e.g. coip-sublattice")
     p.add_argument("--type", dest="system", required=True)
     p.add_argument("--coxeter", default="lin")
     p.add_argument("--rank-cap", type=nonnegative_int, default=3)
@@ -290,7 +302,7 @@ def build_parser():
     p.set_defaults(func=cmd_check_conjecture)
 
     p = sub.add_parser("counterexample", help="reproduce published failures")
-    p.add_argument("case", choices=list(cns.COUNTEREXAMPLE_IDS))
+    p.add_argument("case", help="counterexample id, e.g. h3-ncd")
     p.add_argument("--out")
     p.set_defaults(func=cmd_counterexample)
 

@@ -145,18 +145,19 @@ def family_set(group, family):
     return {wy.interval_bits(system, lo, hi) for lo, hi in pairs}
 
 
-def family_count(group, family):
+def family_count(system, family):
     """len(family_set(group, family)), from the tables alone: no poset is
     built.  The cube has 2^rank vertices R(A), one per set A of simple
-    roots, and 3^rank faces R(A, A'), one per A inside A'.  The other
-    families keep every element, or for the Cambrian ones the c-sortable
-    elements, one bottom per class: WOEP and COEP count them, WOIP and
-    COIP sum the masks of _weak_intervals, and WOFP and COFP count the
-    cosets (x, I) of kept x, one per facial class (the Reading-Speyer
-    h-vector sum for COFP)."""
+    roots, and 3^rank faces R(A, A'), one per A inside A', so its
+    counts build no group.  The other families keep every element, or
+    for the Cambrian ones the c-sortable elements, one bottom per class:
+    WOEP and COEP count them, WOIP and COIP sum the masks of
+    _weak_intervals, and WOFP and COFP count the cosets (x, I) of kept x,
+    one per facial class (the Reading-Speyer h-vector sum for COFP)."""
     tag = family.normalized_tag()
     if tag in ("BOEP", "BOIP"):
-        return (2 if tag == "BOEP" else 3) ** group.system.rank
+        return (2 if tag == "BOEP" else 3) ** system.rank
+    group = wy.weyl_group(system)
     c = _resolve_coxeter(group, family)
     keep = c.sortable if c else [True] * len(group.elements)
     if tag in ("WOEP", "COEP"):
@@ -213,7 +214,7 @@ def construct_family(group, family, cap=None):
     """The family's posets as RootSets, in the order of family_bits.  A
     family of more than ``cap`` sets is refused from its count, before
     any poset is built."""
-    if cap is not None and family_count(group, family) > cap:
+    if cap is not None and family_count(group.system, family) > cap:
         raise ResourceCapError(
             f"{family} family of {group.system.label} has more than {cap} sets")
     return [RootSet(group.system, b) for b in family_bits(group, family)]

@@ -106,6 +106,8 @@ class SubsetClassification:
 
 
 def _closed_bits(system, bits):
+    """Whether the set holds every sum of two of its roots; the bare sweep,
+    for a set of one sign, where closed and semiclosed agree."""
     indices = _indices(bits)
     table = system.sum_table
     for a, i in enumerate(indices):
@@ -115,6 +117,26 @@ def _closed_bits(system, bits):
             if k >= 0 and not (bits >> k) & 1:
                 return False
     return True
+
+
+def _closed_flags(system, bits):
+    """(closed, semiclosed) from one sweep over the member pairs.  A sum
+    of two roots of one sign has that sign, so a same-sign pair whose sum
+    is missing breaks both and ends the sweep; a mixed pair breaks only
+    closedness."""
+    indices = _indices(bits)
+    table, n = system.sum_table, system.num_positive
+    closed = True
+    for a, i in enumerate(indices):
+        row = table[i]
+        positive = i < n
+        for j in indices[a:]:
+            k = row[j]
+            if k >= 0 and not (bits >> k) & 1:
+                if positive == (j < n):
+                    return False, False
+                closed = False
+    return closed, True
 
 
 def _indices(bits):
@@ -140,9 +162,7 @@ def classify(rset):
     neg_image = system.negate_bits(bits)
     symmetric = neg_image == bits
     antisymmetric = (neg_image & bits) == 0
-    closed = _closed_bits(system, bits)
-    semiclosed = (_closed_bits(system, bits & system.pos_mask)
-                  and _closed_bits(system, bits & system.neg_mask))
+    closed, semiclosed = _closed_flags(system, bits)
     return SubsetClassification(
         symmetric=symmetric,
         antisymmetric=antisymmetric,
@@ -287,9 +307,7 @@ def closure_deletion(rset, side):
     if side not in ("negative", "positive"):
         raise ContractViolationError("side must be 'negative' or 'positive'")
     system, bits = rset.system, rset.bits
-    fast = (system.crystallographic
-            and _closed_bits(system, bits & system.pos_mask)
-            and _closed_bits(system, bits & system.neg_mask))
+    fast = system.crystallographic and _closed_flags(system, bits)[1]
     return RootSet(system, deletion_bits(system, bits, side, fast))
 
 
@@ -314,9 +332,11 @@ def is_convex(rset):
 # -- textual set literals ------------------------------------------------
 
 def format_set_literal(rset):
-    """Comma-separated signed coordinate vectors, e.g. ``+[1,1],-[0,1]``."""
-    literals = rset.system.literals
-    return ",".join([literals[i] for i in _indices(rset.bits)])
+    """Comma-separated signed coordinate vectors, e.g. ``+[1,1],-[0,1]``,
+    joined from the system's per-byte table, one entry per nonzero byte."""
+    rows = rset.system.byte_literals
+    data = rset.bits.to_bytes(len(rows), "little")
+    return ",".join([row[b] for row, b in zip(rows, data) if b])
 
 
 def parse_set_literal(system, text):

@@ -18,7 +18,7 @@ arithmetic and bit masks downstream.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from operator import add
 
 from .coeff import Coeff, PSI
@@ -327,6 +327,19 @@ class RootSystem:
                 if cj[b]:
                     total = total + ci[a] * self.gram[a][b] * cj[b]
         return total
+
+    @cached_property
+    def byte_literals(self):
+        """byte_literals[k][b]: the literals of the roots 8k + i, for the
+        set bits i of the byte b, ascending and joined by commas; one row
+        per byte of a bitset, built on first use."""
+        rows = []
+        for k in range(0, self.num_roots, 8):
+            row = [""]
+            for literal in self.literals[k:k + 8]:  # row[b | 1 << i] = row[b], literal
+                row += [f"{s},{literal}" if s else literal for s in row]
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def simple_indices(self):
         """Root indices of the simple roots (unit coordinate vectors)."""

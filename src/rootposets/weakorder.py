@@ -23,11 +23,35 @@ walked pair by pair.  On level members the set handed to ncd/pcd is
 semiclosed by construction (a closure on one side, an intersection of
 closed sets on the other), so the fast deletion applies after checking
 the one half, with no full classification.
+
+The levels are listed (level_members) and counted (level_count) here.
+All is every subset, antisym the 3^N sign choices, and semiclosed the
+closed subsets of Phi^+ times those of Phi^-.  Closed and posets are a
+backtracking over roots ordered by absolute height, with forced-inclusion
+propagation: once two included roots sum to a root, that sum is either
+already decided (checked) or forced into the set at its own position.
+
+The backtracking meets in the middle.  Its last roots, the tail (9/20
+of them, at most 16), are decided once: the K tail sets closed among
+themselves (and antisymmetric, for posets) are listed in backtracking
+order, and each tail root gets a K-bit column of the tail sets that
+hold it.  The backtracking over the other roots, the head, carries a
+K-bit mask of the tail sets still allowed; each decision ANDs in the
+columns that the root sums linking it to the tail require, and a branch
+whose mask is 0 is cut.  A head leaf stands for the sets head |
+tail[k], k ascending over the mask's bits.  Deciding the head first and
+taking the tail sets in their own backtracking order is the order of
+one backtracking over all roots.  level_count counts per head leaf, by
+the mask's bit count, and builds no set; level_members lists the sets of
+each head leaf, refusing past a cap.  Every enumeration visits
+candidates in one fixed order, so member lists are identical across
+reruns.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import compress
@@ -40,6 +64,7 @@ from .rootset import RootSet, _closed_bits, _indices, classify, closure_bits, de
 VERIFY_CAP = 5000
 HASSE_CAP = 10_000
 BUILD_CAP = 1_000_000  # sets that `families build` lists
+CLOSED_BITSET_LIMIT = 32  # |Phi| cap for the closed and posets backtracking
 
 
 class Level(enum.Enum):
@@ -409,3 +434,224 @@ def export_hasse(family, fmt="dot"):
         import json
         return json.dumps({"nodes": labels, "edges": edges}, indent=0)
     raise ContractViolationError(f"unknown hasse format {fmt!r}")
+
+
+# -- level enumeration ------------------------------------------------------
+
+def _tail_size(n):
+    """How many of n roots the tail takes: 9/20 of them, about the best
+    size from 15 to 40 roots, and at most 16, since every tail set is
+    listed (E7's 63 positive roots would give 28 and about 2^28 sets)."""
+    return min(n * 9 // 20, 16)
+
+
+def _tail_columns(tails, roots):
+    """has[r]: bit k set when the tail set tails[k] holds root r, read off
+    in one transpose of the sets written as fixed-width binary rows."""
+    width = max(roots, default=0) + 1
+    # rows reversed, so tails[0] becomes bit 0; root r is character -1 - r
+    columns = list(zip(*[format(t, f"0{width}b") for t in reversed(tails)]))
+    return {r: int("".join(columns[width - 1 - r]), 2) for r in roots}
+
+
+def _closed_sets(system, indices, antisymmetric, leaf):
+    """Count the subsets of `indices` closed under root sums (and
+    antisymmetric if asked), handing them to ``leaf`` in backtracking order.
+
+    Roots are taken by increasing absolute height, then index.  The last
+    _tail_size(n) of the n form the tail: its subsets closed among themselves
+    are listed once, in backtracking order, as ``tails``.  The backtracking
+    over the other roots, the head, ends at each head set ``mask`` with a
+    K-bit ``allowed`` of the tails that close it, and calls
+    ``leaf(mask, allowed, tails)``: the sets are ``mask | tails[k]`` for
+    the set bits k of ``allowed``, ascending.
+    """
+    order = sorted(indices, key=lambda i: (system.abs_height(i), i))
+    cut = len(order) - _tail_size(len(order))
+    tails = []
+    _backtrack(system, order[cut:], antisymmetric, {}, 1,
+               lambda mask, allowed: tails.append(mask))
+    has = _tail_columns(tails, order[cut:])
+    count = 0
+
+    def head_leaf(mask, allowed):
+        nonlocal count
+        count += allowed.bit_count()
+        leaf(mask, allowed, tails)
+
+    _backtrack(system, order[:cut], antisymmetric, has, (1 << len(tails)) - 1,
+               head_leaf)
+    return count
+
+
+def _backtrack(system, order, antisymmetric, has, full, leaf):
+    """Backtrack over the roots of `order`, in that order, calling
+    ``leaf(mask, allowed)`` on each set closed among them.
+
+    ``has`` maps each root of a tail decided after `order` to its column:
+    the bits, within ``full``, of the tail sets that hold it.  ``allowed``
+    keeps the tail sets that the root sums linking the two parts admit,
+    and a branch whose ``allowed`` reaches 0 is cut.  A sum of two roots
+    of `order` is either already decided (checked) or forced into the set
+    at its own position.
+    """
+    pos_of = {r: p for p, r in enumerate(order)}
+    table = system.sum_table
+    m = len(order)
+    rbits = [1 << r for r in order]
+    negbits = [1 << system.neg(r) for r in order]
+    # per position p, for sums inside `order` with an earlier partner i:
+    # (bit of i, bit of the sum), a check where the sum comes before p, a
+    # force where after.  For sums that reach the tail: the mask that a
+    # decision ANDs into allowed always (inc_all, exc_all), or when an
+    # earlier root is in the set (inc_in, exc_in) or out of it (inc_out)
+    checks, forces = [[] for _ in order], [[] for _ in order]
+    inc_in, inc_out, exc_in = ([{} for _ in order] for _ in range(3))
+    inc_all, exc_all = [full] * m, [full] * m
+
+    def meet(links, bit, col):
+        links[bit] = links.get(bit, full) & col
+
+    roots = order + list(has)  # x before y below, so y is head only if x is
+    for a, x in enumerate(roots):
+        for y in roots[a + 1:]:
+            s = table[x][y]
+            if s < 0 or s not in pos_of and s not in has:
+                continue
+            if x in has:                     # both tail
+                if s in pos_of:              # s out: not both in the tail set
+                    exc_all[pos_of[s]] &= ~(has[x] & has[y])
+            elif y not in has:               # both head, p < q
+                p, q = pos_of[x], pos_of[y]
+                if s in has:                 # both in: s in the tail set
+                    meet(inc_in[q], rbits[p], has[s])
+                else:
+                    (checks if pos_of[s] < q else forces)[q].append(
+                        (rbits[p], 1 << s))
+            elif s in has:                   # x in: tail set with y has s
+                inc_all[pos_of[x]] &= ~has[y] | has[s]
+            elif pos_of[s] < pos_of[x]:      # x in, s out: y not in tail set
+                meet(inc_out[pos_of[x]], 1 << s, ~has[y])
+            else:
+                meet(exc_in[pos_of[s]], 1 << x, ~has[y])
+    if antisymmetric:                        # r in: -r not in the tail set
+        for p, r in enumerate(order):
+            if system.neg(r) in has:
+                inc_all[p] &= ~has[system.neg(r)]
+    inc_in, inc_out, exc_in = ([list(links.items()) for links in part]
+                               for part in (inc_in, inc_out, exc_in))
+
+    def rec(p, mask, forced, forbidden, allowed):
+        if p == m:
+            leaf(mask, allowed)
+            return
+        rbit = rbits[p]
+        # include r
+        keep = allowed & inc_all[p] if not forbidden & rbit else 0
+        if keep:
+            for ibit, sbit in checks[p]:
+                if mask & ibit and not mask & sbit:
+                    keep = 0
+                    break
+        if keep:
+            for ibit, col in inc_in[p]:
+                if mask & ibit:
+                    keep &= col
+            for sbit, col in inc_out[p]:
+                if not mask & sbit:
+                    keep &= col
+        if keep:
+            nf = forced
+            for ibit, sbit in forces[p]:
+                if mask & ibit:
+                    nf |= sbit
+            rec(p + 1, mask | rbit, nf,
+                forbidden | negbits[p] if antisymmetric else forbidden, keep)
+        # exclude r
+        if not forced & rbit:
+            keep = allowed & exc_all[p]
+            for xbit, col in exc_in[p]:
+                if mask & xbit:
+                    keep &= col
+            if keep:
+                rec(p + 1, mask, forced, forbidden, keep)
+
+    rec(0, 0, 0, 0, full)
+
+
+def _skip(mask, allowed, tails):
+    """A leaf for counts alone: _closed_sets sums the batch sizes."""
+
+
+def _batch(mask, allowed, tails):
+    """The sets of one head leaf, in backtracking order."""
+    return [mask | tails[k] for k in _indices(allowed)]
+
+
+def _collect(found, cap, refusal):
+    """A leaf that adds each batch to ``found`` and raises ``refusal``
+    once ``found`` holds more than ``cap`` sets."""
+    def leaf(mask, allowed, tails):
+        found.extend(_batch(mask, allowed, tails))
+        if cap is not None and len(found) > cap:
+            raise refusal
+    return leaf
+
+
+def require_dfs(system, level):
+    """Refuse the closed and posets backtracking past CLOSED_BITSET_LIMIT roots."""
+    if level in (Level.CLOSED, Level.POSETS) and (
+            system.num_roots > CLOSED_BITSET_LIMIT):
+        raise ResourceCapError(
+            f"{level.value} backtracking capped at |Phi| <= {CLOSED_BITSET_LIMIT}")
+
+
+def level_members(system, level, cap=None):
+    """Every set of one level of the weak order, as RootSets.
+
+    Closed and posets come in DFS order.  A level of more than ``cap``
+    sets is refused before its sets are built; the backtracking stops as
+    soon as it has found enough sets to exceed the cap.
+    """
+    n = system.num_positive
+    refusal = ResourceCapError(
+        f"{level.value} level of {system.label} has more than {cap} sets")
+    if level is Level.ALL:
+        if cap is not None and 1 << system.num_roots > cap:
+            raise refusal
+        found = range(1 << system.num_roots)
+    elif level is Level.ANTISYM:
+        if cap is not None and 3 ** n > cap:
+            raise refusal
+        found = [0]
+        for i in range(n):
+            found = [b | s for b in found for s in (0, 1 << i, 1 << (i + n))]
+    elif level is Level.SEMICLOSED:
+        # closed subsets of Phi^+, whose negations are those of Phi^-;
+        # more than isqrt(cap) of them make more than cap products
+        halves = []
+        _closed_sets(system, range(n), False, _collect(
+            halves, None if cap is None else math.isqrt(cap), refusal))
+        negs = [system.negate_bits(h) for h in halves]
+        found = [p | q for p in halves for q in negs]
+    else:
+        require_dfs(system, level)
+        found = []
+        _closed_sets(system, range(system.num_roots),
+                     level is Level.POSETS, _collect(found, cap, refusal))
+    return [RootSet(system, b) for b in found]
+
+
+def level_count(system, level):
+    """The number of sets of one level, listing none: 2^|Phi| for all,
+    3^N for antisym, the square of the closed subsets of Phi^+ for
+    semiclosed, and for closed and posets the backtracking's batch sizes."""
+    n = system.num_positive
+    if level is Level.ALL:
+        return 1 << system.num_roots
+    if level is Level.ANTISYM:
+        return 3 ** n
+    if level is Level.SEMICLOSED:
+        return _closed_sets(system, range(n), False, _skip) ** 2
+    require_dfs(system, level)
+    return _closed_sets(system, range(system.num_roots), level is Level.POSETS, _skip)

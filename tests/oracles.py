@@ -9,7 +9,8 @@ meets, joins and intervals by scanning W, the roots
 and their tables by Coeff arithmetic, the families one RootSet per
 element, pair, coset or class, the snake decompositions one search per
 snake and root, the closed sets by one backtracking over every root
-with a leaf per set.  None of them is used by the library.
+with a leaf per set, the closed and semiclosed flags by three sweeps.
+None of them is used by the library.
 """
 
 from functools import cache, partial
@@ -131,6 +132,16 @@ def nspan_oracle(rset, slack=1):
         if seen[code(coords)]:
             bits |= 1 << k
     return RootSet(system, bits)
+
+
+def closed_flags_reference(system, bits):
+    """(closed, semiclosed) by three sweeps, as the definitions read: R
+    holds every sum of two of its roots, and so do R+ and R- each."""
+    def closed(part):
+        members = [i for i in range(system.num_roots) if part >> i & 1]
+        return all(system.sum_table[i][j] < 0 or part >> system.sum_table[i][j] & 1
+                   for i in members for j in members)
+    return closed(bits), closed(bits & system.pos_mask) and closed(bits & system.neg_mask)
 
 
 def poset_sweep(system):

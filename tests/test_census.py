@@ -5,13 +5,12 @@ import random
 import pytest
 
 from rootposets.census import (
-    CONJECTURE_IDS, COUNTEREXAMPLE_IDS, SublatticeReport, _batch, _closed_sets,
-    _tail_columns, _tail_size, check_conjecture, check_sublattice, count_family, enumerate_posets,
-    level_members, reference_count, reproduce_counterexample, table1_rows,
+    CONJECTURE_IDS, COUNTEREXAMPLE_IDS, SublatticeReport, check_conjecture, check_sublattice,
+    count_family, enumerate_posets, reference_count, reproduce_counterexample, table1_rows,
 )
 from rootposets import cambrian as camb
-from rootposets import census
 from rootposets import families as fam
+from rootposets import weakorder as wo
 from rootposets import weyl
 from rootposets.errors import (
     ContractViolationError, ResourceCapError, UnsupportedOperationError,
@@ -21,7 +20,9 @@ from rootposets.families import (
 )
 from rootposets.rootset import RootSet, _indices, classify, parse_set_literal
 from rootposets.rootsys import build_from_label
-from rootposets.weakorder import Level
+from rootposets.weakorder import (
+    Level, _batch, _closed_sets, _tail_columns, _tail_size, level_members,
+)
 
 from conftest import group, system
 from oracles import (
@@ -297,7 +298,7 @@ def test_closed_sets_match_the_one_pass_backtracking(label):
 def test_closed_sets_match_at_any_tail_size(monkeypatch, label, rule):
     """No tail, a one-root tail, half the roots and every root all list
     the reference sets in their order."""
-    monkeypatch.setattr(census, "_tail_size", rule)
+    monkeypatch.setattr(wo, "_tail_size", rule)
     _check_closed_sets(system(label))
 
 
@@ -344,6 +345,26 @@ def test_level_members_match_classify_sweep(label):
         assert set(got) == {bits for bits, f in flags if pred(f)}, level
         if level is not Level.ALL:
             assert len(got) == count_family(rs, level.value).count
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_level_count_matches_level_members(label):
+    """Every level counts as many sets as it lists, the all level included,
+    through weakorder and through the census."""
+    rs = system(label)
+    for level in Level:
+        count = len(level_members(rs, level))
+        assert wo.level_count(rs, level) == count_family(rs, level.value).count == count
+
+
+def test_cube_counts_build_no_group():
+    """BOEP is 2^rank and BOIP = BOFP 3^rank, read off the rank: E7 and
+    E8, whose groups are over the cap, count without one."""
+    for label in ("E7", "E8"):
+        fresh = build_from_label(label)
+        counts = [count_family(fresh, tag).count for tag in ("BOEP", "BOIP", "BOFP")]
+        assert counts == [2 ** fresh.rank, 3 ** fresh.rank, 3 ** fresh.rank]
+        assert fresh._group is None
 
 
 def test_level_members_cap_fires_before_building():

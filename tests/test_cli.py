@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rootposets
 from rootposets.census import CONJECTURE_IDS, COUNTEREXAMPLE_IDS
 from rootposets.cli import main
 from rootposets.families import FAMILY_TAGS, FamilyId, member_predicate
@@ -145,6 +150,59 @@ def test_counterexample(capsys):
     doc = json.loads(out)
     assert doc["reproduced"] is True
     assert all(c["ok"] for c in doc["checks"])
+
+
+@pytest.mark.parametrize("argv,ids", [
+    (["check-conjecture", "bogus", "--type", "A2"], CONJECTURE_IDS),
+    (["counterexample", "bogus"], COUNTEREXAMPLE_IDS),
+])
+def test_bad_id_exits_2_listing_the_ids(capsys, argv, ids):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "'bogus'" in err
+    assert all(i in err for i in ids)
+
+
+def test_cube_rows_need_no_group(capsys):
+    """E7 and E8 are over the group cap, but their cube rows are 2^rank
+    and 3^rank."""
+    code, out = run(capsys, "census", "table1", "--types", "E7,E8",
+                    "--families", "BOEP,BOIP")
+    assert code == 0
+    assert out.splitlines()[1:] == ["E7,BOEP,128,,", "E7,BOIP,2187,,",
+                                    "E8,BOEP,256,,", "E8,BOIP,6561,,"]
+
+
+_GROUP_LAYERS = ("rootposets.census", "rootposets.families",
+                 "rootposets.cambrian", "rootposets.weyl")
+# runs one command in a fresh interpreter and prints its exit code and the
+# group layers it loaded
+_PROBE = f"""
+import contextlib, io, sys
+from rootposets import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(set(sys.modules) & set({_GROUP_LAYERS!r})))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["rootsys", "info", "A2"],
+    ["order", "compare", "--type", "A2", "+[1,0]", "+[0,1],+[1,1]", "--level", "posets"],
+    ["hasse", "--type", "A2", "--family", "posets"],
+    ["lattice", "verify", "--type", "B2", "--family", "semiclosed"],
+], ids=["import", "info", "compare", "hasse", "verify"])
+def test_light_commands_load_no_group_layer(argv):
+    """Importing the CLI, and the commands on root systems, set literals
+    and levels, leave census, families, cambrian and weyl unloaded."""
+    src = str(Path(rootposets.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_usage_error_exit_code(capsys):

@@ -13,7 +13,7 @@ from rootposets.weakorder import weak_le
 from rootposets.census import enumerate_posets
 
 from conftest import group, system
-from oracles import linear_extensions, nspan_oracle
+from oracles import closed_flags_reference, linear_extensions, nspan_oracle
 
 
 def lit(rs, text):
@@ -251,6 +251,64 @@ def test_set_literal_roundtrip(a2, b3):
     assert parse_set_literal(a2, "") == RootSet(a2, 0)
     with pytest.raises(ContractViolationError):
         parse_set_literal(a2, "+[2,0]")
+
+
+LITERAL_LABELS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "H3", "I2(5)"])
+
+
+@pytest.mark.parametrize("label", LITERAL_LABELS)
+def test_literal_tables_match_the_per_root_join(label):
+    """Each byte table entry joins the literals of its byte's set bits, and
+    format_set_literal joins the roots' literals one by one, in index
+    order, on the empty set, the full set and seeded samples.  They read
+    back where parse_set_literal reads the coordinates: the integer ones
+    of the crystallographic types (H3 and I2(5) print psi)."""
+    rs = system(label)
+    for k, row in enumerate(rs.byte_literals):
+        width = min(8, rs.num_roots - 8 * k)
+        assert len(row) == 1 << width
+        assert all(entry == ",".join(rs.literals[8 * k + i] for i in range(width)
+                                     if b >> i & 1) for b, entry in enumerate(row))
+    rng = random.Random(24)
+    for bits in [0, rs.full_mask] + [rng.getrandbits(rs.num_roots) for _ in range(40)]:
+        r = RootSet(rs, bits)
+        text = format_set_literal(r)
+        assert text == ",".join(rs.literals[i] for i in range(rs.num_roots) if bits >> i & 1)
+        if rs.crystallographic:
+            assert parse_set_literal(rs, text) == r
+
+
+def _flag_samples(rs, count, rng):
+    """Seeded sets R, with cl(R), cl(R+) | cl(R-) and cl(R) less one root,
+    so that closed, semiclosed-only and neither all occur."""
+    for _ in range(count):
+        bits = rng.getrandbits(rs.num_roots) & rng.getrandbits(rs.num_roots)
+        cl = closure_bits(rs, bits)
+        yield from (bits, cl, closure_bits(rs, bits & rs.pos_mask)
+                    | closure_bits(rs, bits & rs.neg_mask),
+                    cl & ~(1 << rng.randrange(rs.num_roots)))
+
+
+@pytest.mark.parametrize("label,sample", [
+    ("A3", None), ("B2", None), ("G2", None), ("H2", None), ("B3", 600), ("H3", 600)])
+def test_classify_flags_match_three_sweeps(label, sample):
+    """The one-sweep closed and semiclosed flags equal the three-sweep
+    definition on every subset (or a seeded sample of B3 and H3).  Every
+    outcome occurs but in H2, where no two roots sum to a root."""
+    rs = system(label)
+    bitsets = (range(1 << rs.num_roots) if sample is None
+               else list(_flag_samples(rs, sample, random.Random(7))))
+    seen = set()
+    for bits in bitsets:
+        flags = classify(RootSet(rs, bits))
+        got = (flags.closed, flags.semiclosed)
+        assert got == closed_flags_reference(rs, bits), (label, bits)
+        seen.add(got)
+    assert seen == ({(True, True)} if label == "H2"
+                    else {(True, True), (False, True), (False, False)})
 
 
 def test_mixed_system_rejected(a2, b2):

@@ -5,9 +5,9 @@ from rootposets.rootset import RootSet, classify, parse_set_literal, format_set_
 import rootposets.weakorder as wo
 from rootposets.weakorder import (
     Level, canonical_sort, covers, export_hasse, hasse_edges, lattice_op,
-    lattice_op_bits, verify_lattice, weak_le,
+    lattice_op_bits, level_members as level_members_dfs, verify_lattice, weak_le,
 )
-from rootposets.census import enumerate_posets, level_members as level_members_dfs
+from rootposets.census import enumerate_posets
 
 from conftest import system
 from oracles import lattice_op_reference, naive_lattice_report
