@@ -38,34 +38,12 @@ class RootSet:
             bits |= 1 << i
         return cls(system, bits)
 
-    @classmethod
-    def positive_roots(cls, system):
-        return cls(system, system.pos_mask)
-
-    @classmethod
-    def negative_roots(cls, system):
-        return cls(system, system.neg_mask)
-
-    @classmethod
-    def all_roots(cls, system):
-        return cls(system, system.full_mask)
-
     # -- set algebra -------------------------------------------------------
 
     def _check_same(self, other):
         if self.system.label != other.system.label:
             raise ContractViolationError(
                 f"mixed systems {self.system.label} and {other.system.label}")
-
-    def union(self, other):
-        self._check_same(other)
-        return RootSet(self.system, self.bits | other.bits)
-
-    def positive_part(self):
-        return RootSet(self.system, self.bits & self.system.pos_mask)
-
-    def negative_part(self):
-        return RootSet(self.system, self.bits & self.system.neg_mask)
 
     def add(self, index):
         return RootSet(self.system, self.bits | (1 << index))
@@ -339,8 +317,17 @@ def format_set_literal(rset):
     return ",".join([row[b] for row, b in zip(rows, data) if b])
 
 
+def _parse_coord(token):
+    """One coordinate as str(Coeff) prints it: ``2``, ``1p`` or ``1+1p``."""
+    token = token.strip()
+    if not token.endswith("p"):
+        return Coeff(int(token))
+    a, _, b = token[:-1].rpartition("+")
+    return Coeff(int(a or 0), int(b))
+
+
 def parse_set_literal(system, text):
-    """Inverse of format_set_literal; integer coordinates only."""
+    """Inverse of format_set_literal."""
     text = text.strip()
     if not text:
         return RootSet(system, 0)
@@ -353,7 +340,7 @@ def parse_set_literal(system, text):
         try:
             open_b = text.index("[", pos)
             close_b = text.index("]", open_b)
-            coords = tuple(Coeff(int(t)) for t in text[open_b + 1:close_b].split(","))
+            coords = tuple(map(_parse_coord, text[open_b + 1:close_b].split(",")))
         except ValueError:
             raise ContractViolationError(
                 f"malformed set literal at {text[pos:]!r}") from None

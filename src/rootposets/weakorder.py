@@ -53,13 +53,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import compress
 from operator import and_
 from typing import Optional
 
 from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
-from .rootset import RootSet, _closed_bits, _indices, classify, closure_bits, deletion_bits
+from .rootset import (
+    RootSet, _closed_bits, _indices, classify, closure_bits, deletion_bits,
+    format_set_literal)
 
 VERIFY_CAP = 5000
 HASSE_CAP = 10_000
@@ -86,10 +88,7 @@ class Level(enum.Enum):
 def weak_le(rset, sset):
     """R <= S iff R+ contains S+ and R- is contained in S-."""
     rset._check_same(sset)
-    return weak_le_bits(rset.system, rset.bits, sset.bits)
-
-
-def weak_le_bits(system, rbits, sbits):
+    system, rbits, sbits = rset.system, rset.bits, sset.bits
     rp, sp = rbits & system.pos_mask, sbits & system.pos_mask
     rn, sn = rbits & system.neg_mask, sbits & system.neg_mask
     return (rp | sp) == rp and (rn & sn) == rn
@@ -247,7 +246,6 @@ class LatticeReport:
     graded: bool
     witness: Optional[tuple] = None
     cover_count: int = 0
-    level: Optional[Level] = None
 
 
 def canonical_sort(family):
@@ -255,7 +253,7 @@ def canonical_sort(family):
     return sorted(family, key=lambda r: (r.grade(), r.bits))
 
 
-_HOLDS, _LACKS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"01", b"\1\0")
+_LACKS = bytes.maketrans(b"01", b"\1\0")
 
 
 def _key_row(system, x):
@@ -263,93 +261,71 @@ def _key_row(system, x):
     return format(x, f"0{system.num_roots}b")[::-1].encode()
 
 
-def _order_masks(system, bits_list):
-    """having[r] / above[i]: masks of the members whose key f = bits ^ Phi+
-    holds root r, and of the j with family[j] >= family[i].
+class _Order:
+    """The weak order on a canonically sorted family, read off the keys
+    f = bits ^ Phi+: R <= S iff f_R is a subset of f_S.
 
-    R <= S iff f_R is a subset of f_S, so above[i] is the AND of the
-    columns of the roots in f_i.  The columns are read off the keys,
-    written as fixed-width binary rows with root r at character r, in one
-    transpose; a row, as 0/1 bytes, then selects its columns.
+    columns["meet"][r] masks the members whose f lacks root r, and
+    columns["join"][r] those whose f holds it; the first are read off the
+    keys g = bits ^ Phi-, the complement of f, written as fixed-width
+    binary rows with root r at byte r, in one transpose.  bounds(direction,
+    x) ANDs the columns of the roots outside x.  With x = f_R & f_S it
+    gives the members below R and S (those lacking every root outside x);
+    with x = g_R & g_S, the members above both (those holding every root
+    outside x).  above[i], the up-set of member i, is the bounds of (i, i);
+    below(i), its down-set, is found only when asked.  covers[i] lists the
+    members covering member i, ascending.
     """
-    full = (1 << len(bits_list)) - 1
-    rows = [_key_row(system, b ^ system.pos_mask) for b in bits_list]
-    # rows reversed, so the last row (row 0) becomes bit 0 of each column
-    having = [int(bytes(col), 2) for col in zip(*reversed(rows))]
-    above = [reduce(and_, compress(having, row.translate(_HOLDS)), full) for row in rows]
-    return having, above
 
+    def __init__(self, system, bits_list):
+        self.system, self.bits_list = system, bits_list
+        self.full = full = (1 << len(bits_list)) - 1
+        rows = [_key_row(system, b ^ system.neg_mask) for b in bits_list]
+        # rows reversed, so the last row (row 0) becomes bit 0 of each column
+        lacking = [int(bytes(col), 2) for col in zip(*reversed(rows))]
+        holding = [full ^ col for col in lacking]
+        self.columns = {"meet": lacking, "join": holding}
+        # above[i] is bounds("join", g_i), from the rows already written
+        self.above = above = [reduce(and_, compress(holding, row.translate(_LACKS)), full)
+                              for row in rows]
+        # a dict, not a cached closure over self: the helper holds no
+        # reference cycle and is freed as soon as its caller returns
+        self._below = {}
+        # canonical order is a linear extension, so the first index strictly
+        # above i covers i; dropping everything above it and taking the
+        # first index left finds the next, one step per cover
+        self.covers = []
+        for i, rest in enumerate(above):
+            rest ^= 1 << i
+            found = []
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                found.append(j)
+                rest &= ~above[j]
+            self.covers.append(found)
 
-def _upper_covers(above):
-    """covers[i]: the j with family[j] covering family[i], ascending.
+    def bounds(self, direction, x):
+        outside = _key_row(self.system, x).translate(_LACKS)
+        return reduce(and_, compress(self.columns[direction], outside), self.full)
 
-    Canonical order is a linear extension, so the first index strictly
-    above i covers i; dropping everything above it and taking the first
-    index left finds the next, one step per cover.
-    """
-    out = []
-    for i, rest in enumerate(above):
-        rest ^= 1 << i
-        found = []
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            found.append(j)
-            rest &= ~above[j]
-        out.append(found)
-    return out
+    def below(self, i):
+        if i not in self._below:
+            self._below[i] = self.bounds("meet", self.bits_list[i] ^ self.system.pos_mask)
+        return self._below[i]
 
-
-def _covered_pairs_have_joins(above, upper_covers):
-    """Whether every two upper covers of one element have a lub.
-
-    In canonical order the only candidate is the first common upper
-    bound, which is the lub iff everything above both lies above it (an
-    empty mask picks index -1, whose mask is not empty).
-    """
-    for ups in upper_covers:
-        for a, x in enumerate(ups):
-            ax = above[x]
-            for y in ups[a + 1:]:
-                highs = ax & above[y]
-                if highs != above[(highs & -highs).bit_length() - 1]:
-                    return False
-    return True
-
-
-def _bounds_checker(system, bits_list, having, formula):
-    """accept(direction, x, result) for first_rejected_pair: whether the
-    pairs with key x have a glb (lub) m and, when ``formula`` names a
-    level, the result is bits_list[m].
-
-    With f = bits ^ Phi+ the members below R and S are the F with f_F
-    inside x = f_R & f_S: those lacking every root outside x.  With g =
-    bits ^ Phi-, the complement of f, the members above both are the F
-    with g_F inside x = g_R & g_S: those whose f holds every root outside
-    x.  In canonical order the only candidate glb is the last of them (lub:
-    the first), m, and it is the glb iff they are its down-set (up-set),
-    the bounds of its own key.  Those lie among them, so comparing sizes
-    decides it, and each m's size is found once.
-    """
-    full = (1 << len(bits_list)) - 1
-    grown = {"meet": system.pos_mask, "join": system.neg_mask}
-    columns = {"meet": [full ^ col for col in having], "join": having}
-
-    def bounds(direction, x):
-        outside = _key_row(system, x).translate(_LACKS)
-        return reduce(and_, compress(columns[direction], outside), full)
-
-    @cache
-    def own_size(direction, m):
-        return bounds(direction, bits_list[m] ^ grown[direction]).bit_count()
-
-    def accept(direction, x, out):
-        found = bounds(direction, x)
-        m = (found.bit_length() if direction == "meet"
-             else (found & -found).bit_length()) - 1
-        # an empty mask picks index -1, whose own bounds are not empty
-        return (found.bit_count() == own_size(direction, m)
-                and (formula is None or out == bits_list[m]))
-    return accept
+    def extremum(self, direction, found):
+        """The index of the glb (meet) or lub (join) of the common bounds
+        ``found``, or None.  In canonical order the only candidate is the
+        last (first) of them, m, and it is the extremum iff they are its
+        own down-set (up-set).  An empty mask picks index -1, whose own
+        bounds are not empty."""
+        if direction == "meet":
+            m = found.bit_length() - 1
+            own = self.below(m)
+        else:
+            m = (found & -found).bit_length() - 1
+            own = self.above[m]
+        return m if found == own else None
 
 
 def verify_lattice(family, formula=None, cap=VERIFY_CAP):
@@ -368,29 +344,35 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     the first pair in canonical order without a glb or a lub or whose
     level meet or join is not that glb or lub.  It walks the rows in
     canonical order and tests each distinct meet and join key once, in
-    the first row that has it (_bounds_checker), with the all-level
-    formula, which names the key itself, when no formula is given.
+    the first row that has it, with the all-level formula, which names
+    the key itself, when no formula is given.
     """
-    family = canonical_sort(family)
     k = len(family)
     if k > cap:
         raise ResourceCapError(f"family of size {k} exceeds the cap {cap}")
     if k == 0:
         return LatticeReport(0, True, None if formula is None else True, True)
+    family = canonical_sort(family)
     system = family[0].system
     if formula is not None:
         require_lattice_ops(system, formula)
     bits_list = [r.bits for r in family]
     if len(set(bits_list)) != k:
         raise ContractViolationError("family contains duplicates")
-    having, above = _order_masks(system, bits_list)
-    upper_covers = _upper_covers(above)
-    is_lattice = (above[0] == (1 << k) - 1 and all(a >> (k - 1) for a in above)
-                  and _covered_pairs_have_joins(above, upper_covers))
+    order = _Order(system, bits_list)
+    above, covers = order.above, order.covers
+    is_lattice = (above[0] == order.full and all(a >> (k - 1) for a in above)
+                  and all(order.extremum("join", above[x] & above[y]) is not None
+                          for ups in covers for a, x in enumerate(ups)
+                          for y in ups[a + 1:]))
+
+    def accept(direction, x, out):
+        m = order.extremum(direction, order.bounds(direction, x))
+        return m is not None and (formula is None or out == bits_list[m])
+
     bad = None
     if not is_lattice or formula is not None:
-        bad = first_rejected_pair(system, formula or Level.ALL, bits_list,
-                                  _bounds_checker(system, bits_list, having, formula))
+        bad = first_rejected_pair(system, formula or Level.ALL, bits_list, accept)
     witness = None if bad is None else (family[bad[0]], family[bad[1]])
     grades = [r.grade() for r in family]
     return LatticeReport(
@@ -398,10 +380,9 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
         is_lattice=is_lattice,
         formula_matches_bruteforce=None if formula is None else witness is None,
         graded=all(grades[j] - grades[i] == 1
-                   for i, found in enumerate(upper_covers) for j in found),
+                   for i, found in enumerate(covers) for j in found),
         witness=witness,
-        cover_count=sum(map(len, upper_covers)),
-        level=formula,
+        cover_count=sum(map(len, covers)),
     )
 
 
@@ -410,16 +391,14 @@ def hasse_edges(family):
     family = canonical_sort(family)
     if not family:
         return family, []
-    _, above = _order_masks(family[0].system, [r.bits for r in family])
-    edges = [(i, j) for i, found in enumerate(_upper_covers(above)) for j in found]
-    return family, edges
+    covers = _Order(family[0].system, [r.bits for r in family]).covers
+    return family, [(i, j) for i, found in enumerate(covers) for j in found]
 
 
 def export_hasse(family, fmt="dot"):
     """DOT or JSON document of the Hasse diagram of the family."""
     if len(family) > HASSE_CAP:
         raise ResourceCapError(f"hasse export capped at {HASSE_CAP} nodes")
-    from .rootset import format_set_literal
     nodes, edges = hasse_edges(family)
     labels = [format_set_literal(r) for r in nodes]
     if fmt == "dot":

@@ -268,7 +268,7 @@ def test_alignment_refuses_noncrystallographic(label):
 
 def test_snake_trivial_cases(a2):
     c = cox("A2")
-    r = RootSet.positive_roots(a2)
+    r = RootSet(a2, a2.pos_mask)
     assert set(range(a2.num_positive)) <= snake_decomposable_roots(c, r)
     member = parse_set_literal(a2, "+[1,1]")
     assert next(iter(member)) in snake_decomposable_roots(c, member)

@@ -311,11 +311,13 @@ def test_census_table1_reads_lowercase_types(capsys):
     (["families", "build", "--type", "A2", "--family", "coip", "--coxeter", ""], 2),
     (["lattice", "verify", "--type", "A2", "--family", "coip", "--coxeter", ""], 2),
     (["check-conjecture", "coip-sublattice", "--type", "A2", "--coxeter", ""], 2),
+    # psi coordinates read back as format_set_literal prints them
+    (["order", "compare", "--type", "H3", "+[1,1p,0]", "+[0,0,1]"], 0),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line
-    message, no traceback and nothing on stdout.  Usage errors leave
-    through argparse's SystemExit."""
+    message, no traceback and nothing on stdout; good input exits 0 with
+    nothing on stderr.  Usage errors leave through argparse's SystemExit."""
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
     try:
         got = main(argv)
@@ -323,8 +325,11 @@ def test_exit_code_contract(capsys, tmp_path, argv, code):
         got = exc.code
     assert got == code
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("\n") == 1 and "Traceback" not in err
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # malformed tokens, which replace or join the drawn ones

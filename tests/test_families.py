@@ -66,8 +66,8 @@ def test_bofp_is_boip():
 def test_boep_a2_members(a2):
     members = {r.bits for r in fam("A2", "BOEP")}
     expect = {
-        RootSet.positive_roots(a2).bits,
-        RootSet.negative_roots(a2).bits,
+        a2.pos_mask,
+        a2.neg_mask,
         lit(a2, "-[1,0],+[0,1]").bits,
         lit(a2, "+[1,0],-[0,1]").bits,
     }
@@ -84,7 +84,7 @@ def test_every_member_is_a_poset():
 
 def test_member_predicate_examples(a2):
     g = group("A2")
-    assert member_predicate(g, FamilyId("WOEP"), RootSet.positive_roots(a2))
+    assert member_predicate(g, FamilyId("WOEP"), RootSet(a2, a2.pos_mask))
     assert not member_predicate(g, FamilyId("WOIP"), lit(a2, "+[1,1]"))
     assert member_predicate(g, FamilyId("BOIP"), lit(a2, "-[1,0],+[0,1]"))
     count = sum(member_predicate(g, FamilyId("BOIP"), r)
@@ -256,7 +256,7 @@ def test_woip_interval_of_refuses_other_posets(a2):
     others = [r for r in enumerate_posets(a2) if r.bits not in woip]
     assert others
     # all of Phi names v = w0 and w = e, which are not an interval
-    for r in others + [RootSet.all_roots(a2)]:
+    for r in others + [RootSet(a2, a2.full_mask)]:
         with pytest.raises(ContractViolationError):
             woip_interval_of(g, r)
 

@@ -26,25 +26,22 @@ def all_subsets(rs):
 
 
 def test_split_signs(a2):
-    full = RootSet.all_roots(a2)
-    assert full.positive_part() == RootSet.positive_roots(a2)
-    assert full.negative_part() == RootSet.negative_roots(a2)
-    empty = RootSet(a2, 0)
-    assert len(empty.positive_part()) == 0 and len(empty.negative_part()) == 0
+    assert a2.pos_mask | a2.neg_mask == a2.full_mask
+    assert a2.pos_mask & a2.neg_mask == 0
     r = lit(a2, "+[1,0],-[0,1]")
-    pos, neg = r.positive_part(), r.negative_part()
+    pos, neg = RootSet(a2, r.bits & a2.pos_mask), RootSet(a2, r.bits & a2.neg_mask)
     assert format_set_literal(pos) == "+[1,0]"
     assert format_set_literal(neg) == "-[0,1]"
-    assert pos.union(neg) == r
+    assert RootSet(a2, pos.bits | neg.bits) == r
 
 
 def test_classify_examples(a2):
-    flags = classify(RootSet.positive_roots(a2))
+    flags = classify(RootSet(a2, a2.pos_mask))
     assert flags.antisymmetric and flags.closed and flags.poset
     assert not flags.symmetric
     flags = classify(lit(a2, "+[1,1]"))
     assert flags.poset
-    assert classify(RootSet.all_roots(a2)).symmetric
+    assert classify(RootSet(a2, a2.full_mask)).symmetric
     assert classify(RootSet(a2, 0)).symmetric
 
 
@@ -75,7 +72,7 @@ def test_closure_examples(a2, c2):
 
 def test_closure_rejects_noncrystallographic(h3):
     with pytest.raises(UnsupportedOperationError):
-        closure(RootSet.positive_roots(h3))
+        closure(RootSet(h3, h3.pos_mask))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
@@ -137,7 +134,7 @@ def test_closure_matches_nspan_oracle_sampled(label):
 def test_closure_deletion_examples(a2):
     r = lit(a2, "+[1,0],-[1,1]")
     assert closure_deletion(r, "negative") == lit(a2, "+[1,0]")
-    closed = RootSet.positive_roots(a2)
+    closed = RootSet(a2, a2.pos_mask)
     assert closure_deletion(closed, "negative") == closed
 
 
@@ -179,7 +176,7 @@ def test_closure_deletion_order_and_closedness(label):
 
 
 def test_is_convex_examples(a2, b3):
-    assert is_convex(RootSet.positive_roots(a2))
+    assert is_convex(RootSet(a2, a2.pos_mask))
     assert is_convex(RootSet(a2, 0))
     bad = lit(b3, "-[1,0,0],-[1,2,2],+[0,0,1]")
     assert not is_convex(bad)
@@ -193,7 +190,7 @@ def test_is_convex_rank_cap():
 
 def test_linear_extensions_examples(a2):
     g = group("A2")
-    assert len(linear_extensions(RootSet.positive_roots(a2), g)) == 1
+    assert len(linear_extensions(RootSet(a2, a2.pos_mask), g)) == 1
     assert len(linear_extensions(RootSet(a2, 0), g)) == len(g.elements)
 
 
@@ -256,16 +253,15 @@ def test_set_literal_roundtrip(a2, b3):
 LITERAL_LABELS = (
     [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
     + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
-    + ["E6", "E7", "E8", "F4", "G2", "H3", "I2(5)"])
+    + ["E6", "E7", "E8", "F4", "G2", "H2", "H3", "I2(5)"])
 
 
 @pytest.mark.parametrize("label", LITERAL_LABELS)
 def test_literal_tables_match_the_per_root_join(label):
     """Each byte table entry joins the literals of its byte's set bits, and
     format_set_literal joins the roots' literals one by one, in index
-    order, on the empty set, the full set and seeded samples.  They read
-    back where parse_set_literal reads the coordinates: the integer ones
-    of the crystallographic types (H3 and I2(5) print psi)."""
+    order, on the empty set, the full set and seeded samples, and they
+    read back, psi coordinates (H2, H3, I2(5)) included."""
     rs = system(label)
     for k, row in enumerate(rs.byte_literals):
         width = min(8, rs.num_roots - 8 * k)
@@ -277,8 +273,7 @@ def test_literal_tables_match_the_per_root_join(label):
         r = RootSet(rs, bits)
         text = format_set_literal(r)
         assert text == ",".join(rs.literals[i] for i in range(rs.num_roots) if bits >> i & 1)
-        if rs.crystallographic:
-            assert parse_set_literal(rs, text) == r
+        assert parse_set_literal(rs, text) == r
 
 
 def _flag_samples(rs, count, rng):
@@ -313,4 +308,4 @@ def test_classify_flags_match_three_sweeps(label, sample):
 
 def test_mixed_system_rejected(a2, b2):
     with pytest.raises(ContractViolationError):
-        RootSet(a2, 1).union(RootSet(b2, 1))
+        weak_le(RootSet(a2, 1), RootSet(b2, 1))

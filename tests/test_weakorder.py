@@ -32,8 +32,8 @@ def level_members(rs, level):
 
 
 def test_weak_le_examples(a2):
-    bottom = RootSet.positive_roots(a2)
-    top = RootSet.negative_roots(a2)
+    bottom = RootSet(a2, a2.pos_mask)
+    top = RootSet(a2, a2.neg_mask)
     assert weak_le(bottom, top)
     assert not weak_le(top, bottom)
     r = lit(a2, "+[1,0],-[0,1]")
@@ -42,8 +42,8 @@ def test_weak_le_examples(a2):
 
 
 def test_weak_le_bounds_everything(b2):
-    bottom = RootSet.positive_roots(b2)
-    top = RootSet.negative_roots(b2)
+    bottom = RootSet(b2, b2.pos_mask)
+    top = RootSet(b2, b2.neg_mask)
     for bits in range(1 << b2.num_roots):
         r = RootSet(b2, bits)
         assert weak_le(bottom, r) and weak_le(r, top)
@@ -74,7 +74,7 @@ def test_lattice_op_contract_checks(a2, h3):
     non_poset = lit(a2, "+[1,0],-[1,0]")
     with pytest.raises(ContractViolationError):
         lattice_op(Level.POSETS, "meet", non_poset, non_poset)
-    top = RootSet.positive_roots(h3)
+    top = RootSet(h3, h3.pos_mask)
     with pytest.raises(UnsupportedOperationError):
         lattice_op(Level.CLOSED, "meet", top, top)
 
@@ -153,9 +153,9 @@ def test_posets_meets_stay_antisymmetric(a2, b2):
 
 
 def test_covers_examples(a2):
-    top = RootSet.negative_roots(a2)
+    top = RootSet(a2, a2.neg_mask)
     assert covers(Level.POSETS, top) == []
-    bottom = RootSet.positive_roots(a2)
+    bottom = RootSet(a2, a2.pos_mask)
     got = {format_set_literal(c) for c in covers(Level.POSETS, bottom)}
     assert got == {"+[0,1],+[1,1]", "+[1,0],+[1,1]"}
     empty = RootSet(a2, 0)
@@ -203,10 +203,13 @@ def test_verify_lattice_refuses_formulas_without_theory(h2):
 
 
 def test_verify_lattice_cap():
+    """The cap is checked before any member is read: 11 objects that
+    cannot be sorted are refused by size too."""
     rs = system("A2")
     members = [RootSet(rs, b) for b in range(1 << rs.num_roots)]
-    with pytest.raises(ResourceCapError):
-        verify_lattice(members, cap=10)
+    for family in (members, [object() for _ in range(11)]):
+        with pytest.raises(ResourceCapError):
+            verify_lattice(family, cap=10)
 
 
 def test_verify_lattice_counts(a2, b2):
@@ -238,8 +241,8 @@ def test_canonical_sort_deterministic(a2):
     random.Random(9).shuffle(shuffled)
     assert [r.bits for r in canonical_sort(shuffled)] == \
         [r.bits for r in canonical_sort(posets)]
-    assert canonical_sort(posets)[0] == RootSet.positive_roots(a2)
-    assert canonical_sort(posets)[-1] == RootSet.negative_roots(a2)
+    assert canonical_sort(posets)[0] == RootSet(a2, a2.pos_mask)
+    assert canonical_sort(posets)[-1] == RootSet(a2, a2.neg_mask)
 
 
 def _report_fields(rep):
@@ -410,20 +413,25 @@ def test_witness_search_reads_no_row_past_the_witness(monkeypatch, level):
 
 
 def _masks_by_definition(family):
-    """above[i]: the j with family[j] >= family[i], by weak_le."""
-    return [sum(1 << j for j, s in enumerate(family) if weak_le(r, s)) for r in family]
+    """above[i] and below[i]: the j with family[j] >= family[i] and the j
+    with family[j] <= family[i], by weak_le."""
+    return ([sum(1 << j for j, s in enumerate(family) if weak_le(r, s)) for r in family],
+            [sum(1 << j for j, s in enumerate(family) if weak_le(s, r)) for r in family])
 
 
 def _check_order_masks(family):
-    """The above rows of _order_masks against weak_le, and each column
-    against the members whose key holds its root."""
+    """The up-sets and down-sets of the order helper against weak_le, and
+    each column against the members whose key holds (or lacks) its root."""
     rs = family[0].system
-    having, above = wo._order_masks(rs, [r.bits for r in family])
-    assert above == _masks_by_definition(family)
-    assert having == [sum(1 << j for j, s in enumerate(family)
-                          if (s.bits ^ rs.pos_mask) >> root & 1)
-                      for root in range(rs.num_roots)]
-    return above
+    order = wo._Order(rs, [r.bits for r in family])
+    above, below = _masks_by_definition(family)
+    assert order.above == above
+    assert [order.below(i) for i in range(len(family))] == below
+    having = [sum(1 << j for j, s in enumerate(family)
+                  if (s.bits ^ rs.pos_mask) >> root & 1)
+              for root in range(rs.num_roots)]
+    assert order.columns == {"join": having, "meet": [order.full ^ h for h in having]}
+    return order.above
 
 
 def test_order_masks_match_weak_le_on_e6():
@@ -454,7 +462,7 @@ def test_order_masks_match_weak_le_on_b4_posets():
     rs = system("B4")
     posets = enumerate_posets(rs)
     family = canonical_sort(random.Random("B4 masks").sample(posets, 88)
-                            + [RootSet.positive_roots(rs), RootSet.negative_roots(rs)])
+                            + [RootSet(rs, rs.pos_mask), RootSet(rs, rs.neg_mask)])
     above = _check_order_masks(family)
     assert above[0] == (1 << 90) - 1
     assert all(a >> 89 for a in above)
@@ -468,7 +476,7 @@ def test_verify_lattice_matches_naive_oracle_on_bounded_families(label):
     import random
     rng = random.Random("bounded " + label)
     rs = system(label)
-    ends = [RootSet.positive_roots(rs), RootSet.negative_roots(rs)]
+    ends = [RootSet(rs, rs.pos_mask), RootSet(rs, rs.neg_mask)]
     inner = [p for p in enumerate_posets(rs) if p not in ends]
     outcomes = set()
     for trial in range(40):

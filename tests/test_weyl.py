@@ -81,7 +81,7 @@ def test_words_roundtrip(b3):
 
 def test_element_poset_examples(a2):
     g = group("A2")
-    assert element_poset(g, g.identity) == RootSet.positive_roots(a2)
+    assert element_poset(g, g.identity) == RootSet(a2, a2.pos_mask)
     s1 = g.generator(0)
     assert element_poset(g, s1) == lit(a2, "-[1,0],+[0,1],+[1,1]")
 
