@@ -122,20 +122,22 @@ def cmd_order_compare(args):
 
 
 def _members(system, name, coxeter, cap):
-    """The sets a --family name denotes, and the level it names (or None).
+    """The sets a --family name denotes, the level it names (or None),
+    and the name to print: the level's, or str(FamilyId), as in COIP(bip).
 
     A level or family of more than ``cap`` sets is refused before it is
     built in full; a family, from its count, before any set is built.
     """
     level = wo.Level.named(name)
     if level is not None:
-        return wo.level_members(system, level, cap), level
-    return _family(system, name, coxeter, cap)[1], None
+        return wo.level_members(system, level, cap), level, name
+    family, members = _family(system, name, coxeter, cap)
+    return members, None, str(family)
 
 
 def cmd_lattice_verify(args):
     system = build_from_label(args.system)
-    members, level = _members(system, args.family, args.coxeter, args.cap)
+    members, level, name = _members(system, args.family, args.coxeter, args.cap)
     formula = None
     if args.formula:
         formula = wo.Level(args.formula)
@@ -151,14 +153,14 @@ def cmd_lattice_verify(args):
         "witness": None if report.witness is None else
         [format_set_literal(r) for r in report.witness],
     }
-    _emit(_json_result(system.label, args.family, result), args.out)
+    _emit(_json_result(system.label, name, result), args.out)
     return 0 if report.is_lattice and report.formula_matches_bruteforce in (
         None, True) else 1
 
 
 def cmd_hasse(args):
     system = build_from_label(args.system)
-    members, _ = _members(system, args.family, args.coxeter, wo.HASSE_CAP)
+    members = _members(system, args.family, args.coxeter, wo.HASSE_CAP)[0]
     doc = wo.export_hasse(members, args.format)
     _emit(doc, args.out)
     return 0

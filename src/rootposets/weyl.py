@@ -4,7 +4,7 @@ Elements are stored as permutations of root indices (the action on Phi),
 which makes inversion sets, lengths and images of posets O(1)-ish lookups.
 Products with a generator, inverses and the elements named by an
 inversion set are read from integer tables built once with the group;
-intervals, meets, joins, coset members and classes walk the w s_i table.
+intervals, meets, joins and classes walk the w s_i table.
 Reduced words are recovered on demand by stripping left descents.
 
 Every poset attached to the group is an interval poset
@@ -15,6 +15,7 @@ R(w) is R(w, w), and the face xW_I is the interval [x, x w_{o,I}].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ContractViolationError, InvariantError, ResourceCapError
 from .rootset import RootSet, _indices
@@ -95,16 +96,19 @@ class WeylGroup:
         inv_bits = [0]
         found = {0: 0}
         products = [[] for _ in simples]  # products[i][k]: BFS index of perms[k] s_i
+        # right multiplication: (w s)(v) = w(s(v)), so w s is the
+        # itemgetter of s applied to w
+        steps = [(s, itemgetter(*gp), row) for s, gp, row
+                 in zip(simples, system.simple_reflections, products)]
         for k, perm in enumerate(perms):  # perms grows while it is read
-            for s, gp, row in zip(simples, system.simple_reflections, products):
+            for s, compose, row in steps:
                 image = perm[s]
                 bits = (inv_bits[k] | 1 << image if image < n
                         else inv_bits[k] & ~(1 << image - n))
                 j = found.get(bits)
                 if j is None:
                     j = found[bits] = len(perms)
-                    # right multiplication: (w s)(v) = w(s(v))
-                    perms.append(tuple([perm[t] for t in gp]))
+                    perms.append(compose(perm))
                     inv_bits.append(bits)
                 row.append(j)
         if len(perms) != order:
@@ -123,9 +127,12 @@ class WeylGroup:
             for ident, k in enumerate(bfs)]
         self._by_inv = {w.inv_bits: w.id for w in self.elements}
         self.right = [[new_id[row[k]] for k in bfs] for row in products]
-        # inv(w^-1) holds the positive roots that w makes negative
+        # inv(w^-1) holds the positive roots that w makes negative: with
+        # at most 240 roots, w.perm[:n] fits in bytes, and one translate
+        # writes its images as the binary digits of inv(w^-1), root 0 last
+        negative = bytes(b"01"[v >= n] for v in range(256))
         self.inverse = [
-            self._by_inv[sum(1 << a for a in range(n) if w.perm[a] >= n)]
+            self._by_inv[int(bytes(w.perm[n - 1::-1]).translate(negative), 2)]
             for w in self.elements]
         inverse = self.inverse
         # s_i w = (w^-1 s_i)^-1
@@ -134,13 +141,15 @@ class WeylGroup:
         # R(w) = w(Phi^+) = (Phi^+ minus inv(w)) | -inv(w)
         self.poset_bits = [(system.pos_mask & ~w.inv_bits) | w.inv_bits << n
                            for w in self.elements]
-        simple_pos = {s: i for i, s in enumerate(simples)}
-        self.descent_cache = [
-            frozenset(simple_pos[s] for s in simples if (w.inv_bits >> s) & 1)
-            for w in self.elements]
-        self.right_descent_cache = [
-            frozenset(i for i, s in enumerate(simples) if w.perm[s] >= n)
-            for w in self.elements]
+        # Positive roots sort by height, so the simple roots are the
+        # indices 0..rank-1 and des(w) is read off the low rank bits of
+        # inv(w); one frozenset per mask is shared.  The right descents of
+        # w are the left descents of w^-1.
+        low = (1 << system.rank) - 1
+        by_mask = [frozenset(i for i, s in enumerate(simples) if mask >> s & 1)
+                   for mask in range(low + 1)]
+        self.descent_cache = [by_mask[w.inv_bits & low] for w in self.elements]
+        self.right_descent_cache = [self.descent_cache[i] for i in inverse]
         self._parabolic_cache = {}
         self._coxeter_elements = {}  # word -> CoxeterElement, see cambrian
 
@@ -287,14 +296,6 @@ class ParabolicCoset:
     subset: frozenset  # simple positions 0..n-1
     w_long: WeylElement  # x * w_{o,I}, the coset maximum
 
-    def interval(self):
-        return (self.x, self.w_long)
-
-    def members(self):
-        g = self.x.group
-        return [g.elements[u]
-                for u in sorted(g.interval(self.x.id, self.w_long.inv_bits))]
-
     def __repr__(self):
         inner = ",".join(str(i + 1) for i in sorted(self.subset))
         return f"{format_word(self.x.word())}|{{{inner}}}"
@@ -313,8 +314,11 @@ def enumerate_cosets(group):
     """Every standard parabolic coset (x, I), each exactly once."""
     masks = sorted(range(1 << group.system.rank),
                    key=lambda mask: (mask.bit_count(), _indices(mask)))
-    # the right descents of each x as bits of simple positions, like I
-    descents = [sum(1 << i for i in d) for d in group.right_descent_cache]
+    # the right descents of each x as bits of simple positions, like I,
+    # summed once per distinct (shared) descent set
+    cache = group.right_descent_cache
+    bits = {d: sum(1 << i for i in d) for d in set(cache)}
+    descents = [bits[d] for d in cache]
     out = []  # ordered by (|I|, sorted I, x.id)
     for mask in masks:
         subset = frozenset(_indices(mask))
@@ -326,12 +330,7 @@ def enumerate_cosets(group):
     return out
 
 
-# -- posets attached to elements / intervals / cosets -------------------------
-
-def element_poset(group, w):
-    """R(w) = w(Phi^+)."""
-    return RootSet(group.system, w.poset_bits)
-
+# -- interval posets ----------------------------------------------------------
 
 def interval_bits(system, lo, hi):
     """Bits of R(lo)^- | R(hi)^+ from the element-poset bits lo and hi."""
@@ -344,11 +343,6 @@ def interval_poset(group, lo, hi):
         raise ContractViolationError("interval endpoints are not comparable")
     return RootSet(group.system,
                    interval_bits(group.system, lo.poset_bits, hi.poset_bits))
-
-
-def coset_poset(group, coset):
-    """R(xW_I) = x(Phi^+ \\ Phi_I^+), the interval poset of [x, x w_{o,I}]."""
-    return interval_poset(group, coset.x, coset.w_long)
 
 
 # -- facial weak order ---------------------------------------------------------

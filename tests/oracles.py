@@ -230,6 +230,23 @@ def interval_reference(group, lo, hi):
     return [w for w in group.elements if lo.weak_le(w) and w.weak_le(hi)]
 
 
+def element_poset(group, w):
+    """R(w) = w(Phi^+)."""
+    return RootSet(group.system, w.poset_bits)
+
+
+def coset_poset(group, coset):
+    """R(xW_I) = x(Phi^+ minus Phi_I^+), the interval poset of [x, x w_{o,I}]."""
+    return interval_poset(group, coset.x, coset.w_long)
+
+
+def coset_members(coset):
+    """The elements of xW_I in id order, walked as the interval [x, x w_{o,I}]."""
+    g = coset.x.group
+    return [g.elements[u]
+            for u in sorted(g.interval(coset.x.id, coset.w_long.inv_bits))]
+
+
 def coset_poset_reference(group, coset):
     """R(xW_I) = x(Phi^+ minus Phi_I^+), by applying the permutation of x."""
     span_bits, _ = group.parabolic_data(coset.subset)

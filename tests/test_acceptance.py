@@ -18,10 +18,10 @@ from rootposets.rootset import (
     RootSet, classify, closure, closure_bits, deletion_bits, parse_set_literal,
 )
 from rootposets.weakorder import Level, lattice_op, lattice_op_bits, verify_lattice
-from rootposets.weyl import coset_poset, enumerate_cosets, facial_meet
+from rootposets.weyl import enumerate_cosets, facial_meet
 
 from conftest import group, system
-from oracles import nspan_oracle
+from oracles import coset_poset, nspan_oracle
 
 
 def _report(num, elapsed, detail):

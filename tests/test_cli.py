@@ -400,7 +400,8 @@ def test_cli_fuzz_keeps_the_exit_code_contract(argv):
 
 def test_printed_family_name_is_accepted(capsys):
     """The family name the CLI prints, COIP(bip), reads back as
-    --family coip --coxeter bip; only the tag is case-insensitive."""
+    --family coip --coxeter bip; only the tag is case-insensitive.
+    `lattice verify` prints the same name, and a level by its name."""
     build = ("families", "build", "--type", "A3")
     code, spelled = run(capsys, *build, "--family", "COIP(bip)")
     assert code == 0 and json.loads(spelled)["family"] == "COIP(bip)"
@@ -413,3 +414,7 @@ def test_printed_family_name_is_accepted(capsys):
     _, split = run(capsys, *verify, "--family", "coip", "--coxeter", "bip")
     assert code == 0
     assert json.loads(spelled)["result"] == json.loads(split)["result"]
+    assert json.loads(split)["family"] == "COIP(bip)" and split == spelled
+    _, lin = run(capsys, *verify, "--family", "coip")
+    assert json.loads(lin)["family"] == "COIP(lin)"
+    assert json.loads(run(capsys, *verify, "--family", "posets")[1])["family"] == "posets"

@@ -16,13 +16,11 @@ from rootposets.families import (
 from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.rootsys import build_from_label
 from rootposets.weakorder import Level, lattice_op, lattice_op_bits, weak_le
-from rootposets.weyl import (
-    coset_poset, enumerate_cosets, interval_bits, interval_poset, weyl_group,
-)
+from rootposets.weyl import enumerate_cosets, interval_bits, interval_poset, weyl_group
 
 from conftest import group, system
 from oracles import (
-    binary_tree_posets_reference, coip_sums_reference, descent_classes,
+    binary_tree_posets_reference, coip_sums_reference, coset_poset, descent_classes,
     family_reference, interval_pairs_reference, linear_extensions,
 )
 

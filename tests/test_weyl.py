@@ -6,14 +6,14 @@ from rootposets.errors import ContractViolationError, InvariantError, ResourceCa
 from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weakorder import weak_le
 from rootposets.weyl import (
-    WeylGroup, coset_poset, element_poset, enumerate_cosets, facial_join,
-    facial_le, facial_meet, format_word, interval_poset, make_coset,
+    WeylGroup, enumerate_cosets, facial_join, facial_le, facial_meet,
+    format_word, interval_poset, make_coset,
 )
 
 from conftest import group, system
 from oracles import (
-    compose, coset_poset_reference, generator_perms, interval_reference,
-    weak_extremum_reference,
+    compose, coset_members, coset_poset, coset_poset_reference, element_poset,
+    generator_perms, interval_reference, weak_extremum_reference,
 )
 
 
@@ -119,7 +119,7 @@ def test_coset_poset_is_interval_poset(b2):
     for label in ("B2", "A3", "D4", "H3"):
         g = group(label)
         for coset in enumerate_cosets(g):
-            lo, hi = coset.interval()
+            lo, hi = coset.x, coset.w_long
             assert coset_poset(g, coset).bits == coset_poset_reference(g, coset)
             assert coset_poset(g, coset) == interval_poset(g, lo, hi)
             span_bits, _ = g.parabolic_data(coset.subset)
@@ -137,7 +137,7 @@ def test_coset_counts(label, count):
 def test_coset_members_match_interval(a2):
     g = group("A2")
     for coset in enumerate_cosets(g):
-        members = coset.members()
+        members = coset_members(coset)
         assert len(members) == 2 ** 0 * _subgroup_order(g, coset.subset)
         ids = {w.id for w in members}
         direct = {g.mult(coset.x, u).id for u in _subgroup(g, coset.subset)}
@@ -184,9 +184,11 @@ def test_weak_meet_join(b2):
             assert a.weak_le(j) and b.weak_le(j)
 
 
-@pytest.mark.parametrize("label", [
-    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2",
-    "H2", "H3", "I2(5)"])
+TABLE_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4",
+                "G2", "H2", "H3", "I2(5)"]
+
+
+@pytest.mark.parametrize("label", TABLE_LABELS)
 def test_generator_tables_match_perm_composition(label):
     g = group(label)
     gens = generator_perms(g.system)
@@ -202,6 +204,43 @@ def test_generator_tables_match_perm_composition(label):
         assert g.inverse[w.id] == by_perm[tuple(inverse)].id
         assert g.from_word(w.word()) is w
         assert g.mult(w, g.longest) is by_perm[compose(w.perm, w0.perm)]
+
+
+@pytest.mark.parametrize("label", TABLE_LABELS)
+def test_descent_caches_match_their_definitions(label):
+    """inv(w) = Phi^+ n w(Phi^-), des(w) = {i : alpha_i in inv(w)} and
+    D_R(w) = {i : w(alpha_i) < 0}, read off the permutation; ids run by
+    (length, inversion bits) and _by_inv inverts inv_bits."""
+    g = group(label)
+    rs = g.system
+    n, simples = rs.num_positive, rs.simple_indices()
+    keys = [(w.length, w.inv_bits) for w in g.elements]
+    assert keys == sorted(set(keys))
+    for ident, w in enumerate(g.elements):
+        assert w.id == ident and g._by_inv[w.inv_bits] == ident
+        assert w.inv_bits == sum(1 << a for a in w.perm[n:] if a < n)
+        assert w.length == w.inv_bits.bit_count()
+        assert g.descent_cache[ident] == {
+            i for i, s in enumerate(simples) if w.inv_bits >> s & 1}
+        assert g.right_descent_cache[ident] == {
+            i for i, s in enumerate(simples) if w.perm[s] >= n}
+
+
+def test_e6_group_with_the_cap_lifted():
+    """51,840 elements with 36-bit inversion sets, and inv(w^-1) read as
+    bytes at 72 roots: the tables agree with composing permutations on a
+    seeded sample, and the inverse table is an involution."""
+    g = WeylGroup(system("E6"), cap=51_840)
+    assert len(g.elements) == 51_840
+    assert all(g.inverse[g.inverse[w]] == w for w in range(51_840))
+    gens = generator_perms(g.system)
+    by_perm = {w.perm: w.id for w in g.elements}
+    for w in random.Random(27).sample(g.elements, 2000):
+        for i, gp in enumerate(gens):
+            assert g.right[i][w.id] == by_perm[compose(w.perm, gp)]
+            assert g.left[i][w.id] == by_perm[compose(gp, w.perm)]
+        inverse = sorted(range(len(w.perm)), key=w.perm.__getitem__)
+        assert g.inverse[w.id] == by_perm[tuple(inverse)]
 
 
 @pytest.mark.parametrize("label,samples", [
