@@ -119,19 +119,6 @@ class Coeff:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    # -- queries -----------------------------------------------------------
-
-    def is_rational(self):
-        return self.b == 0
-
-    def is_integer(self):
-        return self.b == 0 and self.a.denominator == 1
-
-    def as_int(self):
-        if not self.is_integer():
-            raise ValueError(f"{self} is not a rational integer")
-        return int(self.a)
-
 
 def _coerce(x):
     if isinstance(x, Coeff):

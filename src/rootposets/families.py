@@ -88,12 +88,8 @@ def _resolve_coxeter(group, family):
     return camb.coxeter_element(group, _spec(family))
 
 
-def boolean_element_poset(group, subset):
-    """R(A) = cl(-A | (Delta \\ A)) for A a set of simple positions."""
-    return RootSet(group.system, _boolean_bits(group, subset))
-
-
 def _boolean_bits(group, subset):
+    """R(A) = cl(-A | (Delta \\ A)) for A a set of simple positions, as bits."""
     system = group.system
     bits = 0
     for i, s in enumerate(group.simple_root_indices):

@@ -12,6 +12,7 @@ oracle for the fast one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import linalg
 from .coeff import Coeff
@@ -83,35 +84,25 @@ class SubsetClassification:
     poset: bool
 
 
-def _closed_bits(system, bits):
-    """Whether the set holds every sum of two of its roots; the bare sweep,
-    for a set of one sign, where closed and semiclosed agree."""
-    indices = _indices(bits)
-    table = system.sum_table
-    for a, i in enumerate(indices):
-        row = table[i]
-        for j in indices[a:]:
-            k = row[j]
-            if k >= 0 and not (bits >> k) & 1:
-                return False
-    return True
+# the 16 possible records, indexed by symmetric, antisymmetric, closed,
+# semiclosed as bits 3..0; classify returns one of these
+_CLASSIFICATIONS = tuple(
+    SubsetClassification(s, a, c, sc, a and c)
+    for s, a, c, sc in product((False, True), repeat=4))
 
 
 def _closed_flags(system, bits):
-    """(closed, semiclosed) from one sweep over the member pairs.  A sum
-    of two roots of one sign has that sign, so a same-sign pair whose sum
-    is missing breaks both and ends the sweep; a mixed pair breaks only
-    closedness."""
-    indices = _indices(bits)
-    table, n = system.sum_table, system.num_positive
+    """(closed, semiclosed) from one sweep over each member's summing
+    partners.  A sum of two roots of one sign has that sign, so a
+    same-sign pair whose sum is missing breaks both and ends the sweep; a
+    mixed pair breaks only closedness.  On a set of one sign the two
+    flags agree."""
+    partners = system.sum_partners
     closed = True
-    for a, i in enumerate(indices):
-        row = table[i]
-        positive = i < n
-        for j in indices[a:]:
-            k = row[j]
-            if k >= 0 and not (bits >> k) & 1:
-                if positive == (j < n):
+    for i in _indices(bits):
+        for partner, total, same in partners[i]:
+            if bits & partner and not bits & total:
+                if same:
                     return False, False
                 closed = False
     return closed, True
@@ -138,16 +129,10 @@ def classify(rset):
     """
     system, bits = rset.system, rset.bits
     neg_image = system.negate_bits(bits)
-    symmetric = neg_image == bits
-    antisymmetric = (neg_image & bits) == 0
     closed, semiclosed = _closed_flags(system, bits)
-    return SubsetClassification(
-        symmetric=symmetric,
-        antisymmetric=antisymmetric,
-        closed=closed,
-        semiclosed=semiclosed,
-        poset=antisymmetric and closed,
-    )
+    return _CLASSIFICATIONS[(neg_image == bits) << 3
+                            | (not neg_image & bits) << 2
+                            | closed << 1 | semiclosed]
 
 
 def closure_bits(system, bits):

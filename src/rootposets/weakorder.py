@@ -60,7 +60,7 @@ from typing import Optional
 
 from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
 from .rootset import (
-    RootSet, _closed_bits, _indices, classify, closure_bits, deletion_bits,
+    RootSet, _closed_flags, _indices, classify, closure_bits, deletion_bits,
     format_set_literal)
 
 VERIFY_CAP = 5000
@@ -120,8 +120,9 @@ def lattice_op_bits(system, level, direction, rbits, sbits):
         return key
     out = closure_bits(system, key & grown) | (key & kept)
     if level in (Level.CLOSED, Level.POSETS):
-        # the grown half is closed: the fast deletion is complete iff the kept one is
-        fast = system.crystallographic and _closed_bits(system, key & kept)
+        # the grown half is closed: the fast deletion is complete iff the
+        # kept one is, and on one sign closed is semiclosed
+        fast = system.crystallographic and _closed_flags(system, key & kept)[1]
         out = deletion_bits(system, out, side, fast)
     return out
 

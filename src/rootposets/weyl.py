@@ -180,9 +180,6 @@ class WeylGroup:
     def inverse_of(self, w):
         return self.elements[self.inverse[w.id]]
 
-    def from_word(self, word):
-        return self._walk(0, word)
-
     def _walk(self, ident, word):
         """The element (ident) s_{i1} s_{i2} ... for word = (i1, i2, ...)."""
         right = self.right

@@ -10,6 +10,8 @@ and their tables by Coeff arithmetic, the families one RootSet per
 element, pair, coset or class, the snake decompositions one search per
 snake and root, the closed sets by one backtracking over every root
 with a leaf per set, the closed and semiclosed flags by three sweeps.
+Beside them sit small helpers only the tests need: the integer queries
+on Coeff, an element from a word, and the boolean element posets.
 None of them is used by the library.
 """
 
@@ -57,7 +59,7 @@ def root_tables_reference(family, rank, m=None):
                        key=lambda cs: (sum(cs, zero), cs))
     coords = positives + [tuple(-c for c in cs) for cs in positives]
     index = {cs: k for k, cs in enumerate(coords)}
-    crystallographic = all(c.is_integer() for row in cartan for c in row)
+    crystallographic = all(is_integer(c) for row in cartan for c in row)
     return SimpleNamespace(
         coords=coords,
         heights=[sum(cs, zero) for cs in coords],
@@ -65,9 +67,26 @@ def root_tables_reference(family, rank, m=None):
                        for sign in "+-" for cs in positives),
         sum_table=[[index.get(tuple(a + b for a, b in zip(ci, cj)), -1)
                     for cj in coords] for ci in coords],
-        int_coords=(tuple(tuple(c.as_int() for c in cs) for cs in coords)
+        int_coords=(tuple(tuple(as_int(c) for c in cs) for cs in coords)
                     if crystallographic else None),
         index_of_coords=index)
+
+
+def is_rational(c):
+    """Whether the Coeff c = a + b psi lies in Q."""
+    return c.b == 0
+
+
+def is_integer(c):
+    """Whether the Coeff c is a rational integer."""
+    return c.b == 0 and c.a.denominator == 1
+
+
+def as_int(c):
+    """The Coeff c as an int; ValueError when it is not a rational integer."""
+    if not is_integer(c):
+        raise ValueError(f"{c} is not a rational integer")
+    return int(c.a)
 
 
 def pairing(system, i, j):
@@ -228,6 +247,24 @@ def weak_extremum_reference(group, a, b, direction):
 def interval_reference(group, lo, hi):
     """The weak order interval [lo, hi] by scanning W, in id order."""
     return [w for w in group.elements if lo.weak_le(w) and w.weak_le(hi)]
+
+
+def from_word(group, word):
+    """The element s_{i1} s_{i2} ... of group for word = (i1, i2, ...),
+    one right multiplication per letter from the identity."""
+    ident = 0
+    for i in word:
+        ident = group.right[i][ident]
+    return group.elements[ident]
+
+
+def boolean_element_poset(group, subset):
+    """R(A) = cl(-A | (Delta \\ A)) for A a set of simple positions."""
+    system = group.system
+    bits = 0
+    for i, s in enumerate(group.simple_root_indices):
+        bits |= 1 << (system.neg(s) if i in subset else s)
+    return RootSet(system, closure_bits(system, bits))
 
 
 def element_poset(group, w):

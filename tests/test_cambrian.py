@@ -15,7 +15,8 @@ from rootposets.weyl import enumerate_cosets
 
 from conftest import group, system
 from oracles import (
-    cambrian_projection_reference, snake_decomposable_reference, sorting_word,
+    cambrian_projection_reference, from_word, snake_decomposable_reference,
+    sorting_word,
 )
 
 
@@ -58,7 +59,7 @@ def test_sorting_word_examples(a2):
     letters, blocks = sorting_word(g, c.word, g.longest)
     assert letters == [0, 1, 0]
     assert blocks == [frozenset({0, 1}), frozenset({0})]
-    s2s1 = g.from_word([1, 0])
+    s2s1 = from_word(g, [1, 0])
     letters, blocks = sorting_word(g, c.word, s2s1)
     assert blocks == [frozenset({1}), frozenset({0})]
 
@@ -69,7 +70,7 @@ def test_sortable_examples(a2):
     assert c.sortable[g.identity.id]
     sortables = {tuple(w.word()) for w in g.elements if c.sortable[w.id]}
     assert sortables == {(), (0,), (1,), (0, 1), (0, 1, 0)}
-    assert not c.sortable[g.from_word([1, 0]).id]
+    assert not c.sortable[from_word(g, [1, 0]).id]
 
 
 @pytest.mark.parametrize("label,catalan", [
@@ -92,7 +93,7 @@ def test_antisortable_via_longest_element(a2):
 def test_projections(a2):
     g = group("A2")
     c = cox("A2")
-    s2s1 = g.from_word([1, 0])
+    s2s1 = from_word(g, [1, 0])
     down = g.elements[c.down[s2s1.id]]
     assert tuple(down.word()) == (1,)
     for w in g.elements:
@@ -161,7 +162,7 @@ def test_tables_do_not_depend_on_the_word(label):
     for word in itertools.permutations(range(g.system.rank)):
         c = coxeter_element(g, word)
         tables = (c.sortable, c.down, c.up)
-        got = by_element.setdefault(g.from_word(word).id, tables)
+        got = by_element.setdefault(from_word(g, word).id, tables)
         assert got == tables, word
         if got is tables:
             sortable, _, down, up, _ = cambrian_projection_reference(g, word)

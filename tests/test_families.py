@@ -10,7 +10,7 @@ from rootposets.errors import (
 )
 from rootposets.families import (
     CAMBRIAN_TAGS, FAMILY_TAGS, FamilyId, _coip_sums_hold, boip_components_of, boip_op,
-    boolean_element_poset, construct_family, family_set, member_predicate,
+    construct_family, family_set, member_predicate,
     verify_family_equality, woip_interval_of, woip_op, coip_op,
 )
 from rootposets.rootset import RootSet, parse_set_literal
@@ -20,8 +20,9 @@ from rootposets.weyl import enumerate_cosets, interval_bits, interval_poset, wey
 
 from conftest import group, system
 from oracles import (
-    binary_tree_posets_reference, coip_sums_reference, coset_poset, descent_classes,
-    family_reference, interval_pairs_reference, linear_extensions,
+    binary_tree_posets_reference, boolean_element_poset, coip_sums_reference,
+    coset_poset, descent_classes, family_reference, interval_pairs_reference,
+    linear_extensions,
 )
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +305,25 @@ def test_classify_flags_match_three_sweeps(label, sample):
         seen.add(got)
     assert seen == ({(True, True)} if label == "H2"
                     else {(True, True), (False, True), (False, False)})
+
+
+@pytest.mark.parametrize("label", ["A3", "B2", "G2"])
+def test_classify_records_are_shared_and_match_their_definitions(label):
+    """On every subset, symmetric and antisymmetric compare R with its
+    negation, taken root by root from the coordinates, and poset is
+    antisymmetric and closed.  Equal flags come back as one frozen record."""
+    rs = system(label)
+    negative = [rs.index_of_coords[tuple(-c for c in r.coords)] for r in rs.roots]
+    records = {}
+    for bits in range(1 << rs.num_roots):
+        flags = classify(RootSet(rs, bits))
+        image = sum(1 << negative[i] for i in range(rs.num_roots) if bits >> i & 1)
+        assert flags.symmetric == (image == bits), (label, bits)
+        assert flags.antisymmetric == (image & bits == 0), (label, bits)
+        assert flags.poset == (flags.antisymmetric and flags.closed), (label, bits)
+        assert records.setdefault(flags, flags) is flags
+    with pytest.raises(FrozenInstanceError):
+        flags.closed = not flags.closed
 
 
 def test_mixed_system_rejected(a2, b2):

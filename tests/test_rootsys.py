@@ -9,7 +9,7 @@ from rootposets.errors import ConfigurationError
 from rootposets.rootsys import build_from_label, build_root_system, parse_system_label
 
 from conftest import system
-from oracles import pairing, reflect, root_tables_reference
+from oracles import as_int, is_integer, pairing, reflect, root_tables_reference
 
 CRYSTAL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
 
@@ -74,8 +74,8 @@ def test_crystallographic_pairings_are_small_integers():
         for i in range(rs.num_roots):
             for j in range(rs.num_roots):
                 p = pairing(rs, i, j)
-                assert p.is_integer()
-                values.add(p.as_int())
+                assert is_integer(p)
+                values.add(as_int(p))
     assert values <= {-3, -2, -1, 0, 1, 2, 3}
     assert {-3, 3} <= values  # G2 realizes the extremes
 
@@ -129,6 +129,36 @@ def test_tables_match_coeff_reference(label):
     for i, s in enumerate(rs.simple_indices()):
         assert rs.simple_reflections[i] == tuple(
             reflect(rs, s, t) for t in range(rs.num_roots))
+
+
+PARTNER_LABELS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "H2", "H3", "I2(5)"])
+
+
+@pytest.mark.parametrize("label", PARTNER_LABELS)
+def test_sum_partners_match_coordinate_sums(label):
+    """sum_partners[i] holds (1 << j, 1 << k, same sign) for each j > i
+    whose coordinate sum with root i is root k, summed from the int
+    coordinates (the Coeff ones on H and I); building a system leaves the
+    table unbuilt."""
+    rs = build_from_label(label)
+    assert "sum_partners" not in vars(rs)
+    if rs.int_coords is not None:
+        coords, index = rs.int_coords, rs.index_of_int_coords
+    else:
+        coords, index = [r.coords for r in rs.roots], rs.index_of_coords
+    n = rs.num_positive
+    expected = []
+    for i, u in enumerate(coords):
+        row = []
+        for j in range(i + 1, rs.num_roots):
+            k = index.get(tuple(a + b for a, b in zip(u, coords[j])))
+            if k is not None:
+                row.append((1 << j, 1 << k, (i < n) == (j < n)))
+        expected.append(tuple(row))
+    assert rs.sum_partners == tuple(expected)
 
 
 def test_e8_highest_root_and_simple_reflections():
