@@ -231,6 +231,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _shared(*flags, **options):
+    """A parent parser declaring one option that several commands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **options)
+    return parent
+
+
 def build_parser():
     parser = _Parser(
         prog="rootposets",
@@ -238,74 +245,66 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _shared("--out")
+    system = _shared("--type", dest="system", required=True)
+    coxeter = _shared("--coxeter", default="lin")
+    family = _shared("--family", required=True,
+                     help="family tag (WOEP, COIP, ...); lattice verify and hasse "
+                          "also take a level (" + "/".join(l.value for l in wo.Level) + ")")
 
     p = sub.add_parser("rootsys", help="root system utilities")
     rsub = p.add_subparsers(dest="subcommand", required=True)
-    pi = rsub.add_parser("info", help="print root count, Cartan matrix, |W|")
+    pi = rsub.add_parser("info", help="print root count, Cartan matrix, |W|",
+                         parents=[out])
     pi.add_argument("system")
-    pi.add_argument("--out")
     pi.set_defaults(func=cmd_rootsys_info)
 
     p = sub.add_parser("families", help="family construction")
     fsub = p.add_subparsers(dest="subcommand", required=True)
-    pb = fsub.add_parser("build", help="build a family as set literals")
-    pb.add_argument("--type", dest="system", required=True)
-    pb.add_argument("--family", required=True)
-    pb.add_argument("--coxeter", default="lin")
-    pb.add_argument("--out")
+    pb = fsub.add_parser("build", help="build a family as set literals",
+                         parents=[system, family, coxeter, out])
     pb.set_defaults(func=cmd_families_build)
 
     p = sub.add_parser("order", help="weak order queries")
     osub = p.add_subparsers(dest="subcommand", required=True)
-    pc = osub.add_parser("compare", help="compare two set literals")
-    pc.add_argument("--type", dest="system", required=True)
+    pc = osub.add_parser("compare", help="compare two set literals",
+                         parents=[system, out])
     negative = "; put -- before the literals when one starts with '-'"
     pc.add_argument("left", help="set literal, e.g. '+[1,0],-[0,1]'" + negative)
     pc.add_argument("right", help="set literal" + negative)
     pc.add_argument("--level", choices=[l.value for l in wo.Level])
-    pc.add_argument("--out")
     pc.set_defaults(func=cmd_order_compare)
 
     p = sub.add_parser("lattice", help="lattice verification")
     lsub = p.add_subparsers(dest="subcommand", required=True)
-    pv = lsub.add_parser("verify", help="certify a family as a lattice")
-    pv.add_argument("--type", dest="system", required=True)
-    pv.add_argument("--family", required=True,
-                    help="level name (" + "/".join(l.value for l in wo.Level)
-                         + ") or family tag (WOEP, COIP, ...)")
-    pv.add_argument("--coxeter", default="lin")
+    pv = lsub.add_parser("verify", help="certify a family as a lattice",
+                         parents=[system, family, coxeter, out])
     pv.add_argument("--formula", choices=[l.value for l in wo.Level])
     pv.add_argument("--cap", type=nonnegative_int, default=wo.VERIFY_CAP)
-    pv.add_argument("--out")
     pv.set_defaults(func=cmd_lattice_verify)
 
-    p = sub.add_parser("hasse", help="Hasse diagram export")
-    p.add_argument("--type", dest="system", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--coxeter", default="lin")
+    p = sub.add_parser("hasse", help="Hasse diagram export",
+                       parents=[system, family, coxeter, out])
     p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("census", help="counting and Table 1 reproduction")
     csub = p.add_subparsers(dest="subcommand", required=True)
-    pt = csub.add_parser("table1", help="reproduce reference counts as CSV")
+    pt = csub.add_parser("table1", help="reproduce reference counts as CSV",
+                         parents=[out])
     pt.add_argument("--types", required=True, help="e.g. A1..A4,B2,B3")
     pt.add_argument("--families", help="comma-separated; default all rows")
-    pt.add_argument("--out")
     pt.set_defaults(func=cmd_census_table1)
 
-    p = sub.add_parser("check-conjecture", help="exhaustive conjecture checks")
+    p = sub.add_parser("check-conjecture", help="exhaustive conjecture checks",
+                       parents=[system, coxeter, out])
     p.add_argument("conjecture", help="conjecture id, e.g. coip-sublattice")
-    p.add_argument("--type", dest="system", required=True)
-    p.add_argument("--coxeter", default="lin")
     p.add_argument("--rank-cap", type=nonnegative_int, default=3)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_check_conjecture)
 
-    p = sub.add_parser("counterexample", help="reproduce published failures")
+    p = sub.add_parser("counterexample", help="reproduce published failures",
+                       parents=[out])
     p.add_argument("case", help="counterexample id, e.g. h3-ncd")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_counterexample)
 
     return parser

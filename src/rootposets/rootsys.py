@@ -18,13 +18,12 @@ arithmetic and bit masks downstream.
 
 from __future__ import annotations
 
+import math
 from functools import cache, cached_property
 from operator import add
 
 from .coeff import Coeff, PSI
 from .errors import ConfigurationError
-
-CRYSTALLOGRAPHIC_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 _DEGREES = {
     "A": lambda n: list(range(2, n + 2)),
@@ -359,10 +358,7 @@ class RootSystem:
         return abs(self.roots[i].height)
 
     def weyl_order(self):
-        out = 1
-        for d in self.degrees:
-            out *= d
-        return out
+        return math.prod(self.degrees)
 
     def coxeter_catalan(self):
         """Coxeter-Catalan number prod (d_i + h) / d_i with h the largest degree."""
@@ -377,18 +373,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.label}, {self.num_roots} roots)"
-
-
-_EXPECTED_POSITIVE_COUNTS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "G": lambda n: 6,
-    "F": lambda n: 24,
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "H": lambda n: {2: 5, 3: 15}[n],
-}
 
 
 def build_root_system(family, rank, m=None):
@@ -406,7 +390,8 @@ def build_root_system(family, rank, m=None):
     if family in ("F",) and rank != 4:
         raise ConfigurationError("F4 has rank 4")
     rs = RootSystem(family, rank, m)
-    expected = m if family == "I" else _EXPECTED_POSITIVE_COUNTS[family](rank)
+    # N = sum of (d_i - 1) over the degrees
+    expected = sum(d - 1 for d in rs.degrees)
     if rs.num_positive != expected:
         raise ConfigurationError(
             f"{rs.label}: generated {rs.num_positive} positive roots, expected {expected}")

@@ -67,6 +67,7 @@ VERIFY_CAP = 5000
 HASSE_CAP = 10_000
 BUILD_CAP = 1_000_000  # sets that `families build` lists
 CLOSED_BITSET_LIMIT = 32  # |Phi| cap for the closed and posets backtracking
+SEMICLOSED_LIMIT = 42  # |Phi+| cap for the semiclosed backtracking (D7 counts, B7 not)
 
 
 class Level(enum.Enum):
@@ -187,7 +188,9 @@ def lattice_op(level, direction, rset, sset):
 
 
 def covers(level, rset):
-    """Elements covering R in the level's weak order, by the cover formulas.
+    """Elements covering R in the level's weak order: the level's members
+    one root above R, R less one of its positive roots or R with a
+    negative root it lacks, positives ascending, then negatives.
 
     The closed level has no published cover description; use
     verify_lattice / hasse on an explicit family there.
@@ -198,45 +201,9 @@ def covers(level, rset):
             "no cover formula at the closed level; use the generic path")
     if not _level_member(system, bits, level):
         raise ContractViolationError(f"input is not in level {level.value}")
-    table = system.sum_table
-    pos_in = _indices(bits & system.pos_mask)
-    neg_in = _indices(bits & system.neg_mask)
-    members = _indices(bits)
-    out = []
-
-    def decomposable(alpha, pool):
-        # at the posets level a mixed-sign pair summing to alpha also
-        # obstructs the deletion (the remainder would not be closed)
-        for g in pool:
-            row = table[g]
-            for d in pool:
-                if row[d] == alpha:
-                    return True
-        return False
-
-    for alpha in pos_in:
-        if level is Level.SEMICLOSED and decomposable(alpha, pos_in):
-            continue
-        if level is Level.POSETS and decomposable(alpha, members):
-            continue
-        out.append(RootSet(system, bits & ~(1 << alpha)))
-
-    neg_candidates = _indices(system.neg_mask & ~bits)
-    for beta in neg_candidates:
-        if level in (Level.ANTISYM, Level.POSETS):
-            if (bits >> system.neg(beta)) & 1:
-                continue
-        if level is Level.SEMICLOSED:
-            anchors = neg_in
-        elif level is Level.POSETS:
-            anchors = members
-        else:
-            anchors = []
-        row = table[beta]
-        if any(row[g] >= 0 and not (bits >> row[g]) & 1 for g in anchors):
-            continue
-        out.append(RootSet(system, bits | (1 << beta)))
-    return out
+    steps = [bits & ~(1 << a) for a in _indices(bits & system.pos_mask)]
+    steps += [bits | 1 << b for b in _indices(system.neg_mask & ~bits)]
+    return [RootSet(system, s) for s in steps if _level_member(system, s, level)]
 
 
 @dataclass
@@ -579,11 +546,16 @@ def _collect(found, cap, refusal):
 
 
 def require_dfs(system, level):
-    """Refuse the closed and posets backtracking past CLOSED_BITSET_LIMIT roots."""
-    if level in (Level.CLOSED, Level.POSETS) and (
-            system.num_roots > CLOSED_BITSET_LIMIT):
-        raise ResourceCapError(
-            f"{level.value} backtracking capped at |Phi| <= {CLOSED_BITSET_LIMIT}")
+    """Refuse the backtracking past the roots it may take: CLOSED_BITSET_LIMIT
+    of Phi for closed and posets, SEMICLOSED_LIMIT of Phi+ for semiclosed."""
+    if level is Level.SEMICLOSED:
+        roots, limit, name = system.num_positive, SEMICLOSED_LIMIT, "Phi+"
+    elif level in (Level.CLOSED, Level.POSETS):
+        roots, limit, name = system.num_roots, CLOSED_BITSET_LIMIT, "Phi"
+    else:
+        return
+    if roots > limit:
+        raise ResourceCapError(f"{level.value} backtracking capped at |{name}| <= {limit}")
 
 
 def level_members(system, level, cap=None):
@@ -593,6 +565,7 @@ def level_members(system, level, cap=None):
     sets is refused before its sets are built; the backtracking stops as
     soon as it has found enough sets to exceed the cap.
     """
+    require_dfs(system, level)
     n = system.num_positive
     refusal = ResourceCapError(
         f"{level.value} level of {system.label} has more than {cap} sets")
@@ -615,7 +588,6 @@ def level_members(system, level, cap=None):
         negs = [system.negate_bits(h) for h in halves]
         found = [p | q for p in halves for q in negs]
     else:
-        require_dfs(system, level)
         found = []
         _closed_sets(system, range(system.num_roots),
                      level is Level.POSETS, _collect(found, cap, refusal))
@@ -626,6 +598,7 @@ def level_count(system, level):
     """The number of sets of one level, listing none: 2^|Phi| for all,
     3^N for antisym, the square of the closed subsets of Phi^+ for
     semiclosed, and for closed and posets the backtracking's batch sizes."""
+    require_dfs(system, level)
     n = system.num_positive
     if level is Level.ALL:
         return 1 << system.num_roots
@@ -633,5 +606,4 @@ def level_count(system, level):
         return 3 ** n
     if level is Level.SEMICLOSED:
         return _closed_sets(system, range(n), False, _skip) ** 2
-    require_dfs(system, level)
     return _closed_sets(system, range(system.num_roots), level is Level.POSETS, _skip)

@@ -382,6 +382,8 @@ def test_resource_caps():
     with pytest.raises(ResourceCapError):
         count_family(system("E6"), "closed")
     with pytest.raises(ResourceCapError):
+        count_family(system("E8"), "semiclosed")
+    with pytest.raises(ResourceCapError):
         check_conjecture("coip-sublattice", system("B4"))
 
 

@@ -292,6 +292,7 @@ def test_census_table1_reads_lowercase_types(capsys):
     (["check-conjecture", "coip-sublattice", "--type", "B3", "--rank-cap", "-1"], 2),
     (["families", "build", "--type", "E7", "--family", "woep"], 3),
     (["census", "table1", "--types", "A2..A1"], 2),
+    (["census", "table1", "--types", "E7", "--families", "semiclosed"], 3),
     (["census", "table1", "--types", ""], 2),
     # argparse reads a literal starting with "-" as an option: usage error
     (["order", "compare", "--type", "A2", "-[1,0]", "+[0,1]"], 2),

@@ -341,6 +341,14 @@ def test_invalid_configurations():
         build_from_label("Q3")
 
 
+def test_positive_count_is_checked_against_the_degrees(monkeypatch):
+    """N is checked against the sum of (d_i - 1): a wrong degree list is
+    refused, not trusted."""
+    monkeypatch.setitem(rootsys._DEGREES, "A", lambda n: [2, 3, 5])  # A3: 2, 3, 4
+    with pytest.raises(ConfigurationError, match="generated 6 positive roots, expected 7"):
+        build_root_system("A", 3)
+
+
 def test_i2_aliases():
     assert build_root_system("I", 2, m=5).num_positive == 5
     assert build_root_system("I", 2, m=6).num_positive == 6

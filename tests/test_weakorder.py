@@ -167,7 +167,7 @@ def test_covers_closed_level_unsupported(a2):
         covers(Level.CLOSED, RootSet(a2, 0))
 
 
-@pytest.mark.parametrize("label", ["A2", "B2"])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "H2"])
 @pytest.mark.parametrize("level", [Level.ALL, Level.ANTISYM,
                                    Level.SEMICLOSED, Level.POSETS])
 def test_covers_match_transitive_reduction(label, level):
