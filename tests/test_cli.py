@@ -292,7 +292,6 @@ def test_census_table1_reads_lowercase_types(capsys):
     (["check-conjecture", "coip-sublattice", "--type", "B3", "--rank-cap", "-1"], 2),
     (["families", "build", "--type", "E7", "--family", "woep"], 3),
     (["census", "table1", "--types", "A2..A1"], 2),
-    (["census", "table1", "--types", "E7", "--families", "semiclosed"], 3),
     (["census", "table1", "--types", ""], 2),
     # argparse reads a literal starting with "-" as an option: usage error
     (["order", "compare", "--type", "A2", "-[1,0]", "+[0,1]"], 2),
@@ -314,6 +313,8 @@ def test_census_table1_reads_lowercase_types(capsys):
     (["check-conjecture", "coip-sublattice", "--type", "A2", "--coxeter", ""], 2),
     # psi coordinates read back as format_set_literal prints them
     (["order", "compare", "--type", "H3", "+[1,1p,0]", "+[0,0,1]"], 0),
+    # semiclosed past its root-count limit is refused at once
+    (["census", "table1", "--types", "E7", "--families", "semiclosed"], 3),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line
