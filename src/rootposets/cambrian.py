@@ -13,6 +13,7 @@ lattices*, 2007), so pi_up and the antisortable flags are read off it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (ContractViolationError, InvariantError,
@@ -100,16 +101,9 @@ def coxeter_word(system, spec):
         word += [i for i in range(n) if color[i] == 1]
     elif isinstance(spec, str):
         parts = spec.replace(" ", "")
-        word = []
-        i = 0
-        while i < len(parts):
-            j = i + 1
-            while j < len(parts) and parts[j].isdigit():
-                j += 1
-            if parts[i] != "s" or j == i + 1:
-                raise ContractViolationError(f"bad Coxeter word {spec!r}")
-            word.append(int(parts[i + 1:j]) - 1)
-            i = j
+        if not re.fullmatch(r"(s\d+)*", parts):
+            raise ContractViolationError(f"bad Coxeter word {spec!r}")
+        word = [int(i) - 1 for i in re.findall(r"\d+", parts)]
     else:
         word = spec
     word = tuple(word)

@@ -318,9 +318,9 @@ def parse_set_literal(system, text):
         return RootSet(system, 0)
     bits = 0
     pos = 0
-    while pos < len(text):
-        sign = text[pos]
-        if sign not in "+-":
+    while True:
+        sign = text[pos:pos + 1]
+        if sign not in ("+", "-"):
             raise ContractViolationError(f"expected sign at {text[pos:]!r}")
         try:
             open_b = text.index("[", pos)
@@ -339,8 +339,8 @@ def parse_set_literal(system, text):
             idx = system.neg(idx)
         bits |= 1 << idx
         pos = close_b + 1
-        if pos < len(text):
-            if text[pos] != ",":
-                raise ContractViolationError(f"expected ',' at {text[pos:]!r}")
-            pos += 1
-    return RootSet(system, bits)
+        if pos == len(text):
+            return RootSet(system, bits)
+        if text[pos] != ",":
+            raise ContractViolationError(f"expected ',' at {text[pos:]!r}")
+        pos += 1

@@ -27,25 +27,29 @@ the one half, with no full classification.
 The levels are listed (level_members) and counted (level_count) here.
 All is every subset, antisym the 3^N sign choices, and semiclosed the
 closed subsets of Phi^+ times those of Phi^-.  Closed and posets are a
-backtracking over roots ordered by absolute height, with forced-inclusion
-propagation: once two included roots sum to a root, that sum is either
-already decided (checked) or forced into the set at its own position.
+backtracking over roots ordered by absolute height, which includes or
+excludes each root.  Every constraint is a link (bits, want, column) on
+one decision: when the roots decided so far, mask, have mask & bits ==
+want, the decision ANDs column into the branch's mask of allowed
+completions, and a branch whose mask is 0 is cut.  A root sum decided
+before the later summand cuts including that summand with the other in
+and the sum out; one decided after both cuts excluding it with both in;
+for posets, including the later of r and -r with the other in is cut.
 
 The backtracking meets in the middle.  Its last roots, the tail (9/20
 of them, at most 16), are decided once: the K tail sets closed among
 themselves (and antisymmetric, for posets) are listed in backtracking
 order, and each tail root gets a K-bit column of the tail sets that
 hold it.  The backtracking over the other roots, the head, carries a
-K-bit mask of the tail sets still allowed; each decision ANDs in the
-columns that the root sums linking it to the tail require, and a branch
-whose mask is 0 is cut.  A head leaf stands for the sets head |
-tail[k], k ascending over the mask's bits.  Deciding the head first and
-taking the tail sets in their own backtracking order is the order of
-one backtracking over all roots.  level_count counts per head leaf, by
-the mask's bit count, and builds no set; level_members lists the sets of
-each head leaf, refusing past a cap.  Every enumeration visits
-candidates in one fixed order, so member lists are identical across
-reruns.
+K-bit mask of the tail sets still allowed; a root sum linking the head
+to the tail is a link whose column is made from those of its tail
+roots.  A head leaf stands for the sets head | tail[k], k ascending
+over the mask's bits.  Deciding the head first and taking the tail sets
+in their own backtracking order is the order of one backtracking over
+all roots.  level_count counts per head leaf, by the mask's bit count,
+and builds no set; level_members lists the sets of each head leaf,
+refusing past a cap.  Every enumeration visits candidates in one fixed
+order, so member lists are identical across reruns.
 """
 
 from __future__ import annotations
@@ -401,9 +405,10 @@ def _tail_columns(tails, roots):
     return {r: int("".join(columns[width - 1 - r]), 2) for r in roots}
 
 
-def _closed_sets(system, indices, antisymmetric, leaf):
+def _closed_sets(system, indices, antisymmetric, leaf=None):
     """Count the subsets of `indices` closed under root sums (and
-    antisymmetric if asked), handing them to ``leaf`` in backtracking order.
+    antisymmetric if asked), handing them to ``leaf``, if given, in
+    backtracking order.
 
     Roots are taken by increasing absolute height, then index.  The last
     _tail_size(n) of the n form the tail: its subsets closed among themselves
@@ -424,7 +429,8 @@ def _closed_sets(system, indices, antisymmetric, leaf):
     def head_leaf(mask, allowed):
         nonlocal count
         count += allowed.bit_count()
-        leaf(mask, allowed, tails)
+        if leaf is not None:
+            leaf(mask, allowed, tails)
 
     _backtrack(system, order[:cut], antisymmetric, has, (1 << len(tails)) - 1,
                head_leaf)
@@ -436,98 +442,82 @@ def _backtrack(system, order, antisymmetric, has, full, leaf):
     ``leaf(mask, allowed)`` on each set closed among them.
 
     ``has`` maps each root of a tail decided after `order` to its column:
-    the bits, within ``full``, of the tail sets that hold it.  ``allowed``
-    keeps the tail sets that the root sums linking the two parts admit,
-    and a branch whose ``allowed`` reaches 0 is cut.  A sum of two roots
-    of `order` is either already decided (checked) or forced into the set
-    at its own position.
+    the bits, within ``full``, of the tail sets that hold it, and
+    ``allowed`` keeps the tail sets still admitted.  Every constraint is a
+    link (bits, want, column) on one decision, to include or to exclude
+    the root at one position: when the roots decided so far, ``mask``,
+    have ``mask & bits == want``, the decision ANDs ``column`` into
+    ``allowed``.  A branch whose ``allowed`` reaches 0 is cut, so a link
+    with column 0 forbids its decision.  Links with one key on one
+    decision are ANDed into one.
     """
     pos_of = {r: p for p, r in enumerate(order)}
     table = system.sum_table
     m = len(order)
     rbits = [1 << r for r in order]
-    negbits = [1 << system.neg(r) for r in order]
-    # per position p, for sums inside `order` with an earlier partner i:
-    # (bit of i, bit of the sum), a check where the sum comes before p, a
-    # force where after.  For sums that reach the tail: the mask that a
-    # decision ANDs into allowed always (inc_all, exc_all), or when an
-    # earlier root is in the set (inc_in, exc_in) or out of it (inc_out)
-    checks, forces = [[] for _ in order], [[] for _ in order]
-    inc_in, inc_out, exc_in = ([{} for _ in order] for _ in range(3))
-    inc_all, exc_all = [full] * m, [full] * m
+    inc, exc = [{} for _ in order], [{} for _ in order]
 
-    def meet(links, bit, col):
-        links[bit] = links.get(bit, full) & col
+    def link(links, bits, want, col):
+        links[bits, want] = links.get((bits, want), full) & col
 
     roots = order + list(has)  # x before y below, so y is head only if x is
     for a, x in enumerate(roots):
+        xbit = 1 << x
         for y in roots[a + 1:]:
             s = table[x][y]
             if s < 0 or s not in pos_of and s not in has:
                 continue
             if x in has:                     # both tail
                 if s in pos_of:              # s out: not both in the tail set
-                    exc_all[pos_of[s]] &= ~(has[x] & has[y])
-            elif y not in has:               # both head, p < q
-                p, q = pos_of[x], pos_of[y]
-                if s in has:                 # both in: s in the tail set
-                    meet(inc_in[q], rbits[p], has[s])
-                else:
-                    (checks if pos_of[s] < q else forces)[q].append(
-                        (rbits[p], 1 << s))
+                    link(exc[pos_of[s]], 0, 0, ~(has[x] & has[y]))
+            elif y not in has:               # both head, x before y
+                q = pos_of[y]
+                if s in has:                 # x and y in: s in the tail set
+                    link(inc[q], xbit, xbit, has[s])
+                elif pos_of[s] < q:          # x in, s out: y out
+                    link(inc[q], xbit | 1 << s, xbit, 0)
+                else:                        # x and y in: s in
+                    link(exc[pos_of[s]], xbit | 1 << y, xbit | 1 << y, 0)
             elif s in has:                   # x in: tail set with y has s
-                inc_all[pos_of[x]] &= ~has[y] | has[s]
+                link(inc[pos_of[x]], 0, 0, ~has[y] | has[s])
             elif pos_of[s] < pos_of[x]:      # x in, s out: y not in tail set
-                meet(inc_out[pos_of[x]], 1 << s, ~has[y])
-            else:
-                meet(exc_in[pos_of[s]], 1 << x, ~has[y])
-    if antisymmetric:                        # r in: -r not in the tail set
+                link(inc[pos_of[x]], 1 << s, 0, ~has[y])
+            else:                            # s out, x in: y not in tail set
+                link(exc[pos_of[s]], xbit, xbit, ~has[y])
+    if antisymmetric:                        # r in: -r out
         for p, r in enumerate(order):
-            if system.neg(r) in has:
-                inc_all[p] &= ~has[system.neg(r)]
-    inc_in, inc_out, exc_in = ([list(links.items()) for links in part]
-                               for part in (inc_in, inc_out, exc_in))
+            nr = system.neg(r)
+            if nr in has:
+                link(inc[p], 0, 0, ~has[nr])
+            elif nr in pos_of and pos_of[nr] < p:
+                link(inc[p], 1 << nr, 1 << nr, 0)
+    inc, exc = ([[(*key, col) for key, col in links.items()] for links in part]
+                for part in (inc, exc))
 
-    def rec(p, mask, forced, forbidden, allowed):
+    def rec(p, mask, allowed):
         if p == m:
             leaf(mask, allowed)
             return
-        rbit = rbits[p]
         # include r
-        keep = allowed & inc_all[p] if not forbidden & rbit else 0
-        if keep:
-            for ibit, sbit in checks[p]:
-                if mask & ibit and not mask & sbit:
-                    keep = 0
+        keep = allowed
+        for bits, want, col in inc[p]:
+            if mask & bits == want:
+                keep &= col
+                if not keep:
                     break
         if keep:
-            for ibit, col in inc_in[p]:
-                if mask & ibit:
-                    keep &= col
-            for sbit, col in inc_out[p]:
-                if not mask & sbit:
-                    keep &= col
-        if keep:
-            nf = forced
-            for ibit, sbit in forces[p]:
-                if mask & ibit:
-                    nf |= sbit
-            rec(p + 1, mask | rbit, nf,
-                forbidden | negbits[p] if antisymmetric else forbidden, keep)
+            rec(p + 1, mask | rbits[p], keep)
         # exclude r
-        if not forced & rbit:
-            keep = allowed & exc_all[p]
-            for xbit, col in exc_in[p]:
-                if mask & xbit:
-                    keep &= col
-            if keep:
-                rec(p + 1, mask, forced, forbidden, keep)
+        keep = allowed
+        for bits, want, col in exc[p]:
+            if mask & bits == want:
+                keep &= col
+                if not keep:
+                    break
+        if keep:
+            rec(p + 1, mask, keep)
 
-    rec(0, 0, 0, 0, full)
-
-
-def _skip(mask, allowed, tails):
-    """A leaf for counts alone: _closed_sets sums the batch sizes."""
+    rec(0, 0, full)
 
 
 def _batch(mask, allowed, tails):
@@ -605,5 +595,5 @@ def level_count(system, level):
     if level is Level.ANTISYM:
         return 3 ** n
     if level is Level.SEMICLOSED:
-        return _closed_sets(system, range(n), False, _skip) ** 2
-    return _closed_sets(system, range(system.num_roots), level is Level.POSETS, _skip)
+        return _closed_sets(system, range(n), False) ** 2
+    return _closed_sets(system, range(system.num_roots), level is Level.POSETS)

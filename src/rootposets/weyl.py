@@ -79,11 +79,11 @@ class WeylGroup:
     ``_by_inv`` maps inversion bits to ids.
     """
 
-    def __init__(self, system, cap=GROUP_CAP):
+    def __init__(self, system):
         order = system.weyl_order()
-        if order > cap:
+        if order > GROUP_CAP:
             raise ResourceCapError(
-                f"|W({system.label})| = {order} exceeds the cap {cap}")
+                f"|W({system.label})| = {order} exceeds the cap {GROUP_CAP}")
         self.system = system
         n = system.num_positive
         simples = system.simple_indices()

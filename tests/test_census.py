@@ -292,7 +292,7 @@ def test_closed_sets_match_the_one_pass_backtracking(label):
         assert any(rs.neg(r) not in head for r in head)
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
 @pytest.mark.parametrize("rule", [lambda n: 0, lambda n: 1, lambda n: n // 2, lambda n: n],
                          ids=["none", "one", "half", "all"])
 def test_closed_sets_match_at_any_tail_size(monkeypatch, label, rule):

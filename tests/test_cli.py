@@ -315,6 +315,8 @@ def test_census_table1_reads_lowercase_types(capsys):
     (["order", "compare", "--type", "H3", "+[1,1p,0]", "+[0,0,1]"], 0),
     # semiclosed past its root-count limit is refused at once
     (["census", "table1", "--types", "E7", "--families", "semiclosed"], 3),
+    # a comma must be followed by another literal
+    (["order", "compare", "--type", "A2", "+[1,0],", "+[0,1]"], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

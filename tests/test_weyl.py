@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rootposets import weyl
 from rootposets.errors import ContractViolationError, InvariantError, ResourceCapError
 from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.weakorder import weak_le
@@ -29,9 +30,10 @@ def test_group_orders(label, order):
     assert len(group(label).elements) == order
 
 
-def test_group_cap():
+def test_group_cap(monkeypatch):
+    monkeypatch.setattr(weyl, "GROUP_CAP", 100)
     with pytest.raises(ResourceCapError):
-        WeylGroup(system("F4"), cap=100)
+        WeylGroup(system("F4"))
 
 
 def test_identity_first_and_deterministic(a2):
@@ -226,11 +228,12 @@ def test_descent_caches_match_their_definitions(label):
             i for i, s in enumerate(simples) if w.perm[s] >= n}
 
 
-def test_e6_group_with_the_cap_lifted():
+def test_e6_group_with_the_cap_lifted(monkeypatch):
     """51,840 elements with 36-bit inversion sets, and inv(w^-1) read as
     bytes at 72 roots: the tables agree with composing permutations on a
     seeded sample, and the inverse table is an involution."""
-    g = WeylGroup(system("E6"), cap=51_840)
+    monkeypatch.setattr(weyl, "GROUP_CAP", 51_840)
+    g = WeylGroup(system("E6"))
     assert len(g.elements) == 51_840
     assert all(g.inverse[g.inverse[w]] == w for w in range(51_840))
     gens = generator_perms(g.system)
