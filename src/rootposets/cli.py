@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 reproduced-claim mismatch, 2 usage error,
-3 resource cap exceeded.  All outputs are deterministic.
+3 resource cap exceeded; a reader closing stdout early ends a command
+with 0.  All outputs are deterministic.
 
 Each command imports the layers it runs.  Root systems, subsets and the
 weak order (rootsys, rootset, weakorder) load with this module; the
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 
@@ -44,7 +46,7 @@ def _emit(payload, out_path=None):
             raise ContractViolationError(
                 f"cannot write {out_path}: {exc.strerror}") from None
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here; main ends with 0
 
 
 def _json_result(system_label, family, result):
@@ -315,6 +317,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # devnull takes stdout, or the exit flush raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

@@ -91,13 +91,13 @@ _CLASSIFICATIONS = tuple(
     for s, a, c, sc in product((False, True), repeat=4))
 
 
-def _closed_flags(system, bits):
+def _closed_flags(system, bits, mixed=True):
     """(closed, semiclosed) from one sweep over each member's summing
     partners.  A sum of two roots of one sign has that sign, so a
     same-sign pair whose sum is missing breaks both and ends the sweep; a
-    mixed pair breaks only closedness.  On a set of one sign the two
-    flags agree."""
-    partners = system.sum_partners
+    mixed pair breaks only closedness.  ``mixed=False`` sweeps only the
+    same-sign pairs: enough for semiclosed, and for a set of one sign."""
+    partners = system.sum_partners[mixed]
     closed = True
     for i in _indices(bits):
         for partner, total, same in partners[i]:
@@ -270,7 +270,7 @@ def closure_deletion(rset, side):
     if side not in ("negative", "positive"):
         raise ContractViolationError("side must be 'negative' or 'positive'")
     system, bits = rset.system, rset.bits
-    fast = system.crystallographic and _closed_flags(system, bits)[1]
+    fast = system.crystallographic and _closed_flags(system, bits, mixed=False)[1]
     return RootSet(system, deletion_bits(system, bits, side, fast))
 
 
@@ -344,3 +344,5 @@ def parse_set_literal(system, text):
         if text[pos] != ",":
             raise ContractViolationError(f"expected ',' at {text[pos:]!r}")
         pos += 1
+        while text[pos:pos + 1].isspace():
+            pos += 1

@@ -342,13 +342,14 @@ class RootSystem:
 
     @cached_property
     def sum_partners(self):
-        """sum_partners[i]: a (1 << j, 1 << k, same sign) triple for each
-        j > i with root i + root j = root k; built on first use."""
+        """(same, every): every[i] holds a (1 << j, 1 << k, same sign)
+        triple for each j > i with root i + root j = root k, and same[i]
+        those with j of i's sign; built on first use."""
         n = self.num_positive
-        return tuple(
-            tuple((1 << j, 1 << k, (i < n) == (j < n))
-                  for j, k in enumerate(row[i + 1:], i + 1) if k >= 0)
-            for i, row in enumerate(self.sum_table))
+        every = tuple(tuple((1 << j, 1 << k, (i < n) == (j < n))
+                            for j, k in enumerate(row[i + 1:], i + 1) if k >= 0)
+                      for i, row in enumerate(self.sum_table))
+        return tuple(tuple(t for t in row if t[2]) for row in every), every
 
     def simple_indices(self):
         """Root indices of the simple roots (unit coordinate vectors)."""

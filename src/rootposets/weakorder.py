@@ -36,20 +36,20 @@ before the later summand cuts including that summand with the other in
 and the sum out; one decided after both cuts excluding it with both in;
 for posets, including the later of r and -r with the other in is cut.
 
-The backtracking meets in the middle.  Its last roots, the tail (9/20
-of them, at most 16), are decided once: the K tail sets closed among
+The backtracking meets in the middle.  Its last roots, the tail (9/20 of
+them, at most 16), are decided once: the K tail sets closed among
 themselves (and antisymmetric, for posets) are listed in backtracking
-order, and each tail root gets a K-bit column of the tail sets that
-hold it.  The backtracking over the other roots, the head, carries a
-K-bit mask of the tail sets still allowed; a root sum linking the head
-to the tail is a link whose column is made from those of its tail
-roots.  A head leaf stands for the sets head | tail[k], k ascending
-over the mask's bits.  Deciding the head first and taking the tail sets
-in their own backtracking order is the order of one backtracking over
-all roots.  level_count counts per head leaf, by the mask's bit count,
-and builds no set; level_members lists the sets of each head leaf,
-refusing past a cap.  Every enumeration visits candidates in one fixed
-order, so member lists are identical across reruns.
+order, and each tail root gets a K-bit column of the tail sets that hold
+it, one strided slice of their bytes.  The backtracking over the other
+roots, the head, carries a K-bit mask of the tail sets still allowed; a
+root sum linking the head to the tail is a link whose column is made
+from those of its tail roots.  A head leaf stands for the sets head |
+tail[k], k ascending over the mask's bits.  Deciding the head first and
+taking the tail sets in their own backtracking order is the order of one
+backtracking over all roots.  level_count counts per head leaf, by the
+mask's bit count, and builds no set; level_members lists the sets of
+each head leaf, refusing past a cap.  Every enumeration visits candidates
+in one fixed order, so member lists are identical across reruns.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ def lattice_op_bits(system, level, direction, rbits, sbits):
     out = closure_bits(system, key & grown) | (key & kept)
     if level in (Level.CLOSED, Level.POSETS):
         # the grown half is closed: the fast deletion is complete iff the
-        # kept one is, and on one sign closed is semiclosed
-        fast = system.crystallographic and _closed_flags(system, key & kept)[1]
+        # kept one is, and on one sign its same-sign pairs decide that
+        fast = system.crystallographic and _closed_flags(system, key & kept, mixed=False)[1]
         out = deletion_bits(system, out, side, fast)
     return out
 
@@ -226,6 +226,7 @@ def canonical_sort(family):
 
 
 _LACKS = bytes.maketrans(b"01", b"\1\0")
+_BIT_ASCII = [bytes(48 + (b >> i & 1) for b in range(256)) for i in range(8)]
 
 
 def _key_row(system, x):
@@ -233,14 +234,22 @@ def _key_row(system, x):
     return format(x, f"0{system.num_roots}b")[::-1].encode()
 
 
+def _bit_columns(sets, roots):
+    """{r: column}: bit k of column r set when sets[k] holds root r, read
+    off the sets' little-endian bytes, last set first: root r's bytes are
+    rows[r >> 3::width], which _BIT_ASCII[r & 7] maps to ASCII 1s and 0s."""
+    width = (max(roots, default=0) >> 3) + 1
+    rows = b"".join([s.to_bytes(width, "little") for s in reversed(sets)])
+    return {r: int(rows[r >> 3::width].translate(_BIT_ASCII[r & 7]), 2) for r in roots}
+
+
 class _Order:
     """The weak order on a canonically sorted family, read off the keys
     f = bits ^ Phi+: R <= S iff f_R is a subset of f_S.
 
     columns["meet"][r] masks the members whose f lacks root r, and
-    columns["join"][r] those whose f holds it; the first are read off the
-    keys g = bits ^ Phi-, the complement of f, written as fixed-width
-    binary rows with root r at byte r, in one transpose.  bounds(direction,
+    columns["join"][r] those whose f holds it; the first are the bit
+    columns of the keys g = bits ^ Phi-, the complement of f.  bounds(direction,
     x) ANDs the columns of the roots outside x.  With x = f_R & f_S it
     gives the members below R and S (those lacking every root outside x);
     with x = g_R & g_S, the members above both (those holding every root
@@ -252,14 +261,11 @@ class _Order:
     def __init__(self, system, bits_list):
         self.system, self.bits_list = system, bits_list
         self.full = full = (1 << len(bits_list)) - 1
-        rows = [_key_row(system, b ^ system.neg_mask) for b in bits_list]
-        # rows reversed, so the last row (row 0) becomes bit 0 of each column
-        lacking = [int(bytes(col), 2) for col in zip(*reversed(rows))]
+        keys = [b ^ system.neg_mask for b in bits_list]
+        lacking = list(_bit_columns(keys, range(system.num_roots)).values())
         holding = [full ^ col for col in lacking]
         self.columns = {"meet": lacking, "join": holding}
-        # above[i] is bounds("join", g_i), from the rows already written
-        self.above = above = [reduce(and_, compress(holding, row.translate(_LACKS)), full)
-                              for row in rows]
+        self.above = above = [self.bounds("join", g) for g in keys]
         # a dict, not a cached closure over self: the helper holds no
         # reference cycle and is freed as soon as its caller returns
         self._below = {}
@@ -396,15 +402,6 @@ def _tail_size(n):
     return min(n * 9 // 20, 16)
 
 
-def _tail_columns(tails, roots):
-    """has[r]: bit k set when the tail set tails[k] holds root r, read off
-    in one transpose of the sets written as fixed-width binary rows."""
-    width = max(roots, default=0) + 1
-    # rows reversed, so tails[0] becomes bit 0; root r is character -1 - r
-    columns = list(zip(*[format(t, f"0{width}b") for t in reversed(tails)]))
-    return {r: int("".join(columns[width - 1 - r]), 2) for r in roots}
-
-
 def _closed_sets(system, indices, antisymmetric, leaf=None):
     """Count the subsets of `indices` closed under root sums (and
     antisymmetric if asked), handing them to ``leaf``, if given, in
@@ -423,7 +420,7 @@ def _closed_sets(system, indices, antisymmetric, leaf=None):
     tails = []
     _backtrack(system, order[cut:], antisymmetric, {}, 1,
                lambda mask, allowed: tails.append(mask))
-    has = _tail_columns(tails, order[cut:])
+    has = _bit_columns(tails, order[cut:])
     count = 0
 
     def head_leaf(mask, allowed):
@@ -451,9 +448,11 @@ def _backtrack(system, order, antisymmetric, has, full, leaf):
     with column 0 forbids its decision.  Links with one key on one
     decision are ANDed into one.
     """
+    if not order:
+        return leaf(0, full)
     pos_of = {r: p for p, r in enumerate(order)}
     table = system.sum_table
-    m = len(order)
+    last = len(order) - 1
     rbits = [1 << r for r in order]
     inc, exc = [{} for _ in order], [{} for _ in order]
 
@@ -495,10 +494,7 @@ def _backtrack(system, order, antisymmetric, has, full, leaf):
                 for part in (inc, exc))
 
     def rec(p, mask, allowed):
-        if p == m:
-            leaf(mask, allowed)
-            return
-        # include r
+        # include r; the last position hands its sets to leaf directly
         keep = allowed
         for bits, want, col in inc[p]:
             if mask & bits == want:
@@ -506,7 +502,10 @@ def _backtrack(system, order, antisymmetric, has, full, leaf):
                 if not keep:
                     break
         if keep:
-            rec(p + 1, mask | rbits[p], keep)
+            if p == last:
+                leaf(mask | rbits[p], keep)
+            else:
+                rec(p + 1, mask | rbits[p], keep)
         # exclude r
         keep = allowed
         for bits, want, col in exc[p]:
@@ -515,7 +514,10 @@ def _backtrack(system, order, antisymmetric, has, full, leaf):
                 if not keep:
                     break
         if keep:
-            rec(p + 1, mask, keep)
+            if p == last:
+                leaf(mask, keep)
+            else:
+                rec(p + 1, mask, keep)
 
     rec(0, 0, full)
 

@@ -21,7 +21,7 @@ from rootposets.families import (
 from rootposets.rootset import RootSet, _indices, classify, parse_set_literal
 from rootposets.rootsys import build_from_label
 from rootposets.weakorder import (
-    Level, _batch, _closed_sets, _tail_columns, _tail_size, level_members,
+    Level, _batch, _bit_columns, _closed_sets, _tail_size, level_members,
 )
 
 from conftest import group, system
@@ -304,7 +304,9 @@ def test_closed_sets_match_at_any_tail_size(monkeypatch, label, rule):
 
 def test_tail_columns_match_their_definition():
     """Column r holds bit k exactly when tails[k] holds root r, on seeded
-    random tails, one empty tail set and an empty tail."""
+    random tails, one empty tail set and an empty tail, and on roots
+    reaching past one byte and past 64 bits, up to E8's last index 239,
+    since the row width is (max(roots) >> 3) + 1 bytes."""
     rng = random.Random(18)
     rs = system("B4")
     order = sorted(range(rs.num_roots), key=lambda i: (rs.abs_height(i), i))
@@ -313,8 +315,14 @@ def test_tail_columns_match_their_definition():
         roots = order[-rng.randint(1, 16):]
         cases.append(([sum(1 << r for r in roots if rng.random() < 0.5)
                        for _ in range(rng.randint(1, 300))], roots))
+    wide = [[7, 8], [0, 7, 8, 63, 64], [239, 8, 64, 7, 63],
+            sorted(set(rng.sample(range(240), 12)) | {7, 8, 63, 64, 239})]
+    for roots in wide:
+        every = sum(1 << r for r in roots)
+        cases.append(([0, every] + [sum(1 << r for r in roots if rng.random() < 0.5)
+                                    for _ in range(rng.randint(1, 300))], roots))
     for tails, roots in cases:
-        assert _tail_columns(tails, roots) == {
+        assert _bit_columns(tails, roots) == {
             r: sum(1 << k for k, t in enumerate(tails) if t >> r & 1) for r in roots}
 
 

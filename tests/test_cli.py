@@ -205,6 +205,24 @@ def test_light_commands_load_no_group_layer(argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
+def test_closed_stdout_exits_0_without_traceback():
+    """A reader that takes one line of a long output (A5 WOIP, about 4 MB,
+    far past a pipe buffer) and closes the pipe ends the command with 0
+    and no traceback."""
+    src = str(Path(rootposets.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    with subprocess.Popen(
+            [sys.executable, "-m", "rootposets.cli", "families", "build",
+             "--type", "A5", "--family", "woip"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["census", "table1"])  # missing --types
@@ -317,6 +335,8 @@ def test_census_table1_reads_lowercase_types(capsys):
     (["census", "table1", "--types", "E7", "--families", "semiclosed"], 3),
     # a comma must be followed by another literal
     (["order", "compare", "--type", "A2", "+[1,0],", "+[0,1]"], 2),
+    # a space may follow the comma between two roots
+    (["order", "compare", "--type", "A2", "+[1,0], +[0,1]", "+[0,1]"], 0),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

@@ -247,7 +247,8 @@ def test_set_literal_roundtrip(a2, b3):
             r = RootSet(rs, rng.getrandbits(rs.num_roots))
             assert parse_set_literal(rs, format_set_literal(r)) == r
     assert parse_set_literal(a2, "") == RootSet(a2, 0)
-    for text in ("+[2,0]", "+[1,0],"):
+    assert parse_set_literal(a2, "+[1,0], +[0,1]") == parse_set_literal(a2, "+[1,0],+[0,1]")
+    for text in ("+[2,0]", "+[1,0],", "+[1,0], "):
         with pytest.raises(ContractViolationError):
             parse_set_literal(a2, text)
 

@@ -139,10 +139,11 @@ PARTNER_LABELS = (
 
 @pytest.mark.parametrize("label", PARTNER_LABELS)
 def test_sum_partners_match_coordinate_sums(label):
-    """sum_partners[i] holds (1 << j, 1 << k, same sign) for each j > i
-    whose coordinate sum with root i is root k, summed from the int
-    coordinates (the Coeff ones on H and I); building a system leaves the
-    table unbuilt."""
+    """sum_partners is (same, every): every[i] holds (1 << j, 1 << k, same
+    sign) for each j > i whose coordinate sum with root i is root k,
+    summed from the int coordinates (the Coeff ones on H and I), and
+    same[i] those with root j of the sign of root i; building a system
+    leaves the table unbuilt."""
     rs = build_from_label(label)
     assert "sum_partners" not in vars(rs)
     if rs.int_coords is not None:
@@ -150,15 +151,16 @@ def test_sum_partners_match_coordinate_sums(label):
     else:
         coords, index = [r.coords for r in rs.roots], rs.index_of_coords
     n = rs.num_positive
-    expected = []
+    same, every = [], []
     for i, u in enumerate(coords):
         row = []
         for j in range(i + 1, rs.num_roots):
             k = index.get(tuple(a + b for a, b in zip(u, coords[j])))
             if k is not None:
                 row.append((1 << j, 1 << k, (i < n) == (j < n)))
-        expected.append(tuple(row))
-    assert rs.sum_partners == tuple(expected)
+        every.append(tuple(row))
+        same.append(tuple(t for t in row if (i < n) == (t[0].bit_length() - 1 < n)))
+    assert rs.sum_partners == (tuple(same), tuple(every))
 
 
 def test_e8_highest_root_and_simple_reflections():
