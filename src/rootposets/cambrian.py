@@ -14,7 +14,7 @@ lattices*, 2007), so pi_up and the antisortable flags are read off it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (ContractViolationError, InvariantError,
                      UnsupportedOperationError)
@@ -171,8 +171,7 @@ def _cover_projection(group, keep):
     return out
 
 
-@dataclass
-class CambrianClass:
+class CambrianClass(NamedTuple):
     bottom: object  # sortable WeylElement
     top: object     # antisortable WeylElement
     members: tuple
@@ -336,8 +335,7 @@ def snake_decomposable_roots(c, rset):
 
 # -- facial Cambrian classes ---------------------------------------------------
 
-@dataclass
-class FacialCambrianClass:
+class FacialCambrianClass(NamedTuple):
     down: ParabolicCoset
     up: ParabolicCoset
     members: tuple

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import weakorder as wo
 from .coeff import PSI, Coeff
@@ -40,8 +39,7 @@ from .rootset import (
 from .rootsys import build_from_label
 
 
-@dataclass
-class CensusResult:
+class CensusResult(NamedTuple):
     system: str
     family: str
     count: int
@@ -172,8 +170,7 @@ def reference_count(system_label, family_name):
     return col.get(rank)
 
 
-@dataclass
-class Table1Row:
+class Table1Row(NamedTuple):
     system: str
     family: str
     count: int
@@ -216,8 +213,7 @@ def table1_rows(system_labels, family_names):
 
 # -- sublattice and conjecture checkers ---------------------------------------
 
-@dataclass
-class SublatticeReport:
+class SublatticeReport(NamedTuple):
     size: int
     closed_under_ops: bool
     witness: Optional[tuple] = None  # (R, S, direction, result)
@@ -245,8 +241,7 @@ def check_sublattice(members, level):
                                                   RootSet(system, out)))
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     conjecture: str
     system: str
     coxeter: str
@@ -313,11 +308,10 @@ def check_conjecture(conj_id, system, coxeter_spec="lin", rank_cap=3):
 
 # -- published counterexamples -------------------------------------------------
 
-@dataclass
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     case: str
     reproduced: bool
-    details: list = field(default_factory=list)
+    details: list
 
 
 COUNTEREXAMPLE_IDS = ("h3-sums", "h2-flag", "h3-ncd",

@@ -19,8 +19,7 @@ the COEP predicate is conjectural and must be opted into explicitly.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import cambrian as camb
 from . import weyl as wy
@@ -33,14 +32,18 @@ FAMILY_TAGS = ("WOEP", "WOIP", "WOFP", "COEP", "COIP", "COFP", "BOEP", "BOIP", "
 CAMBRIAN_TAGS = ("COEP", "COIP", "COFP")
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class _FamilyFields(NamedTuple):
     tag: str
     coxeter: Optional[object] = None  # CoxeterElement or spec for Cambrian tags
 
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise ContractViolationError(f"unknown family tag {self.tag!r}")
+
+class FamilyId(_FamilyFields):
+    __slots__ = ()
+
+    def __new__(cls, tag, coxeter=None):
+        if tag not in FAMILY_TAGS:
+            raise ContractViolationError(f"unknown family tag {tag!r}")
+        return super().__new__(cls, tag, coxeter)
 
     @classmethod
     def parse(cls, name, coxeter=None):
@@ -293,8 +296,7 @@ def member_predicate(group, family, rset, allow_conjectural=False):
     raise ContractViolationError(f"unhandled family {tag}")
 
 
-@dataclass
-class FamilyEqualityReport:
+class FamilyEqualityReport(NamedTuple):
     family: str
     system: str
     construction_count: int

@@ -11,8 +11,8 @@ oracle for the fast one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import linalg
 from .coeff import Coeff
@@ -75,8 +75,7 @@ class RootSet:
         return f"RootSet({self.system.label}, {{{format_set_literal(self)}}})"
 
 
-@dataclass(frozen=True)
-class SubsetClassification:
+class SubsetClassification(NamedTuple):
     symmetric: bool
     antisymmetric: bool
     closed: bool
@@ -338,11 +337,9 @@ def parse_set_literal(system, text):
         if sign == "-":
             idx = system.neg(idx)
         bits |= 1 << idx
-        pos = close_b + 1
+        pos = len(text) - len(text[close_b + 1:].lstrip())
         if pos == len(text):
             return RootSet(system, bits)
         if text[pos] != ",":
             raise ContractViolationError(f"expected ',' at {text[pos:]!r}")
-        pos += 1
-        while text[pos:pos + 1].isspace():
-            pos += 1
+        pos = len(text) - len(text[pos + 1:].lstrip())

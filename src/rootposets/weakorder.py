@@ -56,11 +56,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import and_
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
 from .rootset import (
@@ -100,13 +99,13 @@ def weak_le(rset, sset):
 
 
 def _level_member(system, bits, level):
-    flags = classify(RootSet(system, bits))
     if level is Level.ALL:
         return True
+    if level is Level.SEMICLOSED:  # the same-sign pairs decide it
+        return _closed_flags(system, bits, mixed=False)[1]
+    flags = classify(RootSet(system, bits))
     if level is Level.ANTISYM:
         return flags.antisymmetric
-    if level is Level.SEMICLOSED:
-        return flags.semiclosed
     if level is Level.CLOSED:
         return flags.closed
     return flags.poset
@@ -210,8 +209,7 @@ def covers(level, rset):
     return [RootSet(system, s) for s in steps if _level_member(system, s, level)]
 
 
-@dataclass
-class LatticeReport:
+class LatticeReport(NamedTuple):
     family_size: int
     is_lattice: bool
     formula_matches_bruteforce: Optional[bool]

@@ -14,8 +14,8 @@ R(w) is R(w, w), and the face xW_I is the interval [x, x w_{o,I}].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ContractViolationError, InvariantError, ResourceCapError
 from .rootset import RootSet, _indices
@@ -286,8 +286,7 @@ def weyl_group(system):
     return system._group
 
 
-@dataclass(frozen=True)
-class ParabolicCoset:
+class ParabolicCoset(NamedTuple):
     """Standard parabolic coset xW_I with x its minimal-length representative."""
     x: WeylElement
     subset: frozenset  # simple positions 0..n-1

@@ -458,9 +458,15 @@ def test_family_names_round_trip():
     # only the tag is case-insensitive
     assert FamilyId.parse("woip") == FamilyId("WOIP")
     assert str(FamilyId.parse("coip(bip)")) == "COIP(bip)"
-    for bad in ("WOIP(lin)", "COIP(lin", "all"):
+    for f in [FamilyId(tag) for tag in FAMILY_TAGS] + [
+            FamilyId(tag, word) for tag in CAMBRIAN_TAGS for word in ("bip", "s2s1")]:
+        back = FamilyId.parse(str(f))
+        assert (back, hash(back), type(back)) == (f, hash(f), FamilyId)
+    for bad in ("WOIP(lin)", "COIP(lin", "all", "XYZ"):
         with pytest.raises(ContractViolationError):
             FamilyId.parse(bad)
+    with pytest.raises(ContractViolationError):
+        FamilyId("XYZ")
 
 
 def test_sublattice_checker_passes_on_woep(a2):

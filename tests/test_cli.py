@@ -174,17 +174,30 @@ def test_cube_rows_need_no_group(capsys):
                                     "E8,BOEP,256,,", "E8,BOIP,6561,,"]
 
 
-_GROUP_LAYERS = ("rootposets.census", "rootposets.families",
-                 "rootposets.cambrian", "rootposets.weyl")
+def _child_env():
+    """os.environ with the tested checkout's src first on PYTHONPATH."""
+    src = str(Path(rootposets.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+_WATCHED = ("rootposets.census", "rootposets.families", "rootposets.cambrian",
+            "rootposets.weyl", "csv", "dataclasses", "inspect")
 # runs one command in a fresh interpreter and prints its exit code and the
-# group layers it loaded
+# watched modules it loaded: the group layers and the modules start-up avoids
 _PROBE = f"""
 import contextlib, io, sys
 from rootposets import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(code, *sorted(set(sys.modules) & set({_GROUP_LAYERS!r})))
+print(code, *sorted(set(sys.modules) & set({_WATCHED!r})))
 """
+
+
+def _probe(argv):
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=60, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -196,26 +209,31 @@ print(code, *sorted(set(sys.modules) & set({_GROUP_LAYERS!r})))
 ], ids=["import", "info", "compare", "hasse", "verify"])
 def test_light_commands_load_no_group_layer(argv):
     """Importing the CLI, and the commands on root systems, set literals
-    and levels, leave census, families, cambrian and weyl unloaded."""
-    src = str(Path(rootposets.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=60, check=False)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    and levels, leave census, families, cambrian and weyl unloaded, and
+    csv, dataclasses and inspect too."""
+    assert _probe(argv) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["census", "table1", "--types", "A1", "--families", "WOEP"],
+     "csv rootposets.cambrian rootposets.census rootposets.families rootposets.weyl"),
+    (["families", "build", "--type", "A2", "--family", "woip"],
+     "rootposets.cambrian rootposets.families rootposets.weyl"),
+], ids=["table1", "build"])
+def test_group_commands_load_no_dataclasses(argv, loaded):
+    """The commands on groups and families load the group layers, and
+    only census table1 loads csv; none loads dataclasses or inspect."""
+    assert _probe(argv) == (0, f"0 {loaded}\n", "")
 
 
 def test_closed_stdout_exits_0_without_traceback():
     """A reader that takes one line of a long output (A5 WOIP, about 4 MB,
     far past a pipe buffer) and closes the pipe ends the command with 0
     and no traceback."""
-    src = str(Path(rootposets.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     with subprocess.Popen(
             [sys.executable, "-m", "rootposets.cli", "families", "build",
              "--type", "A5", "--family", "woip"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
         err = proc.stderr.read().decode()
@@ -337,6 +355,8 @@ def test_census_table1_reads_lowercase_types(capsys):
     (["order", "compare", "--type", "A2", "+[1,0],", "+[0,1]"], 2),
     # a space may follow the comma between two roots
     (["order", "compare", "--type", "A2", "+[1,0], +[0,1]", "+[0,1]"], 0),
+    # and precede it
+    (["order", "compare", "--type", "A2", "+[1,0] ,+[0,1]", "+[0,1]"], 0),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

@@ -1,5 +1,4 @@
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,8 +246,9 @@ def test_set_literal_roundtrip(a2, b3):
             r = RootSet(rs, rng.getrandbits(rs.num_roots))
             assert parse_set_literal(rs, format_set_literal(r)) == r
     assert parse_set_literal(a2, "") == RootSet(a2, 0)
-    assert parse_set_literal(a2, "+[1,0], +[0,1]") == parse_set_literal(a2, "+[1,0],+[0,1]")
-    for text in ("+[2,0]", "+[1,0],", "+[1,0], "):
+    for text in ("+[1,0], +[0,1]", "+[1,0] ,+[0,1]", "+[1,0] , +[0,1]"):
+        assert parse_set_literal(a2, text) == parse_set_literal(a2, "+[1,0],+[0,1]")
+    for text in ("+[2,0]", "+[1,0],", "+[1,0], ", "+[1,0] ,", "+[1,0] +[0,1]"):
         with pytest.raises(ContractViolationError):
             parse_set_literal(a2, text)
 
@@ -313,7 +313,8 @@ def test_classify_flags_match_three_sweeps(label, sample):
 def test_classify_records_are_shared_and_match_their_definitions(label):
     """On every subset, symmetric and antisymmetric compare R with its
     negation, taken root by root from the coordinates, and poset is
-    antisymmetric and closed.  Equal flags come back as one frozen record."""
+    antisymmetric and closed.  Equal flags come back as one immutable
+    record."""
     rs = system(label)
     negative = [rs.index_of_coords[tuple(-c for c in r.coords)] for r in rs.roots]
     records = {}
@@ -324,7 +325,7 @@ def test_classify_records_are_shared_and_match_their_definitions(label):
         assert flags.antisymmetric == (image & bits == 0), (label, bits)
         assert flags.poset == (flags.antisymmetric and flags.closed), (label, bits)
         assert records.setdefault(flags, flags) is flags
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         flags.closed = not flags.closed
 
 

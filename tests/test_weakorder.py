@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from rootposets.errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
-from rootposets.rootset import RootSet, classify, parse_set_literal, format_set_literal
+from rootposets.rootset import (
+    RootSet, classify, closure_bits, parse_set_literal, format_set_literal)
 import rootposets.weakorder as wo
 from rootposets.weakorder import (
     Level, canonical_sort, covers, export_hasse, hasse_edges, lattice_op,
@@ -17,18 +20,41 @@ def lit(rs, text):
     return parse_set_literal(rs, text)
 
 
+def in_level(flags, level):
+    """Level membership read off classify's flags."""
+    return {Level.ALL: True,
+            Level.ANTISYM: flags.antisymmetric,
+            Level.SEMICLOSED: flags.semiclosed,
+            Level.CLOSED: flags.closed,
+            Level.POSETS: flags.poset}[level]
+
+
 def level_members(rs, level):
-    out = []
-    for bits in range(1 << rs.num_roots):
-        flags = classify(RootSet(rs, bits))
-        keep = {Level.ALL: True,
-                Level.ANTISYM: flags.antisymmetric,
-                Level.SEMICLOSED: flags.semiclosed,
-                Level.CLOSED: flags.closed,
-                Level.POSETS: flags.poset}[level]
-        if keep:
-            out.append(RootSet(rs, bits))
-    return out
+    return [RootSet(rs, bits) for bits in range(1 << rs.num_roots)
+            if in_level(classify(RootSet(rs, bits)), level)]
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_level_member_matches_classify(label):
+    """_level_member, which decides semiclosed from the same-sign pairs
+    alone, agrees with classify on every level.  The seeded sets are
+    sparse and come with their closure and the union of their halves'
+    closures, so every level has members and non-members among them."""
+    rs = system(label)
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        bits = rng.getrandbits(rs.num_roots) & rng.getrandbits(rs.num_roots)
+        halves = (closure_bits(rs, bits & rs.pos_mask)
+                  | closure_bits(rs, bits & rs.neg_mask))
+        for b in (bits, closure_bits(rs, bits), halves):
+            flags = classify(RootSet(rs, b))
+            for level in Level:
+                got = wo._level_member(rs, b, level)
+                assert got == in_level(flags, level), (label, b, level)
+                seen.add((level, got))
+    assert seen == {(level, x) for level in Level for x in (True, False)
+                    if x or level is not Level.ALL}
 
 
 def test_weak_le_examples(a2):
