@@ -319,7 +319,7 @@ def snake_decomposable_roots(c, rset):
     """
     system = c.group.system
     if not system.crystallographic:
-        raise ContractViolationError("snake search needs integer coordinates")
+        raise UnsupportedOperationError("snakes need a crystallographic system")
     max_len = 2 * system.rank + 2
     coeff_bound = max(abs(x) for row in system.int_coords for x in row)
     found = set(_indices(rset.bits))

@@ -20,7 +20,8 @@ listed families (families.family_set) are its oracle in the tests.
 
 The counterexamples need only roots, subsets and the weak order, so the
 group layers (cambrian, families, weyl) are imported by the functions
-that use them, not with this module.
+that use them, not with this module.  They name each root by its set
+literal and add roots as int vectors (RootSystem.int_coords).
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import time
 from typing import NamedTuple, Optional
 
 from . import weakorder as wo
-from .coeff import PSI, Coeff
-from .errors import ContractViolationError, ResourceCapError
+from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
 from .rootset import (
     RootSet, _indices, classify, closure_deletion, format_set_literal, is_convex,
     parse_set_literal,
@@ -266,6 +266,9 @@ def check_conjecture(conj_id, system, coxeter_spec="lin", rank_cap=3):
     from .weyl import weyl_group
     _require_id("conjecture", conj_id, CONJECTURE_IDS)
     camb.coxeter_word(system, coxeter_spec)  # a bad word exits 2, not on a cap
+    if not system.crystallographic:  # refused before any group or poset is built
+        raise UnsupportedOperationError(
+            f"the {conj_id} conjecture needs a crystallographic system")
     if system.rank > rank_cap:
         raise ResourceCapError(
             f"conjecture scope capped at rank {rank_cap}")
@@ -318,13 +321,16 @@ COUNTEREXAMPLE_IDS = ("h3-sums", "h2-flag", "h3-ncd",
                       "h3-closed-lattice", "b3-convex-lattice")
 
 
+def _root(system, literal):
+    """The index of the one root a literal such as ``-[1,1p,0]`` names."""
+    (k,) = parse_set_literal(system, literal)
+    return k
+
+
 def _h3_remark_roots(system):
     """alpha = a1, beta = -(a1 + psi a2), gamma = -(psi a1 + a2 + a3)."""
-    lookup = system.index_of_coords
-    alpha = lookup[(Coeff(1), Coeff(0), Coeff(0))]
-    beta_pos = lookup[(Coeff(1), PSI, Coeff(0))]
-    gamma_pos = lookup[(PSI, Coeff(1), Coeff(1))]
-    return alpha, system.neg(beta_pos), system.neg(gamma_pos)
+    return tuple(_root(system, literal)
+                 for literal in ("+[1,0,0]", "-[1,1p,0]", "-[1p,1,1]"))
 
 
 def reproduce_counterexample(case):
@@ -337,19 +343,16 @@ def reproduce_counterexample(case):
 
     if case == "h3-sums":
         system = build_from_label("H3")
-        alpha = system.index_of_coords[(Coeff(1), Coeff(0), Coeff(0))]
-        beta = system.index_of_coords[(Coeff(0), Coeff(1), Coeff(0))]
-        gamma = system.index_of_coords[(PSI, PSI, PSI)]
+        alpha, beta, gamma = (_root(system, literal) for literal in
+                              ("+[1,0,0]", "+[0,1,0]", "+[1p,1p,1p]"))
         expect("gamma = psi(a1+a2+a3) is a root", gamma is not None)
         expect("<alpha, beta> < 0", system.inner(alpha, beta).sign() < 0)
         expect("alpha != -beta", system.neg(alpha) != beta)
         expect("alpha + beta is not a root",
                system.root_sum(alpha, beta) is None)
-        triple = tuple(a + b + g for a, b, g in zip(
-            system.roots[alpha].coords, system.roots[beta].coords,
-            system.roots[gamma].coords))
+        triple = _coord_sum(system, (alpha, beta, gamma))
         expect("alpha + beta + gamma is a root",
-               system.index_of_coords.get(triple) is not None)
+               system.index_of_int_coords.get(triple) is not None)
         # the two-of-three-subsums property fails: of the subsums with
         # gamma, exactly one is a root (which one depends on the diagram
         # orientation; the source text's labels are mirrored against ours)
@@ -360,35 +363,27 @@ def reproduce_counterexample(case):
 
     elif case == "h2-flag":
         system = build_from_label("H2")
-        lookup = system.index_of_coords
-        alpha = lookup[(Coeff(1), Coeff(0))]
-        beta = lookup[(Coeff(0), Coeff(1))]
-        gamma = lookup[(PSI, PSI)]
-        delta = system.neg(lookup[(Coeff(1), PSI)])
-        quad = [alpha, beta, gamma, delta]
+        lookup = system.index_of_int_coords
+        quad = [_root(system, literal)
+                for literal in ("+[1,0]", "+[0,1]", "+[1p,1p]", "-[1,1p]")]
         total = _coord_sum(system, quad)
-        expect("the four roots are summable",
-               system.index_of_coords.get(total) is not None)
+        expect("the four roots are summable", lookup.get(total) is not None)
         summable2or3 = []
         for k in (2, 3):
             for sub in itertools.combinations(quad, k):
-                s = _coord_sum(system, sub)
-                if system.index_of_coords.get(s) is not None:
+                if lookup.get(_coord_sum(system, sub)) is not None:
                     summable2or3.append(sub)
         expect("no summable 2- or 3-subset, hence not a single flag",
                not summable2or3)
         # bounded sweep of the N-span: only the five claimed roots appear
         found = set()
-        vecs = [system.roots[i].coords for i in quad]
+        columns = list(zip(*(system.int_coords[i] for i in quad)))
         for lams in itertools.product(range(5), repeat=4):
-            s = None
-            for lam, v in zip(lams, vecs):
-                term = tuple(lam * x for x in v)
-                s = term if s is None else tuple(a + b for a, b in zip(s, term))
-            k = system.index_of_coords.get(s)
+            k = lookup.get(tuple(sum(lam * x for lam, x in zip(lams, column))
+                                 for column in columns))
             if k is not None:
                 found.add(k)
-        claimed = set(quad) | {system.index_of_coords[total]}
+        claimed = set(quad) | {lookup[total]}
         expect("N-span meets Phi in exactly the five claimed roots",
                found == claimed)
 
@@ -453,11 +448,8 @@ def reproduce_counterexample(case):
 
 
 def _coord_sum(system, indices):
-    total = None
-    for i in indices:
-        c = system.roots[i].coords
-        total = c if total is None else tuple(a + b for a, b in zip(total, c))
-    return total
+    """The int vector of the sum of the roots at ``indices``."""
+    return tuple(map(sum, zip(*(system.int_coords[i] for i in indices))))
 
 
 def _sandwich_candidates(system, lowers, uppers):
@@ -484,7 +476,6 @@ def _sandwich_candidates(system, lowers, uppers):
 
 def _cone_member(system, rset, literal):
     from .linalg import in_rational_cone
-    target = parse_set_literal(system, literal)
-    (t,) = list(target)
     gens = [system.roots[i].coords for i in rset]
-    return in_rational_cone(gens, system.roots[t].coords, system.rank)
+    target = system.roots[_root(system, literal)].coords
+    return in_rational_cone(gens, target, system.rank)

@@ -5,8 +5,9 @@ index i of the owning system, so the positive part, negative part and
 negation are single mask operations.  The closure operator, the negative
 and positive closure deletions, convexity, and the classification
 predicates (symmetric / antisymmetric / closed / semiclosed / poset)
-all live here; the exhaustive closure deletion doubles as the tests'
-oracle for the fast one.
+all live here; the exhaustive closure deletion, a walk on the roots' int
+vectors on every type, doubles as the tests' oracle for the fast one.
+``Coeff`` is read only by the set literals and by convexity.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from typing import NamedTuple
 from . import linalg
 from .coeff import Coeff
 from .errors import ContractViolationError, UnsupportedOperationError
-
-_COEFF_ZERO = Coeff(0)
 
 
 class RootSet:
@@ -172,37 +171,25 @@ def closure(rset):
 def _deletable_exhaustive(system, bits, alpha, source_indices):
     """Exhaustive sweep of alpha + N(sources), oracle-grade.
 
-    Walks the coefficient lattice itself (not just root-valued sums), so
-    it is independent of the chain/filtration theory that justifies the
-    fast path.  The sources all share one sign, so every coordinate is
-    monotone along the walk; pruning at the coordinate range of the
-    roots therefore loses nothing and guarantees termination.
+    Walks the lattice of int vectors itself (not just root-valued sums),
+    so it is independent of the chain/filtration theory that justifies
+    the fast path.  The sources all share one sign, and every integer of
+    a root has the root's sign, so every integer moves one way along the
+    walk, on the H and I types as on the crystallographic ones; pruning
+    at the integers' range over the roots therefore loses nothing and
+    guarantees termination.
     """
     if not source_indices:
         return False
-    ascending = system.is_positive(source_indices[0])
-    coords = system.int_coords
-    if coords is not None:
-        lookup = system.index_of_int_coords
-        cmax = max(abs(c) for row in coords for c in row)
-        start = coords[alpha]
-        gens = [coords[i] for i in source_indices]
-        if ascending:
-            inside = lambda p: all(c <= cmax for c in p)
-        else:
-            inside = lambda p: all(c >= -cmax for c in p)
+    coords, lookup = system.int_coords, system.index_of_int_coords
+    cmax = max(abs(c) for row in coords for c in row)
+    if system.is_positive(source_indices[0]):
+        inside = lambda p: max(p) <= cmax
     else:
-        lookup = system.index_of_coords
-        hmax = max(abs(r.height) for r in system.roots)
-        start = system.roots[alpha].coords
-        gens = [system.roots[i].coords for i in source_indices]
-        if ascending:
-            inside = lambda p: sum(p, _COEFF_ZERO) <= hmax
-        else:
-            inside = lambda p: -hmax <= sum(p, _COEFF_ZERO)
-
-    seen = {start}
-    stack = [start]
+        inside = lambda p: min(p) >= -cmax
+    gens = [coords[i] for i in source_indices]
+    seen = {coords[alpha]}
+    stack = [coords[alpha]]
     while stack:
         point = stack.pop()
         for g in gens:

@@ -5,10 +5,13 @@ under all simple reflections.  Coordinates live in the simple-root basis.
 Every Cartan entry of a supported type lies in Z[psi], so every
 coordinate does too: the closure, the sum table and the simple
 reflections are computed on int vectors (x_1..x_r, y_1..y_r) for the
-coordinates x_j + y_j psi, with no floating point anywhere.  ``Coeff``
-appears only at the boundary: the Cartan matrix read in, and the
-coordinates, heights and literals of the built roots, whose exact
-(height, coordinates) key orders the positive roots.
+coordinates x_j + y_j psi, with no floating point anywhere.  Every root
+keeps its int vector as ``int_coords``: the y part is all 0 on the
+crystallographic types and is dropped there.  A root's integers all have
+the root's sign, which the build checks.  ``Coeff`` appears only at the
+boundary: the Cartan matrix read in, and the coordinates, heights and
+literals of the built roots, whose exact (height, coordinates) key
+orders the positive roots.
 
 Indexing convention: the N positive roots occupy indices 0..N-1, sorted
 by (height, lexicographic coordinates); index i + N holds the negative
@@ -127,13 +130,6 @@ def _int_pairs(cartan, label):
     return [[(int(c.a), int(c.b)) for c in row] for row in cartan]
 
 
-def _sign(x, y):
-    """Sign of x + y psi for integers x, y: that of (2x + y) + y sqrt 5."""
-    u = 2 * x + y
-    lead = u if u * u > 5 * y * y else y
-    return (lead > 0) - (lead < 0)
-
-
 def _symmetrizer(cartan):
     """Positive rationals d_i with d_i * a_ij symmetric ((a_i, a_j) = d_i a_ij)."""
     n = len(cartan)
@@ -248,14 +244,12 @@ class RootSystem:
             return (coeff(sum(v[:rank]), sum(v[rank:])),
                     tuple(coeff(x, y) for x, y in zip(v[:rank], v[rank:])))
 
-        positives = []
-        for v in vectors:
-            signs = {_sign(x, y) for x, y in zip(v[:rank], v[rank:])}
-            if -1 in signs and 1 in signs:
-                raise ConfigurationError(
-                    f"mixed-sign root generated for {self.label}; bad Cartan data")
-            if 1 in signs:
-                positives.append(v)
+        # x + y psi > 0 when x, y >= 0 are not both 0, so a vector with no
+        # negative int is a positive root
+        if any(min(v) < 0 < max(v) for v in vectors):
+            raise ConfigurationError(
+                f"mixed-sign root generated for {self.label}; bad Cartan data")
+        positives = [v for v in vectors if max(v) > 0]
         positives.sort(key=boundary)
         n = self.num_positive = len(positives)
         self.num_roots = 2 * n
@@ -288,14 +282,11 @@ class RootSystem:
         self.pos_mask = (1 << n) - 1
         self.full_mask = (1 << n2) - 1
         self.neg_mask = self.full_mask ^ self.pos_mask
-        # integer coordinate table for the crystallographic fast paths
-        if self.crystallographic:
-            self.int_coords = tuple(v[:rank] for v in order)
-            self.index_of_int_coords = {
-                c: k for k, c in enumerate(self.int_coords)}
-        else:
-            self.int_coords = None
-            self.index_of_int_coords = None
+        # the int vector of each root, its all-0 psi part dropped on the
+        # crystallographic types
+        width = rank if self.crystallographic else 2 * rank
+        self.int_coords = tuple(v[:width] for v in order)
+        self.index_of_int_coords = {v: k for k, v in enumerate(self.int_coords)}
 
     # -- basic queries ---------------------------------------------------
 

@@ -263,10 +263,11 @@ class WeylGroup:
         if got is not None:
             return got
         system = self.system
+        rank = system.rank
         span_bits = 0
-        for i in range(system.num_positive):
-            coords = system.roots[i].coords
-            if all(not coords[j] or j in subset for j in range(system.rank)):
+        # entry j of an int vector belongs to the simple root j % rank
+        for i, v in enumerate(system.int_coords[:system.num_positive]):
+            if all(j % rank in subset for j, x in enumerate(v) if x):
                 span_bits |= 1 << i
         # w_{o,I} is the element whose inversion set is Phi_I^+
         ident = self._by_inv.get(span_bits)

@@ -3,7 +3,7 @@
 Each one takes the slow, literal route: the N-span by lattice reachability,
 the posets by a sign-vector sweep, lattice bounds and covers straight from
 their definitions, the level formulas with a full classification before
-each deletion, the Cambrian projections by scanning every sortable
+each deletion, the closure deletion by a walk on Coeff coordinates, the Cambrian projections by scanning every sortable
 element, group products by composing root permutations, weak order
 meets, joins and intervals by scanning W, the roots
 and their tables by Coeff arithmetic, the families one RootSet per
@@ -37,8 +37,9 @@ def root_tables_reference(family, rank, m=None):
     The simple roots are closed under s_i(v) = v - <v, alpha_i^vee> alpha_i
     in Q(psi), the positive roots sorted by (height, coordinates) and
     their negatives placed N later, and every pair summed.  Returns a
-    namespace of coords, heights, literals, sum_table, int_coords (None
-    off the crystallographic types) and index_of_coords.
+    namespace of coords, heights, literals, sum_table, int_coords (the
+    integer parts of the coordinates, then their psi parts off the
+    crystallographic types) and index_of_coords.
     """
     cartan = cartan_matrix(family, rank, m)
     zero = Coeff(0)
@@ -67,8 +68,10 @@ def root_tables_reference(family, rank, m=None):
                        for sign in "+-" for cs in positives),
         sum_table=[[index.get(tuple(a + b for a, b in zip(ci, cj)), -1)
                     for cj in coords] for ci in coords],
-        int_coords=(tuple(tuple(as_int(c) for c in cs) for cs in coords)
-                    if crystallographic else None),
+        int_coords=tuple(
+            tuple(as_int(c) for c in cs) if crystallographic
+            else tuple(int(c.a) for c in cs) + tuple(int(c.b) for c in cs)
+            for cs in coords),
         index_of_coords=index)
 
 
@@ -151,6 +154,45 @@ def nspan_oracle(rset, slack=1):
         if seen[code(coords)]:
             bits |= 1 << k
     return RootSet(system, bits)
+
+
+def deletion_coeff_reference(system, bits, side):
+    """closure_deletion by the exhaustive walk on Coeff coordinates: a
+    victim goes when alpha + N(sources) meets Phi \\ R.  The sources
+    share one sign, so the height moves one way along the walk, which is
+    pruned at the largest root height."""
+    if side == "negative":
+        victims, sources = bits & system.neg_mask, bits & system.pos_mask
+    else:
+        victims, sources = bits & system.pos_mask, bits & system.neg_mask
+    zero = Coeff(0)
+    hmax = max(abs(r.height) for r in system.roots)
+    if side == "negative":  # positive sources
+        inside = lambda p: sum(p, zero) <= hmax
+    else:
+        inside = lambda p: -hmax <= sum(p, zero)
+    gens = [system.roots[i].coords for i in _indices(sources)]
+
+    def deletable(start):
+        seen, stack = {start}, [start]
+        while stack:
+            point = stack.pop()
+            for g in gens:
+                q = tuple(a + b for a, b in zip(point, g))
+                if q in seen or not inside(q):
+                    continue
+                k = system.index_of_coords.get(q)
+                if k is not None and not (bits >> k) & 1:
+                    return True
+                seen.add(q)
+                stack.append(q)
+        return False
+
+    out = bits
+    for alpha in _indices(victims):
+        if deletable(system.roots[alpha].coords):
+            out &= ~(1 << alpha)
+    return out
 
 
 def closed_flags_reference(system, bits):

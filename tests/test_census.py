@@ -431,13 +431,22 @@ def test_sublattice_checker_finds_the_woip_witness(a2):
     assert result == parse_set_literal(a2, "+[1,1]")
 
 
-@pytest.mark.parametrize("label,conj", [("H2", "coip-sublattice"),
-                                        ("H2", "coep-sublattice"),
-                                        ("H3", "coip-sublattice")])
-def test_sublattice_conjectures_refuse_noncrystallographic(label, conj):
-    """The posets formulas are only proved on crystallographic systems."""
-    with pytest.raises(UnsupportedOperationError):
-        check_conjecture(conj, system(label))
+@pytest.mark.parametrize("conj", CONJECTURE_IDS)
+@pytest.mark.parametrize("label", ["H2", "H3", "I2(5)"])
+def test_conjectures_refuse_noncrystallographic_before_any_work(
+        conj, label, monkeypatch):
+    """The posets formulas and the COEP predicate are only proved on
+    crystallographic systems, so off them every conjecture is refused
+    before the rank cap, before any group is built and before any poset
+    is listed."""
+    import rootposets.census as cns
+
+    def fail(*args):
+        raise AssertionError("built before the refusal")
+    monkeypatch.setattr(weyl, "weyl_group", fail)
+    monkeypatch.setattr(cns, "enumerate_posets", fail)
+    with pytest.raises(UnsupportedOperationError, match="crystallographic"):
+        check_conjecture(conj, system(label), rank_cap=0)
 
 
 def test_failed_sublattice_conjecture_names_the_pair(a2, monkeypatch):

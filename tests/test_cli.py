@@ -357,6 +357,9 @@ def test_census_table1_reads_lowercase_types(capsys):
     (["order", "compare", "--type", "A2", "+[1,0], +[0,1]", "+[0,1]"], 0),
     # and precede it
     (["order", "compare", "--type", "A2", "+[1,0] ,+[0,1]", "+[0,1]"], 0),
+    # a conjecture off the crystallographic types is refused before its cap
+    (["check-conjecture", "coep-characterization", "--type", "H3",
+      "--rank-cap", "2"], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

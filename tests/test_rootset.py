@@ -13,7 +13,9 @@ from rootposets.weakorder import weak_le
 from rootposets.census import enumerate_posets
 
 from conftest import group, system
-from oracles import closed_flags_reference, linear_extensions, nspan_oracle
+from oracles import (
+    closed_flags_reference, deletion_coeff_reference, linear_extensions, nspan_oracle,
+)
 
 
 def lit(rs, text):
@@ -161,6 +163,20 @@ def test_closure_deletion_paths_agree_rank2(label):
             fast = deletion_bits(rs, r.bits, side, True)
             slow = deletion_bits(rs, r.bits, side, False)
             assert fast == slow
+
+
+@pytest.mark.parametrize("label,sample", [("H2", 80), ("H3", 4)])
+def test_exhaustive_deletion_matches_the_coeff_walk(label, sample):
+    """On H the exhaustive deletion walks int vectors pruned at the
+    integers' range; the Coeff walk pruned at the largest height agrees
+    on seeded subsets, both sides.  I2(5) has H2's Cartan matrix."""
+    rs = system(label)
+    rng = random.Random(label)
+    for _ in range(sample):
+        bits = rng.getrandbits(rs.num_roots)
+        for side in ("negative", "positive"):
+            assert deletion_bits(rs, bits, side, False) == \
+                deletion_coeff_reference(rs, bits, side), (side, bits)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])

@@ -123,9 +123,7 @@ def test_tables_match_coeff_reference(label):
     assert rs.sum_table == ref.sum_table
     assert rs.int_coords == ref.int_coords
     assert rs.index_of_coords == ref.index_of_coords
-    if rs.int_coords is not None:
-        assert rs.index_of_int_coords == {
-            c: k for k, c in enumerate(ref.int_coords)}
+    assert rs.index_of_int_coords == {c: k for k, c in enumerate(ref.int_coords)}
     for i, s in enumerate(rs.simple_indices()):
         assert rs.simple_reflections[i] == tuple(
             reflect(rs, s, t) for t in range(rs.num_roots))
@@ -141,15 +139,11 @@ PARTNER_LABELS = (
 def test_sum_partners_match_coordinate_sums(label):
     """sum_partners is (same, every): every[i] holds (1 << j, 1 << k, same
     sign) for each j > i whose coordinate sum with root i is root k,
-    summed from the int coordinates (the Coeff ones on H and I), and
-    same[i] those with root j of the sign of root i; building a system
-    leaves the table unbuilt."""
+    summed from the int coordinates, and same[i] those with root j of the
+    sign of root i; building a system leaves the table unbuilt."""
     rs = build_from_label(label)
     assert "sum_partners" not in vars(rs)
-    if rs.int_coords is not None:
-        coords, index = rs.int_coords, rs.index_of_int_coords
-    else:
-        coords, index = [r.coords for r in rs.roots], rs.index_of_coords
+    coords, index = rs.int_coords, rs.index_of_int_coords
     n = rs.num_positive
     same, every = [], []
     for i, u in enumerate(coords):
@@ -183,6 +177,33 @@ def test_cartan_entry_outside_z_psi_is_refused(monkeypatch):
     with pytest.raises(ConfigurationError, match="not in Z") as err:
         build_root_system("A", 2)
     assert err.value.__context__ is None  # raised by the check, not caught
+
+
+def test_star_pentagon_is_refused_as_mixed_sign(monkeypatch):
+    """The star pentagon, 1 - psi off the diagonal, generates the roots of
+    I2(5), but one of them has integers of both signs."""
+    def star(family, rank, m=None):
+        return [[Coeff(2), Coeff(1, -1)], [Coeff(1, -1), Coeff(2)]]
+    monkeypatch.setattr(rootsys, "cartan_matrix", star)
+    with pytest.raises(ConfigurationError, match="mixed-sign root"):
+        build_root_system("I", 2, 5)
+
+
+def test_h4_roots_keep_one_sign(monkeypatch):
+    """H4, from its Cartan matrix and degrees 2, 12, 20, 30, passes the
+    sign rule: 60 positive roots, each with integers 0..4 only."""
+    def h4(family, rank, m=None):
+        a = [[Coeff(2 * (i == j)) for j in range(4)] for i in range(4)]
+        a[0][1] = a[1][0] = -PSI
+        a[1][2] = a[2][1] = a[2][3] = a[3][2] = -Coeff(1)
+        return a
+    monkeypatch.setattr(rootsys, "cartan_matrix", h4)
+    monkeypatch.setitem(rootsys._DEGREES, "H", lambda n: [2, 12, 20, 30])
+    rs = build_root_system("H", 4)
+    assert rs.num_positive == 60
+    assert {x for v in rs.int_coords[:60] for x in v} == set(range(5))
+    assert rs.int_coords[60:] == tuple(
+        tuple(-x for x in v) for v in rs.int_coords[:60])
 
 
 @pytest.mark.parametrize("label", CRYSTAL_LABELS + ["H2", "H3"])
