@@ -31,6 +31,7 @@ import time
 from typing import NamedTuple, Optional
 
 from . import weakorder as wo
+from .coeff import Coeff
 from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
 from .rootset import (
     RootSet, _indices, classify, closure_deletion, format_set_literal, is_convex,
@@ -343,23 +344,25 @@ def reproduce_counterexample(case):
 
     if case == "h3-sums":
         system = build_from_label("H3")
-        alpha, beta, gamma = (_root(system, literal) for literal in
-                              ("+[1,0,0]", "+[0,1,0]", "+[1p,1p,1p]"))
+        alpha, beta = _root(system, "+[1,0,0]"), _root(system, "+[0,1,0]")
+        psi = Coeff(0, 1)
+        gamma = system.index_of_coords.get((psi, psi, psi))
         expect("gamma = psi(a1+a2+a3) is a root", gamma is not None)
         expect("<alpha, beta> < 0", system.inner(alpha, beta).sign() < 0)
         expect("alpha != -beta", system.neg(alpha) != beta)
         expect("alpha + beta is not a root",
                system.root_sum(alpha, beta) is None)
-        triple = _coord_sum(system, (alpha, beta, gamma))
-        expect("alpha + beta + gamma is a root",
-               system.index_of_int_coords.get(triple) is not None)
-        # the two-of-three-subsums property fails: of the subsums with
-        # gamma, exactly one is a root (which one depends on the diagram
-        # orientation; the source text's labels are mirrored against ours)
-        in_phi = [system.root_sum(alpha, gamma) is not None,
-                  system.root_sum(beta, gamma) is not None]
-        expect("exactly one of alpha+gamma, beta+gamma is a root",
-               sum(in_phi) == 1)
+        if gamma is not None:  # else the claims on gamma have no subject
+            triple = _coord_sum(system, (alpha, beta, gamma))
+            expect("alpha + beta + gamma is a root",
+                   system.index_of_int_coords.get(triple) is not None)
+            # the two-of-three-subsums property fails: of the subsums with
+            # gamma, exactly one is a root (which one depends on the diagram
+            # orientation; the source text's labels are mirrored against ours)
+            in_phi = [system.root_sum(alpha, gamma) is not None,
+                      system.root_sum(beta, gamma) is not None]
+            expect("exactly one of alpha+gamma, beta+gamma is a root",
+                   sum(in_phi) == 1)
 
     elif case == "h2-flag":
         system = build_from_label("H2")

@@ -26,7 +26,7 @@ from . import weyl as wy
 from .errors import (ContractViolationError, ResourceCapError,
                      UnsupportedOperationError)
 from .linalg import strict_separation_exists
-from .rootset import RootSet, classify, closure_bits, _indices
+from .rootset import classify, closure_bits, root_sets, _indices
 
 FAMILY_TAGS = ("WOEP", "WOIP", "WOFP", "COEP", "COIP", "COFP", "BOEP", "BOIP", "BOFP")
 CAMBRIAN_TAGS = ("COEP", "COIP", "COFP")
@@ -210,13 +210,13 @@ def family_bits(group, family):
 
 
 def construct_family(group, family, cap=None):
-    """The family's posets as RootSets, in the order of family_bits.  A
-    family of more than ``cap`` sets is refused from its count, before
-    any poset is built."""
+    """The family's posets as RootSets, wrapped by root_sets in the order
+    of family_bits.  A family of more than ``cap`` sets is refused from
+    its count, before any poset is built."""
     if cap is not None and family_count(group.system, family) > cap:
         raise ResourceCapError(
             f"{family} family of {group.system.label} has more than {cap} sets")
-    return [RootSet(group.system, b) for b in family_bits(group, family)]
+    return root_sets(group.system, family_bits(group, family))
 
 
 def _coip_sums_hold(system, c, bits):
@@ -324,67 +324,3 @@ def verify_family_equality(group, family, all_posets, allow_conjectural=False):
         only_constructed=sorted(cbits - pbits),
         only_predicate=sorted(pbits - cbits),
     )
-
-
-# -- family-internal lattice operations (for the sublattice suite) ---------
-
-def woip_interval_of(group, rset):
-    """The (v, w) with v <= w realizing a WOIP poset as R(v, w).
-
-    R(v, w) meets Phi^- in -inv(v) and Phi^+ in Phi^+ minus inv(w), so v
-    and w are looked up by those inversion sets.
-    """
-    system = group.system
-    v = group._by_inv.get(system.negate_bits(rset.bits & system.neg_mask))
-    w = group._by_inv.get(system.pos_mask & ~rset.bits)
-    if v is None or w is None:
-        raise ContractViolationError("set is not a weak order interval poset")
-    v, w = group.elements[v], group.elements[w]
-    # interval_poset refuses v, w unless v <= w
-    if wy.interval_poset(group, v, w).bits != rset.bits:
-        raise ContractViolationError("set is not a weak order interval poset")
-    return v, w
-
-
-def woip_op(group, direction, rset, sset):
-    """Meet/join inside WOIP via componentwise weak-order meet/join."""
-    lv, lw = woip_interval_of(group, rset)
-    rv, rw = woip_interval_of(group, sset)
-    op = group.weak_meet if direction == "meet" else group.weak_join
-    return wy.interval_poset(group, op(lv, rv), op(lw, rw))
-
-
-def coip_op(group, c, direction, rset, sset):
-    """Meet/join inside COIP(c) via the Cambrian class components."""
-    lv, lw = woip_interval_of(group, rset)
-    rv, rw = woip_interval_of(group, sset)
-    if not (c.sortable[lv.id] and c.sortable[rv.id]):
-        raise ContractViolationError("COIP bottom is not sortable")
-    if not (c.antisortable[lw.id] and c.antisortable[rw.id]):
-        raise ContractViolationError("COIP top is not antisortable")
-    # sortables/antisortables are sublattices, so the result is again a COIP pair
-    return woip_op(group, direction, rset, sset)
-
-
-def boip_components_of(group, rset):
-    """(A, A') with R = R(A, A'), read off the simple roots present."""
-    system = group.system
-    a_set, a_prime = set(), set(range(system.rank))
-    for i, s in enumerate(group.simple_root_indices):
-        if (rset.bits >> system.neg(s)) & 1:
-            a_set.add(i)
-        if (rset.bits >> s) & 1:
-            a_prime.discard(i)
-    return frozenset(a_set), frozenset(a_prime)
-
-
-def boip_op(group, direction, rset, sset):
-    ra, rb = boip_components_of(group, rset)
-    sa, sb = boip_components_of(group, sset)
-    if direction == "meet":
-        na, nb = ra & sa, rb & sb
-    else:
-        na, nb = ra | sa, rb | sb
-    system = group.system
-    return RootSet(system, wy.interval_bits(
-        system, _boolean_bits(group, na), _boolean_bits(group, nb)))

@@ -7,12 +7,14 @@ and positive closure deletions, convexity, and the classification
 predicates (symmetric / antisymmetric / closed / semiclosed / poset)
 all live here; the exhaustive closure deletion, a walk on the roots' int
 vectors on every type, doubles as the tests' oracle for the fast one.
+root_sets wraps the bulk lists of the level and family listings.
 ``Coeff`` is read only by the set literals and by convexity.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import gc
+from itertools import product, repeat
 from typing import NamedTuple
 
 from . import linalg
@@ -72,6 +74,24 @@ class RootSet:
 
     def __repr__(self):
         return f"RootSet({self.system.label}, {{{format_set_literal(self)}}})"
+
+
+def root_sets(system, bits):
+    """[RootSet(system, b) for b in bits], built with the cyclic collector
+    paused.  A RootSet holds a system and an int, so it is never part of
+    a cycle; yet the collector tracks it, and a bulk list sets off passes
+    of every generation, full ones that walk the whole heap included.  The
+    one young pass the pause put off runs before the collector is back
+    on, so the caller inherits no backlog; a caller that had the collector
+    off finds it off, and no pass runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(RootSet, repeat(system), bits))
+    finally:
+        if enabled:
+            gc.collect(0)
+            gc.enable()
 
 
 class SubsetClassification(NamedTuple):

@@ -64,7 +64,7 @@ from typing import NamedTuple, Optional
 from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
 from .rootset import (
     RootSet, _closed_flags, _indices, classify, closure_bits, deletion_bits,
-    format_set_literal)
+    format_set_literal, root_sets)
 
 VERIFY_CAP = 5000
 HASSE_CAP = 10_000
@@ -549,7 +549,8 @@ def require_dfs(system, level):
 
 
 def level_members(system, level, cap=None):
-    """Every set of one level of the weak order, as RootSets.
+    """Every set of one level of the weak order, as RootSets wrapped by
+    root_sets.
 
     Closed and posets come in DFS order.  A level of more than ``cap``
     sets is refused before its sets are built; the backtracking stops as
@@ -581,7 +582,7 @@ def level_members(system, level, cap=None):
         found = []
         _closed_sets(system, range(system.num_roots),
                      level is Level.POSETS, _collect(found, cap, refusal))
-    return [RootSet(system, b) for b in found]
+    return root_sets(system, found)
 
 
 def level_count(system, level):

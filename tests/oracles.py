@@ -11,7 +11,9 @@ element, pair, coset or class, the snake decompositions one search per
 snake and root, the closed sets by one backtracking over every root
 with a leaf per set, the closed and semiclosed flags by three sweeps.
 Beside them sit small helpers only the tests need: the integer queries
-on Coeff, an element from a word, and the boolean element posets.
+on Coeff, an element from a word, the boolean element posets, and the
+meets and joins inside WOIP, COIP and BOIP from their interval
+components.
 None of them is used by the library.
 """
 
@@ -23,12 +25,15 @@ from rootposets.cambrian import (
 )
 from rootposets.coeff import Coeff
 from rootposets.errors import ContractViolationError, UnsupportedOperationError
+from rootposets.families import _boolean_bits
 from rootposets.rootset import (
     RootSet, _indices, classify, closure_bits, deletion_bits,
 )
 from rootposets.rootsys import cartan_matrix
 from rootposets.weakorder import Level, canonical_sort, weak_le
-from rootposets.weyl import WeylElement, enumerate_cosets, interval_poset
+from rootposets.weyl import (
+    WeylElement, enumerate_cosets, interval_bits, interval_poset,
+)
 
 
 def root_tables_reference(family, rank, m=None):
@@ -411,6 +416,69 @@ def interval_pairs_reference(group, family):
     assert tag == "COIP"
     return [(x.bottom.poset_bits, y.top.poset_bits) for x in classes
             for y in classes if x.bottom.weak_le(y.bottom)]
+
+
+def woip_interval_of(group, rset):
+    """The (v, w) with v <= w realizing a WOIP poset as R(v, w).
+
+    R(v, w) meets Phi^- in -inv(v) and Phi^+ in Phi^+ minus inv(w), so v
+    and w are looked up by those inversion sets.
+    """
+    system = group.system
+    v = group._by_inv.get(system.negate_bits(rset.bits & system.neg_mask))
+    w = group._by_inv.get(system.pos_mask & ~rset.bits)
+    if v is None or w is None:
+        raise ContractViolationError("set is not a weak order interval poset")
+    v, w = group.elements[v], group.elements[w]
+    # interval_poset refuses v, w unless v <= w
+    if interval_poset(group, v, w).bits != rset.bits:
+        raise ContractViolationError("set is not a weak order interval poset")
+    return v, w
+
+
+def woip_op(group, direction, rset, sset):
+    """Meet/join inside WOIP via componentwise weak-order meet/join."""
+    lv, lw = woip_interval_of(group, rset)
+    rv, rw = woip_interval_of(group, sset)
+    op = group.weak_meet if direction == "meet" else group.weak_join
+    return interval_poset(group, op(lv, rv), op(lw, rw))
+
+
+def coip_op(group, c, direction, rset, sset):
+    """Meet/join inside COIP(c) via the Cambrian class components."""
+    lv, lw = woip_interval_of(group, rset)
+    rv, rw = woip_interval_of(group, sset)
+    if not (c.sortable[lv.id] and c.sortable[rv.id]):
+        raise ContractViolationError("COIP bottom is not sortable")
+    if not (c.antisortable[lw.id] and c.antisortable[rw.id]):
+        raise ContractViolationError("COIP top is not antisortable")
+    # sortables/antisortables are sublattices, so the result is again a COIP pair
+    return woip_op(group, direction, rset, sset)
+
+
+def boip_components_of(group, rset):
+    """(A, A') with R = R(A, A'), read off the simple roots present."""
+    system = group.system
+    a_set, a_prime = set(), set(range(system.rank))
+    for i, s in enumerate(group.simple_root_indices):
+        if (rset.bits >> system.neg(s)) & 1:
+            a_set.add(i)
+        if (rset.bits >> s) & 1:
+            a_prime.discard(i)
+    return frozenset(a_set), frozenset(a_prime)
+
+
+def boip_op(group, direction, rset, sset):
+    """Meet/join inside BOIP via the meet/join of the components A, A'."""
+    ra, rb = boip_components_of(group, rset)
+    sa, sb = boip_components_of(group, sset)
+    if direction == "meet":
+        na, nb = ra & sa, rb & sb
+    else:
+        na, nb = ra | sa, rb | sb
+    system = group.system
+    return RootSet(system, interval_bits(
+        system, _boolean_bits(group, na), _boolean_bits(group, nb)))
 
 
 def binary_tree_posets_reference(system):

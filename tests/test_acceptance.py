@@ -11,9 +11,7 @@ from rootposets.census import (
     check_conjecture, check_sublattice, count_family, enumerate_posets,
     reproduce_counterexample,
 )
-from rootposets.families import (
-    FamilyId, boip_op, coip_op, construct_family, woip_op,
-)
+from rootposets.families import FamilyId, construct_family
 from rootposets.rootset import (
     RootSet, classify, closure, closure_bits, deletion_bits, parse_set_literal,
 )
@@ -21,7 +19,7 @@ from rootposets.weakorder import Level, lattice_op, lattice_op_bits, verify_latt
 from rootposets.weyl import enumerate_cosets, facial_meet
 
 from conftest import group, system
-from oracles import coset_poset, nspan_oracle
+from oracles import boip_op, coip_op, coset_poset, nspan_oracle, woip_op
 
 
 def _report(num, elapsed, detail):

@@ -264,7 +264,8 @@ def test_a5_coip_lin_counts_the_tamari_intervals():
 
 def _check_closed_sets(rs):
     """_closed_sets against the reference backtracking, for closed, posets
-    and the closed subsets of Phi^+: the same sets in the same order."""
+    and the closed subsets of Phi^+: the same sets in the same order, and
+    for closed and posets level_members wraps them in that order."""
     for indices, antisymmetric in ((range(rs.num_roots), False),
                                    (range(rs.num_roots), True),
                                    (range(rs.num_positive), False)):
@@ -274,6 +275,9 @@ def _check_closed_sets(rs):
         count = _closed_sets(rs, indices, antisymmetric,
                              lambda *leaf: got.extend(_batch(*leaf)))
         assert got == want and count == len(want), (rs.label, antisymmetric)
+        if len(indices) == rs.num_roots:
+            level = Level.POSETS if antisymmetric else Level.CLOSED
+            assert [r.bits for r in level_members(rs, level)] == want, rs.label
 
 
 @pytest.mark.parametrize("label", [

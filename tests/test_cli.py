@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rootposets
+from rootposets import census
 from rootposets.census import CONJECTURE_IDS, COUNTEREXAMPLE_IDS
+from rootposets.coeff import Coeff
 from rootposets.cli import main
 from rootposets.families import FAMILY_TAGS, FamilyId, member_predicate
 from rootposets.rootset import parse_set_literal
@@ -150,6 +152,26 @@ def test_counterexample(capsys):
     doc = json.loads(out)
     assert doc["reproduced"] is True
     assert all(c["ok"] for c in doc["checks"])
+
+
+def test_counterexample_without_its_root_fails_a_check(capsys, monkeypatch):
+    """With gamma = psi(a1+a2+a3) dropped from the H3 coordinate table,
+    h3-sums is not reproduced: the check that gamma is a root reads
+    false and the command exits 1, not 2."""
+    build, gamma = census.build_from_label, (Coeff(0, 1),) * 3
+
+    def without_gamma(label):  # a fresh system, so no other test sees the cut
+        rs = build(label)
+        rs.index_of_coords = {c: i for c, i in rs.index_of_coords.items()
+                              if c != gamma}
+        return rs
+
+    monkeypatch.setattr(census, "build_from_label", without_gamma)
+    code, out = run(capsys, "counterexample", "h3-sums")
+    doc = json.loads(out)
+    assert (code, doc["reproduced"]) == (1, False)
+    assert doc["checks"][0] == {"claim": "gamma = psi(a1+a2+a3) is a root",
+                                "ok": False}
 
 
 @pytest.mark.parametrize("argv,ids", [

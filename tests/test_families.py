@@ -9,9 +9,8 @@ from rootposets.errors import (
     ContractViolationError, ResourceCapError, UnsupportedOperationError,
 )
 from rootposets.families import (
-    CAMBRIAN_TAGS, FAMILY_TAGS, FamilyId, _coip_sums_hold, boip_components_of, boip_op,
-    construct_family, family_set, member_predicate,
-    verify_family_equality, woip_interval_of, woip_op, coip_op,
+    CAMBRIAN_TAGS, FAMILY_TAGS, FamilyId, _coip_sums_hold, construct_family,
+    family_set, member_predicate, verify_family_equality,
 )
 from rootposets.rootset import RootSet, parse_set_literal
 from rootposets.rootsys import build_from_label
@@ -20,9 +19,10 @@ from rootposets.weyl import enumerate_cosets, interval_bits, interval_poset, wey
 
 from conftest import group, system
 from oracles import (
-    binary_tree_posets_reference, boolean_element_poset, coip_sums_reference,
-    coset_poset, descent_classes, family_reference, interval_pairs_reference,
-    linear_extensions,
+    binary_tree_posets_reference, boip_components_of, boip_op,
+    boolean_element_poset, coip_op, coip_sums_reference, coset_poset,
+    descent_classes, family_reference, interval_pairs_reference,
+    linear_extensions, woip_interval_of, woip_op,
 )
 
 
@@ -260,7 +260,7 @@ def test_woip_interval_of_refuses_other_posets(a2):
             woip_interval_of(g, r)
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "H3"])
+@pytest.mark.parametrize("label", ["A3", "B3", "H3", "A5"])
 def test_woip_construction_matches_pair_scan(label):
     """The walk above each v lists the same posets, in the same order, as
     the scan over every pair of W."""

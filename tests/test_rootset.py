@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -7,10 +8,11 @@ from rootposets.coeff import Coeff, PSI
 from rootposets.errors import ContractViolationError, UnsupportedOperationError
 from rootposets.rootset import (
     RootSet, classify, closure, closure_bits, closure_deletion, deletion_bits,
-    format_set_literal, is_convex, parse_set_literal,
+    format_set_literal, is_convex, parse_set_literal, root_sets,
 )
 from rootposets.weakorder import weak_le
 from rootposets.census import enumerate_posets
+from rootposets.families import FamilyId, family_bits
 
 from conftest import group, system
 from oracles import (
@@ -348,3 +350,56 @@ def test_classify_records_are_shared_and_match_their_definitions(label):
 def test_mixed_system_rejected(a2, b2):
     with pytest.raises(ContractViolationError):
         weak_le(RootSet(a2, 1), RootSet(b2, 1))
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after a test that switches it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_root_sets_wrap_each_set_in_order():
+    """The same RootSets, in the same order, as one wrap per set: on the
+    B3 posets, the A4 WOIP bits and no bits at all."""
+    b3, a4 = system("B3"), system("A4")
+    for rs, bits in ((b3, [r.bits for r in enumerate_posets(b3)]),
+                     (a4, family_bits(group("A4"), FamilyId("WOIP"))),
+                     (b3, [])):
+        got = root_sets(rs, bits)
+        assert got == [RootSet(rs, b) for b in bits]
+        assert [r.bits for r in got] == bits
+        assert all(r.system is rs for r in got)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_root_sets_leave_the_collector_as_found(collector, enabled):
+    """On or off before the call, the collector is so after it, also when
+    the bits run out with an error partway; with it off, no collection
+    runs, so every wrapped set still counts in the young generation."""
+    rs = system("A2")
+    (gc.enable if enabled else gc.disable)()
+    young = gc.get_count()[0]
+    sets = root_sets(rs, range(1000))
+    assert gc.isenabled() is enabled
+    if not enabled:
+        assert gc.get_count()[0] >= young + len(sets)
+
+    def failing():
+        yield from range(10)
+        raise ValueError("partway")
+
+    with pytest.raises(ValueError, match="partway"):
+        root_sets(rs, failing())
+    assert gc.isenabled() is enabled
+
+
+def test_root_sets_leave_no_young_backlog(collector):
+    """With the collector on, the young-generation pass that the pause put
+    off has run by the return: the caller starts below the threshold."""
+    gc.enable()
+    threshold = gc.get_threshold()[0]
+    sets = root_sets(system("A3"), range(3 * threshold))
+    assert len(sets) == 3 * threshold
+    assert gc.get_count()[0] < threshold
