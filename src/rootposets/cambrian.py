@@ -19,6 +19,7 @@ from typing import NamedTuple
 from .errors import (ContractViolationError, InvariantError,
                      UnsupportedOperationError)
 from .rootset import _indices
+from .rootsys import DIGITS
 from .weyl import ParabolicCoset, facial_le, format_word
 
 
@@ -101,9 +102,9 @@ def coxeter_word(system, spec):
         word += [i for i in range(n) if color[i] == 1]
     elif isinstance(spec, str):
         parts = spec.replace(" ", "")
-        if not re.fullmatch(r"(s\d+)*", parts):
+        if not re.fullmatch(rf"(s{DIGITS})*", parts):
             raise ContractViolationError(f"bad Coxeter word {spec!r}")
-        word = [int(i) - 1 for i in re.findall(r"\d+", parts)]
+        word = [int(i) - 1 for i in re.findall(DIGITS, parts)]
     else:
         word = spec
     word = tuple(word)

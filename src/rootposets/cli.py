@@ -28,7 +28,7 @@ from . import __version__
 from . import weakorder as wo
 from .errors import ContractViolationError, ResourceCapError, RootPosetError
 from .rootset import format_set_literal, parse_set_literal
-from .rootsys import build_from_label
+from .rootsys import DIGITS, build_from_label
 
 DEFAULT_TABLE1_FAMILIES = [level.value for level in wo.Level
                            if level is not wo.Level.ALL] + [
@@ -67,7 +67,8 @@ def _expand_types(spec):
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            m = re.fullmatch(r"([A-Z])(\d+)\.\.([A-Z])(\d+)", chunk.upper())
+            m = re.fullmatch(rf"([A-Z])({DIGITS})\.\.([A-Z])({DIGITS})",
+                             chunk.upper())
             if m is None or m[1] != m[3] or int(m[2]) > int(m[4]):
                 raise ContractViolationError(
                     f"bad type range {chunk!r}; expected e.g. A1..A4")

@@ -86,17 +86,7 @@ class Coeff:
 
     def sign(self):
         """Sign of a + b*psi under the real embedding psi > 0."""
-        a2, b = 2 * self.a + self.b, self.b
-        # a + b psi > 0  iff  (2a + b) + b sqrt5 > 0
-        if b == 0:
-            return (a2 > 0) - (a2 < 0)
-        if b > 0:
-            if a2 >= 0:
-                return 1
-            return 1 if 5 * b * b > a2 * a2 else -1
-        if a2 <= 0:
-            return -1
-        return 1 if a2 * a2 > 5 * b * b else -1
+        return psi_sign(self.a, self.b)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -118,6 +108,21 @@ class Coeff:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
+
+
+def psi_sign(x, y):
+    """Sign of x + y*psi, for ints or Fractions x and y, decided exactly."""
+    x2 = 2 * x + y
+    # x + y psi > 0  iff  (2x + y) + y sqrt5 > 0
+    if y == 0:
+        return (x2 > 0) - (x2 < 0)
+    if y > 0:
+        if x2 >= 0:
+            return 1
+        return 1 if 5 * y * y > x2 * x2 else -1
+    if x2 <= 0:
+        return -1
+    return 1 if x2 * x2 > 5 * y * y else -1
 
 
 def _coerce(x):

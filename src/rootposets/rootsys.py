@@ -3,30 +3,39 @@
 Systems are built from their Cartan matrix by closing the simple roots
 under all simple reflections.  Coordinates live in the simple-root basis.
 Every Cartan entry of a supported type lies in Z[psi], so every
-coordinate does too: the closure, the sum table and the simple
-reflections are computed on int vectors (x_1..x_r, y_1..y_r) for the
-coordinates x_j + y_j psi, with no floating point anywhere.  Every root
-keeps its int vector as ``int_coords``: the y part is all 0 on the
-crystallographic types and is dropped there.  A root's integers all have
-the root's sign, which the build checks.  ``Coeff`` appears only at the
-boundary: the Cartan matrix read in, and the coordinates, heights and
-literals of the built roots, whose exact (height, coordinates) key
-orders the positive roots.
+coordinate does too: the build works on int vectors (x_1..x_r, y_1..y_r)
+for the coordinates x_j + y_j psi alone, with no Fraction and no floating
+point.  The closure and the simple reflections are int arithmetic, the
+positive roots are sorted by an exact sign test on (x, y) pairs
+(coeff.psi_sign), and the sum table looks each sum up by a linear int
+code of the vectors.  Every root keeps its int vector as ``int_coords``:
+the y part is all 0 on the crystallographic types and is dropped there.
+A root's integers all have the root's sign, which the build checks.
+``Coeff`` appears only at the boundary: the Cartan matrix read in, the
+coordinates, heights and literals of the built roots, and the tables
+that only ``inner`` and ``parse_set_literal`` read (``symmetrizer``,
+``gram``, ``index_of_coords``), built on first use.
 
 Indexing convention: the N positive roots occupy indices 0..N-1, sorted
 by (height, lexicographic coordinates); index i + N holds the negative
 of root i, so negation, sign tests and sign splits are trivial index
-arithmetic and bit masks downstream.
-"""
+arithmetic and bit masks downstream.  ``height_levels[i]`` counts the
+distinct heights below |height of root i|, so it orders the roots by
+absolute height with integers."""
 
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
-from operator import add
+import re
+from functools import cache, cached_property, cmp_to_key
 
-from .coeff import Coeff, PSI
+from .coeff import Coeff, PSI, psi_sign
 from .errors import ConfigurationError
+
+# a number in a label, a type range or a Coxeter word: ASCII digits only,
+# where int() and \d also read the digits of other scripts and int() reads
+# signs, inner spaces and underscores
+DIGITS = "[0-9]+"
 
 _DEGREES = {
     "A": lambda n: list(range(2, n + 2)),
@@ -53,7 +62,8 @@ def cartan_matrix(family, rank, m=None):
     two = Coeff(2)
 
     def zeros():
-        return [[Coeff(0) for _ in range(rank)] for _ in range(rank)]
+        zero = Coeff(0)  # a Coeff is immutable, so the entries share it
+        return [[zero] * rank for _ in range(rank)]
 
     def chain(a):
         for i in range(rank - 1):
@@ -130,25 +140,32 @@ def _int_pairs(cartan, label):
     return [[(int(c.a), int(c.b)) for c in row] for row in cartan]
 
 
-def _symmetrizer(cartan):
-    """Positive rationals d_i with d_i * a_ij symmetric ((a_i, a_j) = d_i a_ij)."""
-    n = len(cartan)
-    d = [None] * n
-    d[0] = Coeff(1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if d[i] is None:
-                continue
-            for j in range(n):
-                if cartan[i][j] and d[j] is None:
-                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                    changed = True
-    for i in range(n):
-        if d[i] is None:  # disconnected diagram component
-            d[i] = Coeff(1)
-    return d
+def _compare(rank):
+    """Compare two int vectors (x_1..x_r, y_1..y_r) by their exact
+    (height, coordinates), each value x + y psi: -1, 0 or 1, as sorted()
+    reads it through cmp_to_key.  On the crystallographic types every y
+    is 0 and this is the integer order."""
+    def compare(u, v):
+        sign = psi_sign(sum(u[:rank]) - sum(v[:rank]), sum(u[rank:]) - sum(v[rank:]))
+        for j in range(rank):
+            if sign:
+                break
+            sign = psi_sign(u[j] - v[j], u[rank + j] - v[rank + j])
+        return sign
+    return compare
+
+
+def _sum_codes(vectors, label):
+    """The int sum_j v_j 64^j of each int vector v.  The map is linear and
+    one-to-one on vectors with entries in (-32, 32), so when every entry
+    lies in (-16, 16) the code of a sum of two vectors is the sum of their
+    codes and names that sum alone; a larger entry is refused."""
+    for v in vectors:
+        if max(map(abs, v)) >= 16:
+            raise ConfigurationError(
+                f"{label}: root {list(v)} has an entry of 16 or more; "
+                f"the sum table cannot code it")
+    return [sum(x << 6 * j for j, x in enumerate(v)) for v in vectors]
 
 
 def _same_sign_sums(sum_table, n):
@@ -187,7 +204,6 @@ class RootSystem:
         self.label = f"I2({m})" if family == "I" else f"{family}{rank}"
         self.cartan = cartan_matrix(family, rank, m)
         int_cartan = _int_pairs(self.cartan, self.label)
-        self.symmetrizer = _symmetrizer(self.cartan)
         if family == "I":
             self.degrees = [2, m]
         else:
@@ -198,9 +214,6 @@ class RootSystem:
         self.crystallographic = all(
             y == 0 for row in int_cartan for _, y in row)
         self._build(int_cartan)
-        # Gram matrix (alpha_i, alpha_j) = d_i * a_ij; exact in Q(psi)
-        self.gram = [[self.symmetrizer[i] * self.cartan[i][j]
-                      for j in range(rank)] for i in range(rank)]
         self._group = None  # lazily attached by weyl.weyl_group
 
     # -- construction --------------------------------------------------
@@ -249,19 +262,25 @@ class RootSystem:
         if any(min(v) < 0 < max(v) for v in vectors):
             raise ConfigurationError(
                 f"mixed-sign root generated for {self.label}; bad Cartan data")
-        positives = [v for v in vectors if max(v) > 0]
-        positives.sort(key=boundary)
+        positives = sorted((v for v in vectors if max(v) > 0),
+                           key=cmp_to_key(_compare(rank)))
         n = self.num_positive = len(positives)
         self.num_roots = 2 * n
         order = positives + [tuple(-x for x in v) for v in positives]
         self.roots = [Root(k, coords, height, k < n)
                       for k, (height, coords) in enumerate(map(boundary, order))]
-        self.index_of_coords = {r.coords: r.index for r in self.roots}
         # the signed literal of each root, e.g. -[0,1]: the sign, then the
-        # coordinates of the positive root
-        self.literals = tuple(
-            f"{sign}[{','.join(str(c) for c in r.coords)}]"
-            for sign in "+-" for r in self.roots[:n])
+        # coordinates of the positive root, each value printed once
+        text = cache(lambda x, y: str(coeff(x, y)))
+        bodies = [",".join(map(text, v[:rank], v[rank:])) for v in positives]
+        self.literals = tuple(f"{sign}[{body}]" for sign in "+-" for body in bodies)
+        # the height level of a root: how many distinct heights lie below
+        # its |height|; the positives ascend by height
+        heights = [(sum(v[:rank]), sum(v[rank:])) for v in positives]
+        levels = [0]
+        for low, high in zip(heights, heights[1:]):
+            levels.append(levels[-1] + (low != high))
+        self.height_levels = tuple(levels) * 2
 
         index = {v: k for k, v in enumerate(order)}
         # the BFS starts from the unit vectors, the simple roots
@@ -269,24 +288,24 @@ class RootSystem:
         # simple_reflections[i][k]: the index of s_i(root k)
         self.simple_reflections = tuple(
             tuple(index[images[v][i]] for v in order) for i in range(rank))
-        n2 = self.num_roots
-        sum_table = [[-1] * n2 for _ in range(n2)]
-        for i, u in enumerate(order):
-            row = sum_table[i]
-            for j in range(i, n2):
-                k = index.get(tuple(map(add, u, order[j])), -1)
-                row[j] = k
-                sum_table[j][i] = k
-        self.sum_table = sum_table
-        self.same_sign_sums = _same_sign_sums(sum_table, n)
-        self.pos_mask = (1 << n) - 1
-        self.full_mask = (1 << n2) - 1
-        self.neg_mask = self.full_mask ^ self.pos_mask
         # the int vector of each root, its all-0 psi part dropped on the
         # crystallographic types
         width = rank if self.crystallographic else 2 * rank
         self.int_coords = tuple(v[:width] for v in order)
         self.index_of_int_coords = {v: k for k, v in enumerate(self.int_coords)}
+        codes = _sum_codes(self.int_coords, self.label)
+        where = dict(zip(codes, range(len(codes)))).get
+        n2 = self.num_roots
+        sum_table = [[-1] * n2 for _ in range(n2)]
+        for i, c in enumerate(codes):
+            row = sum_table[i]
+            for j in range(i, n2):
+                row[j] = sum_table[j][i] = where(c + codes[j], -1)
+        self.sum_table = sum_table
+        self.same_sign_sums = _same_sign_sums(sum_table, n)
+        self.pos_mask = (1 << n) - 1
+        self.full_mask = (1 << n2) - 1
+        self.neg_mask = self.full_mask ^ self.pos_mask
 
     # -- basic queries ---------------------------------------------------
 
@@ -319,6 +338,42 @@ class RootSystem:
         return total
 
     @cached_property
+    def symmetrizer(self):
+        """Positive d_i with d_i * a_ij symmetric ((a_i, a_j) = d_i a_ij),
+        exact in Q(psi); built on first use."""
+        cartan = self.cartan
+        n = len(cartan)
+        d = [None] * n
+        d[0] = Coeff(1)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                if d[i] is None:
+                    continue
+                for j in range(n):
+                    if cartan[i][j] and d[j] is None:
+                        d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                        changed = True
+        for i in range(n):
+            if d[i] is None:  # disconnected diagram component
+                d[i] = Coeff(1)
+        return d
+
+    @cached_property
+    def gram(self):
+        """Gram matrix (alpha_i, alpha_j) = d_i * a_ij, exact in Q(psi);
+        built on first use."""
+        return [[d * a for a in row]
+                for d, row in zip(self.symmetrizer, self.cartan)]
+
+    @cached_property
+    def index_of_coords(self):
+        """The index of each root by its Coeff coordinates; built on first
+        use."""
+        return {r.coords: r.index for r in self.roots}
+
+    @cached_property
     def byte_literals(self):
         """byte_literals[k][b]: the literals of the roots 8k + i, for the
         set bits i of the byte b, ascending and joined by commas; one row
@@ -345,9 +400,6 @@ class RootSystem:
     def simple_indices(self):
         """Root indices of the simple roots (unit coordinate vectors)."""
         return list(self._simple_indices)
-
-    def abs_height(self, i):
-        return abs(self.roots[i].height)
 
     def weyl_order(self):
         return math.prod(self.degrees)
@@ -391,14 +443,15 @@ def build_root_system(family, rank, m=None):
 
 
 def parse_system_label(label):
-    """Parse CLI labels like A3, B2, G2, H3, I2(5) into (family, rank, m)."""
+    """Parse CLI labels like A3, B2, G2, H3, I2(5) into (family, rank, m);
+    spaces around the label are allowed, and a number is DIGITS."""
     label = label.strip()
-    try:
-        if label.upper().startswith("I2(") and label.endswith(")"):
-            return ("I", 2, int(label[3:-1]))
-        return (label[0].upper(), int(label[1:]), None)
-    except (IndexError, ValueError):
-        raise ConfigurationError(f"cannot parse system label {label!r}") from None
+    got = re.fullmatch(rf"[Ii]2\(({DIGITS})\)|([A-Za-z])({DIGITS})", label)
+    if got is None:
+        raise ConfigurationError(f"cannot parse system label {label!r}")
+    if got[1]:
+        return ("I", 2, int(got[1]))
+    return (got[2].upper(), int(got[3]), None)
 
 
 def build_from_label(label):

@@ -27,11 +27,12 @@ the one half, with no full classification.
 The levels are listed (level_members) and counted (level_count) here.
 All is every subset, antisym the 3^N sign choices, and semiclosed the
 closed subsets of Phi^+ times those of Phi^-.  Closed and posets are a
-backtracking over roots ordered by absolute height, which includes or
-excludes each root.  Every constraint is a link (bits, want, column) on
-one decision: when the roots decided so far, mask, have mask & bits ==
-want, the decision ANDs column into the branch's mask of allowed
-completions, and a branch whose mask is 0 is cut.  A root sum decided
+backtracking over roots ordered by height level (the system's integer
+rank of each absolute height), which includes or excludes each root.
+Every constraint is a link (bits, want, column) on one decision: when
+the roots decided so far, mask, have mask & bits == want, the decision
+ANDs column into the branch's mask of allowed completions, and a branch
+whose mask is 0 is cut.  A root sum decided
 before the later summand cuts including that summand with the other in
 and the sum out; one decided after both cuts excluding it with both in;
 for posets, including the later of r and -r with the other in is cut.
@@ -405,7 +406,8 @@ def _closed_sets(system, indices, antisymmetric, leaf=None):
     antisymmetric if asked), handing them to ``leaf``, if given, in
     backtracking order.
 
-    Roots are taken by increasing absolute height, then index.  The last
+    Roots are taken by height level, that is by increasing absolute
+    height, then index.  The last
     _tail_size(n) of the n form the tail: its subsets closed among themselves
     are listed once, in backtracking order, as ``tails``.  The backtracking
     over the other roots, the head, ends at each head set ``mask`` with a
@@ -413,7 +415,7 @@ def _closed_sets(system, indices, antisymmetric, leaf=None):
     ``leaf(mask, allowed, tails)``: the sets are ``mask | tails[k]`` for
     the set bits k of ``allowed``, ascending.
     """
-    order = sorted(indices, key=lambda i: (system.abs_height(i), i))
+    order = sorted(indices, key=lambda i: (system.height_levels[i], i))
     cut = len(order) - _tail_size(len(order))
     tails = []
     _backtrack(system, order[cut:], antisymmetric, {}, 1,

@@ -36,17 +36,17 @@ from rootposets.weyl import (
 )
 
 
-def root_tables_reference(family, rank, m=None):
-    """A system's roots and tables from Coeff coordinate tuples.
+def root_tables_reference(cartan):
+    """A system's roots from Coeff coordinate tuples, for a Cartan matrix.
 
     The simple roots are closed under s_i(v) = v - <v, alpha_i^vee> alpha_i
     in Q(psi), the positive roots sorted by (height, coordinates) and
-    their negatives placed N later, and every pair summed.  Returns a
-    namespace of coords, heights, literals, sum_table, int_coords (the
-    integer parts of the coordinates, then their psi parts off the
-    crystallographic types) and index_of_coords.
+    their negatives placed N later.  Returns a namespace of coords,
+    heights, literals, int_coords (the integer parts of the coordinates,
+    then their psi parts off the crystallographic types) and
+    index_of_coords.
     """
-    cartan = cartan_matrix(family, rank, m)
+    rank = len(cartan)
     zero = Coeff(0)
     simples = [tuple(Coeff(int(j == i)) for j in range(rank)) for i in range(rank)]
     seen = set(simples)
@@ -64,20 +64,25 @@ def root_tables_reference(family, rank, m=None):
     positives = sorted((cs for cs in seen if any(c.sign() > 0 for c in cs)),
                        key=lambda cs: (sum(cs, zero), cs))
     coords = positives + [tuple(-c for c in cs) for cs in positives]
-    index = {cs: k for k, cs in enumerate(coords)}
     crystallographic = all(is_integer(c) for row in cartan for c in row)
     return SimpleNamespace(
         coords=coords,
         heights=[sum(cs, zero) for cs in coords],
         literals=tuple(f"{sign}[{','.join(map(str, cs))}]"
                        for sign in "+-" for cs in positives),
-        sum_table=[[index.get(tuple(a + b for a, b in zip(ci, cj)), -1)
-                    for cj in coords] for ci in coords],
         int_coords=tuple(
             tuple(as_int(c) for c in cs) if crystallographic
             else tuple(int(c.a) for c in cs) + tuple(int(c.b) for c in cs)
             for cs in coords),
-        index_of_coords=index)
+        index_of_coords={cs: k for k, cs in enumerate(coords)})
+
+
+def sum_table_reference(vectors):
+    """sum_table[i][j]: the index of vectors[i] + vectors[j], summed entry
+    by entry (Coeffs or ints), or -1 when the sum is not among them."""
+    index = {v: k for k, v in enumerate(vectors)}
+    return [[index.get(tuple(a + b for a, b in zip(u, v)), -1) for v in vectors]
+            for u in vectors]
 
 
 def is_rational(c):
@@ -783,7 +788,7 @@ def dfs_closed_reference(system, indices, antisymmetric, leaf):
     sign pairs force sums at a later position, mixed-sign pairs have
     their sum decided before the later summand.
     """
-    order = sorted(indices, key=lambda i: (system.abs_height(i), i))
+    order = sorted(indices, key=lambda i: (abs(system.roots[i].height), i))
     pos_of = {r: p for p, r in enumerate(order)}
     table = system.sum_table
     # per position p: the root's bit, its negative's bit, and for each

@@ -41,12 +41,15 @@ def test_coxeter_element_specs(a3):
 
 def test_coxeter_word_needs_no_group():
     """Words are read and checked from the system alone: E6 is over the
-    group cap, so building its group would be refused.  A superscript
-    two is refused as a bad word, not read as an index."""
+    group cap, so building its group would be refused.  An index is ASCII
+    digits: a superscript two or an Arabic-Indic one is refused as a bad
+    word, not read as an index.  Spaces inside a word are allowed."""
     e6 = system("E6")
     assert coxeter_word(e6, "lin") == tuple(range(6))
     assert coxeter_word(e6, "s2s1s3s4s5s6") == (1, 0, 2, 3, 4, 5)
-    for bad in ("x", "s1s2", "s1s2s3s4s5s7", "s\u00b2s1s3s4s5s6"):
+    assert coxeter_word(e6, " s2 s1s3 s4s5s6 ") == (1, 0, 2, 3, 4, 5)
+    for bad in ("x", "s1s2", "s1s2s3s4s5s7", "s\u00b2s1s3s4s5s6",
+                "s\u0662s1s3s4s5s6"):
         with pytest.raises(ContractViolationError):
             coxeter_word(e6, bad)
     assert e6._group is None

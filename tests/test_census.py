@@ -291,7 +291,7 @@ def test_closed_sets_match_the_one_pass_backtracking(label):
     rs = system(label)
     _check_closed_sets(rs)
     if label in ("A4", "B4"):
-        order = sorted(range(rs.num_roots), key=lambda i: (rs.abs_height(i), i))
+        order = sorted(range(rs.num_roots), key=lambda i: (abs(rs.roots[i].height), i))
         head = set(order[:len(order) - _tail_size(len(order))])
         assert any(rs.neg(r) not in head for r in head)
 
@@ -313,7 +313,7 @@ def test_tail_columns_match_their_definition():
     since the row width is (max(roots) >> 3) + 1 bytes."""
     rng = random.Random(18)
     rs = system("B4")
-    order = sorted(range(rs.num_roots), key=lambda i: (rs.abs_height(i), i))
+    order = sorted(range(rs.num_roots), key=lambda i: (abs(rs.roots[i].height), i))
     cases = [([0], []), ([0], order[-5:])]
     for _ in range(30):
         roots = order[-rng.randint(1, 16):]

@@ -382,6 +382,16 @@ def test_census_table1_reads_lowercase_types(capsys):
     # a conjecture off the crystallographic types is refused before its cap
     (["check-conjecture", "coep-characterization", "--type", "H3",
       "--rank-cap", "2"], 2),
+    # a number is ASCII digits: no sign, inner space, underscore or the
+    # digits of another script
+    (["rootsys", "info", "A+3"], 2),
+    (["rootsys", "info", "A 3"], 2),
+    (["rootsys", "info", "A0_3"], 2),
+    (["rootsys", "info", "A\u0663"], 2),
+    (["rootsys", "info", "I2(\u0665)"], 2),
+    (["census", "table1", "--types", "A1..A\u0662"], 2),
+    (["families", "build", "--type", "A3", "--family", "coep",
+      "--coxeter", "s\u0661s2s3"], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

@@ -6,10 +6,15 @@ import pytest
 from rootposets import rootsys
 from rootposets.coeff import Coeff, PSI
 from rootposets.errors import ConfigurationError
-from rootposets.rootsys import build_from_label, build_root_system, parse_system_label
+from rootposets.weakorder import Level, level_count
+from rootposets.rootsys import (
+    build_from_label, build_root_system, cartan_matrix, parse_system_label,
+)
 
 from conftest import system
-from oracles import as_int, is_integer, pairing, reflect, root_tables_reference
+from oracles import (
+    as_int, is_integer, pairing, reflect, root_tables_reference, sum_table_reference,
+)
 
 CRYSTAL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
 
@@ -110,23 +115,112 @@ REFERENCE_LABELS = (
     + [f"I2({m})" for m in (3, 4, 5, 6)])
 
 
+def _check_roots_match(rs, ref):
+    """The roots, their order, heights, literals and int vectors are the
+    Coeff computation's, and the height levels rank the roots' absolute
+    Coeff heights."""
+    assert [r.coords for r in rs.roots] == ref.coords
+    assert [r.height for r in rs.roots] == ref.heights
+    assert rs.literals == ref.literals
+    assert rs.int_coords == ref.int_coords
+    distinct = sorted(set(map(abs, ref.heights)))
+    assert list(rs.height_levels) == [distinct.index(abs(h)) for h in ref.heights]
+    every = range(rs.num_roots)
+    assert (sorted(every, key=lambda i: (rs.height_levels[i], i))
+            == sorted(every, key=lambda i: (abs(ref.heights[i]), i)))
+
+
 @pytest.mark.parametrize("label", REFERENCE_LABELS)
 def test_tables_match_coeff_reference(label):
     """The int-vector build gives the Coeff computation's roots, order and
     tables, and each simple reflection permutes the roots as the Coeff
     reflection does."""
     rs = system(label)
-    ref = root_tables_reference(*parse_system_label(label))
-    assert [r.coords for r in rs.roots] == ref.coords
-    assert [r.height for r in rs.roots] == ref.heights
-    assert rs.literals == ref.literals
-    assert rs.sum_table == ref.sum_table
-    assert rs.int_coords == ref.int_coords
+    ref = root_tables_reference(cartan_matrix(*parse_system_label(label)))
+    _check_roots_match(rs, ref)
+    assert rs.sum_table == sum_table_reference(ref.coords)
     assert rs.index_of_coords == ref.index_of_coords
     assert rs.index_of_int_coords == {c: k for k, c in enumerate(ref.int_coords)}
     for i, s in enumerate(rs.simple_indices()):
         assert rs.simple_reflections[i] == tuple(
             reflect(rs, s, t) for t in range(rs.num_roots))
+
+
+@pytest.mark.parametrize("label", ["E8", "H4"])
+def test_largest_systems_match_coeff_reference(label, monkeypatch):
+    """E8 and H4 have the Coeff computation's roots, order, heights,
+    literals and height levels; their sum table is the plain sum table of
+    the reference's int vectors, the Coeff one being too slow at E8."""
+    if label == "H4":
+        rs = _build_h4(monkeypatch)
+        cartan = _h4_cartan()
+    else:
+        rs = system(label)
+        cartan = cartan_matrix(*parse_system_label(label))
+    ref = root_tables_reference(cartan)
+    _check_roots_match(rs, ref)
+    assert rs.sum_table == sum_table_reference(ref.int_coords)
+
+
+INT_LABELS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"] + [f"I2({m})" for m in (3, 4, 6)])
+
+
+@pytest.fixture
+def no_coeff_arithmetic(monkeypatch):
+    """Coeff order, sign, products and quotients raise."""
+    def refuse(*args):
+        raise AssertionError("Coeff arithmetic on an int-only path")
+    for name in ("__lt__", "sign", "__mul__", "__truediv__"):
+        monkeypatch.setattr(Coeff, name, refuse)
+
+
+def test_crystallographic_builds_need_no_coeff_arithmetic(no_coeff_arithmetic):
+    """Every crystallographic system up to E8 builds, roots, order and
+    tables, without comparing, multiplying or dividing a Coeff."""
+    for label in INT_LABELS:
+        rs = build_from_label(label)
+        assert rs.sum_table[0][rs.neg(0)] == -1
+
+
+@pytest.mark.parametrize("label,counts", [
+    ("A4", (6942, 4231, 127449)),
+    ("B4", (126892, 94313, 5310 ** 2)),
+])
+def test_level_counts_need_no_coeff_arithmetic(no_coeff_arithmetic, label, counts):
+    """The backtracking takes its root order from the height levels, so
+    the closed, posets and semiclosed counts read no Coeff either."""
+    rs = build_from_label(label)
+    assert tuple(level_count(rs, level) for level in (
+        Level.CLOSED, Level.POSETS, Level.SEMICLOSED)) == counts
+
+
+def test_sum_codes_refuse_an_entry_of_16():
+    """The sum table codes a vector by its entries in base 64, which names
+    a sum of two vectors alone only while every entry lies in (-16, 16)."""
+    assert rootsys._sum_codes([(15, -15), (0, 1)], "X") == [15 - 15 * 64, 64]
+    for vector in ((16, 0), (0, -16)):
+        with pytest.raises(ConfigurationError, match="entry of 16 or more"):
+            rootsys._sum_codes([(1, 0), vector], "X")
+
+
+@pytest.mark.parametrize("label,parsed", [
+    ("A3", ("A", 3, None)), (" a3 ", ("A", 3, None)), ("A03", ("A", 3, None)),
+    ("I2(5)", ("I", 2, 5)), (" i2(5)", ("I", 2, 5)), ("E8", ("E", 8, None)),
+])
+def test_parse_system_label(label, parsed):
+    assert parse_system_label(label) == parsed
+
+
+@pytest.mark.parametrize("label", [
+    "A+3", "A 3", "A0_3", "A\u0663", "I2(\u0665)", "I2( 5)", "I2(+5)", "A-1",
+    "\u03913", "", "3", "A", "AB3", "I2(5",
+])
+def test_parse_system_label_reads_ascii_digits_only(label):
+    with pytest.raises(ConfigurationError, match="cannot parse"):
+        parse_system_label(label)
 
 
 PARTNER_LABELS = (
@@ -189,17 +283,25 @@ def test_star_pentagon_is_refused_as_mixed_sign(monkeypatch):
         build_root_system("I", 2, 5)
 
 
+def _h4_cartan(family="H", rank=4, m=None):
+    """H4's Cartan matrix: -psi on the edge 1-2, -1 on 2-3 and 3-4."""
+    a = [[Coeff(2 * (i == j)) for j in range(4)] for i in range(4)]
+    a[0][1] = a[1][0] = -PSI
+    a[1][2] = a[2][1] = a[2][3] = a[3][2] = -Coeff(1)
+    return a
+
+
+def _build_h4(monkeypatch):
+    """H4, from its Cartan matrix and degrees 2, 12, 20, 30."""
+    monkeypatch.setattr(rootsys, "cartan_matrix", _h4_cartan)
+    monkeypatch.setitem(rootsys._DEGREES, "H", lambda n: [2, 12, 20, 30])
+    return build_root_system("H", 4)
+
+
 def test_h4_roots_keep_one_sign(monkeypatch):
     """H4, from its Cartan matrix and degrees 2, 12, 20, 30, passes the
     sign rule: 60 positive roots, each with integers 0..4 only."""
-    def h4(family, rank, m=None):
-        a = [[Coeff(2 * (i == j)) for j in range(4)] for i in range(4)]
-        a[0][1] = a[1][0] = -PSI
-        a[1][2] = a[2][1] = a[2][3] = a[3][2] = -Coeff(1)
-        return a
-    monkeypatch.setattr(rootsys, "cartan_matrix", h4)
-    monkeypatch.setitem(rootsys._DEGREES, "H", lambda n: [2, 12, 20, 30])
-    rs = build_root_system("H", 4)
+    rs = _build_h4(monkeypatch)
     assert rs.num_positive == 60
     assert {x for v in rs.int_coords[:60] for x in v} == set(range(5))
     assert rs.int_coords[60:] == tuple(
