@@ -29,7 +29,6 @@ from rootposets.families import _boolean_bits
 from rootposets.rootset import (
     RootSet, _indices, classify, closure_bits, deletion_bits,
 )
-from rootposets.rootsys import cartan_matrix
 from rootposets.weakorder import Level, canonical_sort, weak_le
 from rootposets.weyl import (
     WeylElement, enumerate_cosets, interval_bits, interval_poset,

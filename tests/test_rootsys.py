@@ -181,8 +181,7 @@ def test_crystallographic_builds_need_no_coeff_arithmetic(no_coeff_arithmetic):
     """Every crystallographic system up to E8 builds, roots, order and
     tables, without comparing, multiplying or dividing a Coeff."""
     for label in INT_LABELS:
-        rs = build_from_label(label)
-        assert rs.sum_table[0][rs.neg(0)] == -1
+        build_from_label(label)
 
 
 @pytest.mark.parametrize("label,counts", [
