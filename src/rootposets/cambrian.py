@@ -225,16 +225,6 @@ def requires(masks, bits):
     return all(not masks[k] & ~bits for k in _indices(bits))
 
 
-def is_c_aligned(c, rset):
-    """alpha <_c beta and alpha+beta in S imply alpha in S, for S inside Phi^+."""
-    system = c.group.system
-    if not system.crystallographic:  # sum-aligned is not sortable there
-        raise UnsupportedOperationError("c-alignment needs a crystallographic system")
-    if rset.bits & system.neg_mask:
-        raise ContractViolationError("alignment is defined for sets of positive roots")
-    return requires(c.earlier, rset.bits)
-
-
 # -- snakes -------------------------------------------------------------------
 
 def _maximal_snake_keys(c, rset, max_len):

@@ -228,10 +228,10 @@ def cmd_counterexample(args):
 
 
 def nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
-    return value
+    """A number of DIGITS, with spaces around it allowed."""
+    if not re.fullmatch(DIGITS, text.strip()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):

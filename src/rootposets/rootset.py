@@ -14,12 +14,14 @@ root_sets wraps the bulk lists of the level and family listings.
 from __future__ import annotations
 
 import gc
+import re
 from itertools import product, repeat
 from typing import NamedTuple
 
 from . import linalg
 from .coeff import Coeff
 from .errors import ContractViolationError, UnsupportedOperationError
+from .rootsys import DIGITS
 
 
 class RootSet:
@@ -224,44 +226,50 @@ def _deletable_exhaustive(system, bits, alpha, source_indices):
     return False
 
 
-def _deletable_fast(system, bits, alpha, source_indices):
-    """Chain search: reach Phi \\ R from alpha by adding source roots,
-    every partial sum again a root.
+def _chain_reach(system, alpha, source_indices):
+    """The roots reached from alpha by adding source roots, every partial
+    sum again a root, as a mask.
 
-    Complete for semiclosed crystallographic sets: a witness combination
-    can be taken with no vanishing subsum, and then admits a filtration
-    starting at alpha whose partial sums are all roots.
+    The fast deletion: alpha is deleted from R iff the reach leaves R.  A
+    chain search that stops at the first sum outside R finds the same
+    roots up to that one.  Complete for semiclosed crystallographic sets:
+    a witness combination can be taken with no vanishing subsum, and then
+    admits a filtration starting at alpha whose partial sums are all roots.
     """
     table = system.sum_table
-    seen = 1 << alpha
+    seen = 0
     stack = [alpha]
     while stack:
-        gamma = stack.pop()
-        row = table[gamma]
+        row = table[stack.pop()]
         for beta in source_indices:
             k = row[beta]
-            if k < 0:
-                continue
-            if not (bits >> k) & 1:
-                return True
-            if not (seen >> k) & 1:
+            if k >= 0 and not (seen >> k) & 1:
                 seen |= 1 << k
                 stack.append(k)
-    return False
+    return seen
 
 
-def deletion_bits(system, bits, side, fast):
+def deletion_bits(system, bits, side, fast, reach=None):
     """closure_deletion on raw bits; ``fast`` picks the chain search, which
-    is complete only on semiclosed input of a crystallographic system."""
+    is complete only on semiclosed input of a crystallographic system.
+    ``reach``, a dict the caller keeps for one set of sources, holds the
+    _chain_reach of each victim met so far."""
     if side == "negative":
         victims, sources = bits & system.neg_mask, bits & system.pos_mask
     else:
         victims, sources = bits & system.pos_mask, bits & system.neg_mask
-    test = _deletable_fast if fast else _deletable_exhaustive
     sources = _indices(sources)
+    if reach is None:
+        reach = {}
     out = bits
     for alpha in _indices(victims):
-        if test(system, bits, alpha, sources):
+        if fast:
+            if alpha not in reach:
+                reach[alpha] = _chain_reach(system, alpha, sources)
+            gone = reach[alpha] & ~bits
+        else:
+            gone = _deletable_exhaustive(system, bits, alpha, sources)
+        if gone:
             out &= ~(1 << alpha)
     return out
 
@@ -309,12 +317,14 @@ def format_set_literal(rset):
 
 
 def _parse_coord(token):
-    """One coordinate as str(Coeff) prints it: ``2``, ``1p`` or ``1+1p``."""
-    token = token.strip()
-    if not token.endswith("p"):
-        return Coeff(int(token))
-    a, _, b = token[:-1].rpartition("+")
-    return Coeff(int(a or 0), int(b))
+    """One coordinate as str(Coeff) prints it: ``2``, ``1p`` or ``1+1p``,
+    each number DIGITS, with spaces around it allowed."""
+    got = re.fullmatch(rf"({DIGITS})|(?:({DIGITS})\+)?({DIGITS})p", token.strip())
+    if got is None:
+        raise ValueError(f"bad coordinate {token!r}")
+    if got[1]:
+        return Coeff(int(got[1]))
+    return Coeff(int(got[2] or 0), int(got[3]))
 
 
 def parse_set_literal(system, text):

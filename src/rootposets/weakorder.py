@@ -22,7 +22,11 @@ the formula naming it, and only the first row with a rejected key is
 walked pair by pair.  On level members the set handed to ncd/pcd is
 semiclosed by construction (a closure on one side, an intersection of
 closed sets on the other), so the fast deletion applies after checking
-the one half, with no full classification.
+the one half, with no full classification.  The search keeps one memo
+per direction, as the formula reads each half of a key apart: the
+closure of each grown half, the check of each kept half, and the chain
+reach of each kept root from each closed half (a root is deleted iff
+its reach leaves the set).  Distinct keys share few distinct halves.
 
 The levels are listed (level_members) and counted (level_count) here.
 All is every subset, antisym the 3^N sign choices, and semiclosed the
@@ -32,7 +36,11 @@ rank of each absolute height), which includes or excludes each root.
 Every constraint is a link (bits, want, column) on one decision: when
 the roots decided so far, mask, have mask & bits == want, the decision
 ANDs column into the branch's mask of allowed completions, and a branch
-whose mask is 0 is cut.  A root sum decided
+whose mask is 0 is cut.  The links of a decision read only mask & reads,
+reads the OR of their bits, so the AND of the columns of the links that
+hold is memoised by that value for one call; far fewer values repeat
+than branches reach the decision, and equal columns are stored once.
+A root sum decided
 before the later summand cuts including that summand with the other in
 and the sum out; one decided after both cuts excluding it with both in;
 for posets, including the later of r and -r with the other in is cut.
@@ -59,7 +67,7 @@ import enum
 import math
 from functools import reduce
 from itertools import compress
-from operator import and_
+from operator import and_, or_
 from typing import NamedTuple, Optional
 
 from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
@@ -112,8 +120,13 @@ def _level_member(system, bits, level):
     return flags.poset
 
 
-def lattice_op_bits(system, level, direction, rbits, sbits):
-    """Meet or join at a level, raw-bits variant without membership checks."""
+def lattice_op_bits(system, level, direction, rbits, sbits, memo=None):
+    """Meet or join at a level, raw-bits variant without membership checks.
+
+    ``memo``, three dicts a caller keeps for one system, level and
+    direction, holds what the formula reads of each half of its key: the
+    closure of each grown half, the fast-deletion flag of each kept half,
+    and per closed grown half the chain reach of each kept root."""
     if direction == "meet":
         grown, kept, side = system.pos_mask, system.neg_mask, "negative"
     elif direction == "join":
@@ -123,12 +136,20 @@ def lattice_op_bits(system, level, direction, rbits, sbits):
     key = ((rbits | sbits) & grown) | (rbits & sbits & kept)
     if level in (Level.ALL, Level.ANTISYM):
         return key
-    out = closure_bits(system, key & grown) | (key & kept)
+    closures, flags, reaches = memo or ({}, {}, {})
+    half, rest = key & grown, key & kept
+    closed = closures.get(half)
+    if closed is None:
+        closed = closures[half] = closure_bits(system, half)
+    out = closed | rest
     if level in (Level.CLOSED, Level.POSETS):
         # the grown half is closed: the fast deletion is complete iff the
         # kept one is, and on one sign its same-sign pairs decide that
-        fast = system.crystallographic and _closed_flags(system, key & kept, mixed=False)[1]
-        out = deletion_bits(system, out, side, fast)
+        fast = flags.get(rest)
+        if fast is None:
+            fast = flags[rest] = (system.crystallographic
+                                  and _closed_flags(system, rest, mixed=False)[1])
+        out = deletion_bits(system, out, side, fast, reaches.setdefault(closed, {}))
     return out
 
 
@@ -146,22 +167,22 @@ def first_rejected_pair(system, level, bits_list, accept):
     met in an earlier row are tested, and the first row with a rejected
     key, all earlier ones having been accepted, holds the witness.
     """
-    sides = [(direction, grown, [b ^ grown for b in bits_list], set())
+    sides = [(direction, grown, [b ^ grown for b in bits_list], set(), ({}, {}, {}))
              for direction, grown in (("meet", system.pos_mask), ("join", system.neg_mask))]
     for i in range(len(bits_list)):
         rejected = {}
-        for direction, grown, flips, seen in sides:
+        for direction, grown, flips, seen, memo in sides:
             row = flips[i]
             keys = {row & f for f in flips[i + 1:]} - seen
             seen |= keys
             for x in keys:
-                out = lattice_op_bits(system, level, direction, x ^ grown, x ^ grown)
+                out = lattice_op_bits(system, level, direction, x ^ grown, x ^ grown, memo)
                 if not accept(direction, x, out):
                     rejected[direction, x] = out
         if rejected:
             return next((i, j, direction, rejected[direction, flips[i] & flips[j]])
                         for j in range(i + 1, len(bits_list))
-                        for direction, _, flips, _ in sides
+                        for direction, _, flips, _, _ in sides
                         if (direction, flips[i] & flips[j]) in rejected)
     return None
 
@@ -249,7 +270,9 @@ class _Order:
     columns["meet"][r] masks the members whose f lacks root r, and
     columns["join"][r] those whose f holds it; the first are the bit
     columns of the keys g = bits ^ Phi-, the complement of f.  bounds(direction,
-    x) ANDs the columns of the roots outside x.  With x = f_R & f_S it
+    x) ANDs the columns of the roots outside x, those of its positive and
+    its negative half apart, each half's AND kept in _halves (as x with
+    the other half filled in) for the life of the order.  With x = f_R & f_S it
     gives the members below R and S (those lacking every root outside x);
     with x = g_R & g_S, the members above both (those holding every root
     outside x).  above[i], the up-set of member i, is the bounds of (i, i);
@@ -264,10 +287,8 @@ class _Order:
         lacking = list(_bit_columns(keys, range(system.num_roots)).values())
         holding = [full ^ col for col in lacking]
         self.columns = {"meet": lacking, "join": holding}
+        self._halves = {"meet": {}, "join": {}}
         self.above = above = [self.bounds("join", g) for g in keys]
-        # a dict, not a cached closure over self: the helper holds no
-        # reference cycle and is freed as soon as its caller returns
-        self._below = {}
         # canonical order is a linear extension, so the first index strictly
         # above i covers i; dropping everything above it and taking the
         # first index left finds the next, one step per cover
@@ -282,13 +303,18 @@ class _Order:
             self.covers.append(found)
 
     def bounds(self, direction, x):
-        outside = _key_row(self.system, x).translate(_LACKS)
-        return reduce(and_, compress(self.columns[direction], outside), self.full)
+        memo, out = self._halves[direction], self.full
+        for half in (x | self.system.neg_mask, x | self.system.pos_mask):
+            found = memo.get(half)
+            if found is None:
+                outside = _key_row(self.system, half).translate(_LACKS)
+                found = memo[half] = reduce(
+                    and_, compress(self.columns[direction], outside), self.full)
+            out &= found
+        return out
 
     def below(self, i):
-        if i not in self._below:
-            self._below[i] = self.bounds("meet", self.bits_list[i] ^ self.system.pos_mask)
-        return self._below[i]
+        return self.bounds("meet", self.bits_list[i] ^ self.system.pos_mask)
 
     def extremum(self, direction, found):
         """The index of the glb (meet) or lub (join) of the common bounds
@@ -447,6 +473,15 @@ def _backtrack(system, order, antisymmetric, has, full, leaf):
     ``allowed``.  A branch whose ``allowed`` reaches 0 is cut, so a link
     with column 0 forbids its decision.  Links with one key on one
     decision are ANDed into one.
+
+    A decision's links read only ``mask & reads``, reads the OR of their
+    bits, so the AND of the columns of the links that hold is memoised
+    per decision by that value: A5 closed reaches the head's decisions
+    22,159 times with 2,635 distinct values on the include side and 140
+    on the exclude side.  Every stored column goes through ``interned``,
+    one dict per call, so equal columns share one int: F4 closed stores
+    107,165 keys but 1,845 distinct columns, each one bit per tail set.
+    The memos live for one call; ``allowed`` stays out of the key.
     """
     if not order:
         return leaf(0, full)
@@ -490,29 +525,46 @@ def _backtrack(system, order, antisymmetric, has, full, leaf):
                 link(inc[p], 0, 0, ~has[nr])
             elif nr in pos_of and pos_of[nr] < p:
                 link(inc[p], 1 << nr, 1 << nr, 0)
-    inc, exc = ([[(*key, col) for key, col in links.items()] for links in part]
-                for part in (inc, exc))
+    interned = {}
+
+    def decision(links):
+        links = [(*key, col) for key, col in links.items()]
+        reads = reduce(or_, [bits for bits, _, _ in links], 0)
+        memo = {}
+
+        def column(mask):
+            col = full
+            for bits, want, link_col in links:
+                if mask & bits == want:
+                    col &= link_col
+                    if not col:
+                        break
+            col = memo[mask] = interned.setdefault(col, col)
+            return col
+        return reads, memo, column
+
+    inc, exc = ([decision(links) for links in part] for part in (inc, exc))
 
     def rec(p, mask, allowed):
         # include r; the last position hands its sets to leaf directly
-        keep = allowed
-        for bits, want, col in inc[p]:
-            if mask & bits == want:
-                keep &= col
-                if not keep:
-                    break
+        reads, memo, column = inc[p]
+        key = mask & reads
+        keep = memo.get(key)
+        if keep is None:
+            keep = column(key)
+        keep &= allowed
         if keep:
             if p == last:
                 leaf(mask | rbits[p], keep)
             else:
                 rec(p + 1, mask | rbits[p], keep)
         # exclude r
-        keep = allowed
-        for bits, want, col in exc[p]:
-            if mask & bits == want:
-                keep &= col
-                if not keep:
-                    break
+        reads, memo, column = exc[p]
+        key = mask & reads
+        keep = memo.get(key)
+        if keep is None:
+            keep = column(key)
+        keep &= allowed
         if keep:
             if p == last:
                 leaf(mask, keep)
@@ -520,6 +572,9 @@ def _backtrack(system, order, antisymmetric, has, full, leaf):
                 rec(p + 1, mask, keep)
 
     rec(0, 0, full)
+    # rec holds itself, and so the memos, in a cycle: break it here, or
+    # they outlive the call until a collection (root_sets pauses those)
+    del rec
 
 
 def _batch(mask, allowed, tails):

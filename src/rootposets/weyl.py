@@ -4,7 +4,7 @@ Elements are stored as permutations of root indices (the action on Phi),
 which makes inversion sets, lengths and images of posets O(1)-ish lookups.
 Products with a generator, inverses and the elements named by an
 inversion set are read from integer tables built once with the group;
-intervals, meets, joins and classes walk the w s_i table.
+intervals and classes walk the w s_i table.
 Reduced words are recovered on demand by stripping left descents.
 
 Every poset attached to the group is an interval poset
@@ -187,38 +187,6 @@ class WeylGroup:
             ident = right[i][ident]
         return self.elements[ident]
 
-    # -- weak order --------------------------------------------------------
-
-    def weak_meet(self, a, b):
-        """Greatest lower bound in the (right) weak order."""
-        return self._weak_extremum(a, b, "meet")
-
-    def weak_join(self, a, b):
-        """Least upper bound in the (right) weak order."""
-        return self._weak_extremum(a, b, "join")
-
-    def _weak_extremum(self, a, b, direction):
-        """The common lower bounds of a and b form [e, a meet b], the u
-        with inv(u) inside inv(a) n inv(b), and every u below the meet
-        has an upper cover u s_i in that interval, so a greedy ascent
-        from e ends at the meet.  The join mirrors it through u -> u w0,
-        as inv(u w0) = Phi^+ minus inv(u)."""
-        meet = direction == "meet"
-        flip = 0 if meet else self.system.pos_mask
-        cap = flip ^ (a.inv_bits & b.inv_bits if meet else a.inv_bits | b.inv_bits)
-        els = self.elements
-        u = 0
-        while True:
-            bits = els[u].inv_bits
-            for row in self.right:
-                vbits = els[row[u]].inv_bits
-                # inv(u s_i) gains or loses one root, so > means a cover
-                if vbits > bits and vbits & ~cap == 0:
-                    u = row[u]
-                    break
-            else:
-                return els[self._by_inv[bits ^ flip]]
-
     def interval(self, lo, cap):
         """Ids of the u >= (id) lo with inv(u) inside the bits cap, breadth
         first over the upper covers u s_i, so cap = inv(hi) gives [lo, hi]:
@@ -347,31 +315,3 @@ def interval_poset(group, lo, hi):
 def facial_le(a, b):
     """xW_I <= yW_J iff x <= y and x w_{o,I} <= y w_{o,J}."""
     return a.x.weak_le(b.x) and a.w_long.weak_le(b.w_long)
-
-
-def facial_meet(group, a, b):
-    return _facial_extremum(group, a, b, "meet")
-
-
-def facial_join(group, a, b):
-    return _facial_extremum(group, a, b, "join")
-
-
-def _facial_extremum(group, a, b, direction):
-    """The coset z W_J from z, the meet of the minima (join of the maxima),
-    towards t, the meet of the maxima (join of the minima), with J the
-    descents of z^-1 t; z must be its minimum (maximum)."""
-    if direction == "meet":
-        z, t = group.weak_meet(a.x, b.x), group.weak_meet(a.w_long, b.w_long)
-    else:
-        z, t = group.weak_join(a.w_long, b.w_long), group.weak_join(a.x, b.x)
-    subset = group.mult(group.inverse_of(z), t).descents()
-    x = z  # strip right descents in J to reach the minimal representative
-    while subset & x.right_descents():
-        x = group.mult_gen_right(x, min(subset & x.right_descents()))
-    coset = make_coset(group, x, subset)
-    if (coset.x if direction == "meet" else coset.w_long) is not z:
-        raise InvariantError(
-            f"{group.system.label}: facial {direction} of {a!r} and {b!r} "
-            f"does not end at {z!r}")
-    return coset

@@ -2,18 +2,19 @@
 
 Each one takes the slow, literal route: the N-span by lattice reachability,
 the posets by a sign-vector sweep, lattice bounds and covers straight from
-their definitions, the level formulas with a full classification before
-each deletion, the closure deletion by a walk on Coeff coordinates, the Cambrian projections by scanning every sortable
-element, group products by composing root permutations, weak order
+their definitions, the level formulas with the exhaustive deletion, the
+closure deletion by a walk on Coeff coordinates, the Cambrian
+projections by scanning every sortable element, group products by composing root permutations, weak order
 meets, joins and intervals by scanning W, the roots
 and their tables by Coeff arithmetic, the families one RootSet per
 element, pair, coset or class, the snake decompositions one search per
 snake and root, the closed sets by one backtracking over every root
 with a leaf per set, the closed and semiclosed flags by three sweeps.
 Beside them sit small helpers only the tests need: the integer queries
-on Coeff, an element from a word, the boolean element posets, and the
-meets and joins inside WOIP, COIP and BOIP from their interval
-components.
+on Coeff, an element from a word, the boolean element posets, the weak
+order meets and joins by a greedy ascent, the facial weak order meets
+and joins, c-alignment, and the meets and joins inside WOIP, COIP and
+BOIP from their interval components.
 None of them is used by the library.
 """
 
@@ -21,17 +22,19 @@ from functools import cache, partial
 from types import SimpleNamespace
 
 from rootposets.cambrian import (
-    cambrian_classes, coxeter_element, facial_cambrian_classes,
+    cambrian_classes, coxeter_element, facial_cambrian_classes, requires,
 )
 from rootposets.coeff import Coeff
-from rootposets.errors import ContractViolationError, UnsupportedOperationError
+from rootposets.errors import (
+    ContractViolationError, InvariantError, UnsupportedOperationError,
+)
 from rootposets.families import _boolean_bits
 from rootposets.rootset import (
     RootSet, _indices, classify, closure_bits, deletion_bits,
 )
 from rootposets.weakorder import Level, canonical_sort, weak_le
 from rootposets.weyl import (
-    WeylElement, enumerate_cosets, interval_bits, interval_poset,
+    WeylElement, enumerate_cosets, interval_bits, interval_poset, make_coset,
 )
 
 
@@ -238,9 +241,9 @@ def lattice_op_reference(system, level):
     a time.
 
     The closure and the deletion are applied as the formula reads; the
-    fast deletion is chosen only when ``classify`` finds the whole
-    intermediate set semiclosed.  The formula is a function of the input
-    it reads of a pair, so it runs once per distinct input.
+    deletion is the exhaustive walk, which shares nothing with the chain
+    reach of the library's fast deletion.  The formula is a function of
+    the input it reads of a pair, so it runs once per distinct input.
     """
     apply = cache(partial(_apply_formula, system, level))
 
@@ -264,8 +267,7 @@ def _apply_formula(system, level, grown, kept, side):
         grown = closure_bits(system, grown)
     bits = grown | kept
     if level in (Level.CLOSED, Level.POSETS):
-        fast = system.crystallographic and classify(RootSet(system, bits)).semiclosed
-        bits = deletion_bits(system, bits, side, fast)
+        bits = deletion_bits(system, bits, side, False)
     return bits
 
 
@@ -293,6 +295,77 @@ def weak_extremum_reference(group, a, b, direction):
         best = min(bounds, key=lambda w: w.length)
         assert all(best.weak_le(w) for w in bounds)
     return best
+
+
+def weak_meet(group, a, b):
+    """Greatest lower bound in the (right) weak order."""
+    return _weak_extremum(group, a, b, "meet")
+
+
+def weak_join(group, a, b):
+    """Least upper bound in the (right) weak order."""
+    return _weak_extremum(group, a, b, "join")
+
+
+def _weak_extremum(group, a, b, direction):
+    """The common lower bounds of a and b form [e, a meet b], the u
+    with inv(u) inside inv(a) n inv(b), and every u below the meet
+    has an upper cover u s_i in that interval, so a greedy ascent
+    from e ends at the meet.  The join mirrors it through u -> u w0,
+    as inv(u w0) = Phi^+ minus inv(u)."""
+    meet = direction == "meet"
+    flip = 0 if meet else group.system.pos_mask
+    cap = flip ^ (a.inv_bits & b.inv_bits if meet else a.inv_bits | b.inv_bits)
+    els = group.elements
+    u = 0
+    while True:
+        bits = els[u].inv_bits
+        for row in group.right:
+            vbits = els[row[u]].inv_bits
+            # inv(u s_i) gains or loses one root, so > means a cover
+            if vbits > bits and vbits & ~cap == 0:
+                u = row[u]
+                break
+        else:
+            return els[group._by_inv[bits ^ flip]]
+
+
+def facial_meet(group, a, b):
+    return _facial_extremum(group, a, b, "meet")
+
+
+def facial_join(group, a, b):
+    return _facial_extremum(group, a, b, "join")
+
+
+def _facial_extremum(group, a, b, direction):
+    """The coset z W_J from z, the meet of the minima (join of the maxima),
+    towards t, the meet of the maxima (join of the minima), with J the
+    descents of z^-1 t; z must be its minimum (maximum)."""
+    if direction == "meet":
+        z, t = weak_meet(group, a.x, b.x), weak_meet(group, a.w_long, b.w_long)
+    else:
+        z, t = weak_join(group, a.w_long, b.w_long), weak_join(group, a.x, b.x)
+    subset = group.mult(group.inverse_of(z), t).descents()
+    x = z  # strip right descents in J to reach the minimal representative
+    while subset & x.right_descents():
+        x = group.mult_gen_right(x, min(subset & x.right_descents()))
+    coset = make_coset(group, x, subset)
+    if (coset.x if direction == "meet" else coset.w_long) is not z:
+        raise InvariantError(
+            f"{group.system.label}: facial {direction} of {a!r} and {b!r} "
+            f"does not end at {z!r}")
+    return coset
+
+
+def is_c_aligned(c, rset):
+    """alpha <_c beta and alpha+beta in S imply alpha in S, for S inside Phi^+."""
+    system = c.group.system
+    if not system.crystallographic:  # sum-aligned is not sortable there
+        raise UnsupportedOperationError("c-alignment needs a crystallographic system")
+    if rset.bits & system.neg_mask:
+        raise ContractViolationError("alignment is defined for sets of positive roots")
+    return requires(c.earlier, rset.bits)
 
 
 def interval_reference(group, lo, hi):
@@ -444,8 +517,8 @@ def woip_op(group, direction, rset, sset):
     """Meet/join inside WOIP via componentwise weak-order meet/join."""
     lv, lw = woip_interval_of(group, rset)
     rv, rw = woip_interval_of(group, sset)
-    op = group.weak_meet if direction == "meet" else group.weak_join
-    return interval_poset(group, op(lv, rv), op(lw, rw))
+    op = weak_meet if direction == "meet" else weak_join
+    return interval_poset(group, op(group, lv, rv), op(group, lw, rw))
 
 
 def coip_op(group, c, direction, rset, sset):

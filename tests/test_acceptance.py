@@ -6,7 +6,7 @@ Counts are exact integers (tolerance zero).
 import random
 import time
 
-from rootposets.cambrian import coxeter_element, is_c_aligned
+from rootposets.cambrian import coxeter_element
 from rootposets.census import (
     check_conjecture, check_sublattice, count_family, enumerate_posets,
     reproduce_counterexample,
@@ -16,10 +16,12 @@ from rootposets.rootset import (
     RootSet, classify, closure, closure_bits, deletion_bits, parse_set_literal,
 )
 from rootposets.weakorder import Level, lattice_op, lattice_op_bits, verify_lattice
-from rootposets.weyl import enumerate_cosets, facial_meet
+from rootposets.weyl import enumerate_cosets
 
 from conftest import group, system
-from oracles import boip_op, coip_op, coset_poset, nspan_oracle, woip_op
+from oracles import (
+    boip_op, coip_op, coset_poset, facial_meet, is_c_aligned, nspan_oracle, woip_op,
+)
 
 
 def _report(num, elapsed, detail):

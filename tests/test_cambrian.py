@@ -5,7 +5,7 @@ import pytest
 from rootposets import cambrian as camb
 from rootposets.cambrian import (
     _cover_projection, cambrian_classes, coxeter_element, coxeter_word,
-    facial_cambrian_classes, is_c_aligned, snake_decomposable_roots,
+    facial_cambrian_classes, snake_decomposable_roots,
 )
 from rootposets.errors import (
     ContractViolationError, InvariantError, UnsupportedOperationError,
@@ -15,8 +15,8 @@ from rootposets.weyl import enumerate_cosets
 
 from conftest import group, system
 from oracles import (
-    cambrian_projection_reference, from_word, snake_decomposable_reference,
-    sorting_word,
+    cambrian_projection_reference, from_word, is_c_aligned,
+    snake_decomposable_reference, sorting_word,
 )
 
 

@@ -392,6 +392,10 @@ def test_census_table1_reads_lowercase_types(capsys):
     (["census", "table1", "--types", "A1..A\u0662"], 2),
     (["families", "build", "--type", "A3", "--family", "coep",
       "--coxeter", "s\u0661s2s3"], 2),
+    # and so is a coordinate of a set literal, and an integer option
+    (["order", "compare", "--type", "A2", "+[\u0661,0]", "+[0,1]"], 2),
+    (["lattice", "verify", "--type", "A2", "--family", "posets",
+      "--cap", "\u0665\u0660"], 2),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     """Bad input exits 2 and an oversized level exits 3, with a one-line

@@ -449,7 +449,7 @@ def test_woip_not_sublattice_of_posets_witness(a2):
 
 def test_wofp_meet_mismatch_witness(a2):
     """{-a1, a2} against the empty poset: the facial meet adds a1+a2."""
-    from rootposets.weyl import facial_meet
+    from oracles import facial_meet
     g = group("A2")
     r = lit(a2, "-[1,0],+[0,1]")
     empty = RootSet(a2, 0)

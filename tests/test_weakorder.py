@@ -11,6 +11,8 @@ from rootposets.weakorder import (
     lattice_op_bits, level_members as level_members_dfs, verify_lattice, weak_le,
 )
 from rootposets.census import enumerate_posets
+from rootposets.families import FamilyId, construct_family
+from rootposets.weyl import weyl_group
 
 from conftest import system
 from oracles import lattice_op_reference, naive_lattice_report
@@ -360,6 +362,42 @@ def test_lattice_op_bits_deletes_exhaustively_without_theory():
                                             for _ in range(300)])
 
 
+@pytest.mark.parametrize("label,kind,level", [
+    ("A3", "posets", Level.POSETS), ("A3", "closed", Level.CLOSED),
+    ("G2", "posets", Level.POSETS), ("B3", "COIP(lin)", Level.POSETS),
+])
+def test_formula_memo_matches_reference_key_by_key(monkeypatch, label, kind, level):
+    """first_rejected_pair keeps one formula memo per direction for the
+    whole family.  With every key accepted it evaluates every distinct
+    key, and each result must equal the reference's.  Most keys reuse a
+    half that an earlier key put in the memo, so the memo's hits are
+    checked too: there are fewer closures than keys."""
+    rs = system(label)
+    if kind == "COIP(lin)":
+        family = construct_family(weyl_group(rs), FamilyId("COIP", "lin"))
+    else:
+        family = level_members_dfs(rs, Level(kind))
+    bits_list = [r.bits for r in canonical_sort(family)]
+    reference = lattice_op_reference(rs, level)
+    grown = {"meet": rs.pos_mask, "join": rs.neg_mask}
+    closures = []
+    monkeypatch.setattr(wo, "closure_bits",
+                        lambda *args: closures.append(args) or closure_bits(*args))
+    wrong, keys = [], 0
+
+    def accept(direction, x, out):
+        nonlocal keys
+        keys += 1
+        key = x ^ grown[direction]
+        if out != reference(direction, key, key):
+            wrong.append((direction, key, out))
+        return True
+
+    assert wo.first_rejected_pair(rs, level, bits_list, accept) is None
+    assert wrong == []
+    assert 0 < len(closures) < keys
+
+
 def _mask_key(rs, direction, a, b):
     """The mask combination a meet or join formula is applied to."""
     grown, kept = ((rs.pos_mask, rs.neg_mask) if direction == "meet"
@@ -396,7 +434,7 @@ def test_formula_stops_after_first_mismatch(monkeypatch, label, family_level,
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     keys = {(direction, _mask_key(rs, direction, order[i], order[j]))
             for i, j in pairs for direction in ("meet", "join")}
-    seen = [(args[2], _mask_key(rs, *args[2:])) for args in calls]
+    seen = [(args[2], _mask_key(rs, *args[2:5])) for args in calls]
     assert len(set(seen)) == len(seen)
     assert set(seen) < keys
     last = pairs.index((order.index(rep.witness[0].bits),
