@@ -230,10 +230,10 @@ def check_sublattice(members, level):
     members = wo.canonical_sort(members)
     if not members:
         return SublatticeReport(0, True)
-    system = members[0].system
+    system = members.system
     wo.require_lattice_ops(system, level)
-    have = {r.bits for r in members}
-    bad = wo.first_rejected_pair(system, level, [r.bits for r in members],
+    have = set(members.bits)
+    bad = wo.first_rejected_pair(system, level, members.bits,
                                  lambda direction, x, out: out in have)
     if bad is None:
         return SublatticeReport(len(members), True)

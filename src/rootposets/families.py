@@ -4,8 +4,8 @@ Every family is a set of interval posets R(lo)^- | R(hi)^+, with lo and
 hi taken from elements, cosets, Cambrian classes or the boolean posets
 R(A); family_set streams the (lo, hi) pairs of each tag as bits and
 keeps the distinct posets, which family_bits orders and construct_family
-wraps once.  interval_bits is injective on pairs: the negative half of
-R(lo, hi) is -inv(lo) and its positive half Phi^+ minus inv(hi).  So a
+keeps as RootSets.  interval_bits is injective on pairs: the negative half
+of R(lo, hi) is -inv(lo) and its positive half Phi^+ minus inv(hi).  So a
 family has as many posets as distinct pairs, and family_count counts
 them from the tables without building one; construct_family refuses a
 family over its cap from that count.  One up-set sweep over the kept
@@ -26,7 +26,7 @@ from . import weyl as wy
 from .errors import (ContractViolationError, ResourceCapError,
                      UnsupportedOperationError)
 from .linalg import strict_separation_exists
-from .rootset import classify, closure_bits, root_sets, _indices
+from .rootset import RootSets, classify, closure_bits, sort_by_grade, _indices
 
 FAMILY_TAGS = ("WOEP", "WOIP", "WOFP", "COEP", "COIP", "COFP", "BOEP", "BOIP", "BOFP")
 CAMBRIAN_TAGS = ("COEP", "COIP", "COFP")
@@ -202,21 +202,17 @@ def _count_faces(group, keep):
 
 def family_bits(group, family):
     """The bits of family_set, ordered by (grade, bits)."""
-    neg, pos = group.system.neg_mask, group.system.pos_mask
-    ordered = sorted(family_set(group, family))
-    # then stably by grade, faster than by a pair
-    ordered.sort(key=lambda b: (b & neg).bit_count() - (b & pos).bit_count())
-    return ordered
+    return sort_by_grade(group.system, list(family_set(group, family)))
 
 
 def construct_family(group, family, cap=None):
-    """The family's posets as RootSets, wrapped by root_sets in the order
-    of family_bits.  A family of more than ``cap`` sets is refused from
+    """The family's posets as RootSets over the bits of family_bits, in
+    their order.  A family of more than ``cap`` sets is refused from
     its count, before any poset is built."""
     if cap is not None and family_count(group.system, family) > cap:
         raise ResourceCapError(
             f"{family} family of {group.system.label} has more than {cap} sets")
-    return root_sets(group.system, family_bits(group, family))
+    return RootSets(group.system, family_bits(group, family))
 
 
 def _coip_sums_hold(system, c, bits):

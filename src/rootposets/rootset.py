@@ -7,14 +7,14 @@ and positive closure deletions, convexity, and the classification
 predicates (symmetric / antisymmetric / closed / semiclosed / poset)
 all live here; the exhaustive closure deletion, a walk on the roots' int
 vectors on every type, doubles as the tests' oracle for the fast one.
-root_sets wraps the bulk lists of the level and family listings.
+RootSets keeps a listing as its bits and builds a RootSet when one is read.
 ``Coeff`` is read only by the set literals and by convexity.
 """
 
 from __future__ import annotations
 
-import gc
 import re
+from collections.abc import Sequence
 from itertools import product, repeat
 from typing import NamedTuple
 
@@ -52,11 +52,6 @@ class RootSet:
     def add(self, index):
         return RootSet(self.system, self.bits | (1 << index))
 
-    def grade(self):
-        """|R^-| - |R^+|, the rank function of the graded weak-order levels."""
-        neg = (self.bits & self.system.neg_mask).bit_count()
-        return neg - (self.bits & self.system.pos_mask).bit_count()
-
     def __contains__(self, index):
         return (self.bits >> index) & 1 == 1
 
@@ -78,22 +73,47 @@ class RootSet:
         return f"RootSet({self.system.label}, {{{format_set_literal(self)}}})"
 
 
-def root_sets(system, bits):
-    """[RootSet(system, b) for b in bits], built with the cyclic collector
-    paused.  A RootSet holds a system and an int, so it is never part of
-    a cycle; yet the collector tracks it, and a bulk list sets off passes
-    of every generation, full ones that walk the whole heap included.  The
-    one young pass the pause put off runs before the collector is back
-    on, so the caller inherits no backlog; a caller that had the collector
-    off finds it off, and no pass runs."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return list(map(RootSet, repeat(system), bits))
-    finally:
-        if enabled:
-            gc.collect(0)
-            gc.enable()
+def sort_by_grade(system, bits):
+    """Sort the list ``bits`` in place into canonical order, and return it:
+    by bits, then stably by the grade |R^-| - |R^+| = |R ^ Phi^+| - |Phi^+|,
+    faster than by the pair (grade, bits)."""
+    bits.sort()
+    bits.sort(key=lambda b: (b ^ system.pos_mask).bit_count())
+    return bits
+
+
+class RootSets(Sequence):
+    """A read-only sequence of subsets of one system kept as ``bits``, a
+    list or range of ints, so an int per set and no object the collector
+    tracks: an element read is a new RootSet, a slice a list of them, and
+    ``in`` tests the bits.  Equal to a list, tuple or RootSets of equal
+    RootSets, in order; unhashable."""
+
+    __slots__ = ("system", "bits")
+
+    def __init__(self, system, bits):
+        self.system = system
+        self.bits = bits
+
+    def __len__(self):
+        return len(self.bits)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(RootSet, repeat(self.system), self.bits[index]))
+        return RootSet(self.system, self.bits[index])
+
+    def __iter__(self):
+        return map(RootSet, repeat(self.system), self.bits)
+
+    def __contains__(self, rset):
+        return (isinstance(rset, RootSet) and rset.bits in self.bits
+                and rset.system.label == self.system.label)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, tuple, RootSets)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 class SubsetClassification(NamedTuple):

@@ -72,8 +72,8 @@ from typing import NamedTuple, Optional
 
 from .errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
 from .rootset import (
-    RootSet, _closed_flags, _indices, classify, closure_bits, deletion_bits,
-    format_set_literal, root_sets)
+    RootSet, RootSets, _closed_flags, _indices, classify, closure_bits, deletion_bits,
+    format_set_literal, sort_by_grade)
 
 VERIFY_CAP = 5000
 HASSE_CAP = 10_000
@@ -241,8 +241,14 @@ class LatticeReport(NamedTuple):
 
 
 def canonical_sort(family):
-    """Deterministic family order: by (|R-| - |R+|, bits)."""
-    return sorted(family, key=lambda r: (r.grade(), r.bits))
+    """The family in deterministic order, by (|R-| - |R+|, bits), as
+    RootSets (of system None if empty); a family of mixed systems is refused."""
+    if not isinstance(family, RootSets):
+        family = list(family)
+        for r in family:
+            family[0]._check_same(r)
+        family = RootSets(family[0].system if family else None, [r.bits for r in family])
+    return RootSets(family.system, sort_by_grade(family.system, list(family.bits)))
 
 
 _LACKS = bytes.maketrans(b"01", b"\1\0")
@@ -337,12 +343,12 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     A finite bounded poset is a lattice iff every two elements covering a
     common element have a join (Bjorner-Edelman-Ziegler, Hyperplane
     arrangements with a lattice of regions, DCG 5 (1990), Lemma 2.1).  A
-    strict step in the weak order raises the grade, so canonical order is
+    strict step R < S raises the grade by |R ^ S|, so canonical order is
     a linear extension: the family is bounded iff its first element lies
     below all and its last above all, and the only possible lub of a pair
     is its first common upper bound (glb: its last common lower bound).
-    So lattice-ness is decided from the cover graph, which also gives
-    gradedness and the cover count.  When the family is not a lattice or
+    So lattice-ness is decided from the cover graph, which also gives the
+    cover count and gradedness, every cover one root away.  When the family is not a lattice or
     ``formula`` names a level, first_rejected_pair looks for the witness,
     the first pair in canonical order without a glb or a lub or whose
     level meet or join is not that glb or lub.  It walks the rows in
@@ -356,10 +362,9 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     if k == 0:
         return LatticeReport(0, True, None if formula is None else True, True)
     family = canonical_sort(family)
-    system = family[0].system
+    system, bits_list = family.system, family.bits
     if formula is not None:
         require_lattice_ops(system, formula)
-    bits_list = [r.bits for r in family]
     if len(set(bits_list)) != k:
         raise ContractViolationError("family contains duplicates")
     order = _Order(system, bits_list)
@@ -377,12 +382,11 @@ def verify_lattice(family, formula=None, cap=VERIFY_CAP):
     if not is_lattice or formula is not None:
         bad = first_rejected_pair(system, formula or Level.ALL, bits_list, accept)
     witness = None if bad is None else (family[bad[0]], family[bad[1]])
-    grades = [r.grade() for r in family]
     return LatticeReport(
         family_size=k,
         is_lattice=is_lattice,
         formula_matches_bruteforce=None if formula is None else witness is None,
-        graded=all(grades[j] - grades[i] == 1
+        graded=all((bits_list[i] ^ bits_list[j]).bit_count() == 1
                    for i, found in enumerate(covers) for j in found),
         witness=witness,
         cover_count=sum(map(len, covers)),
@@ -394,7 +398,7 @@ def hasse_edges(family):
     family = canonical_sort(family)
     if not family:
         return family, []
-    covers = _Order(family[0].system, [r.bits for r in family]).covers
+    covers = _Order(family.system, family.bits).covers
     return family, [(i, j) for i, found in enumerate(covers) for j in found]
 
 
@@ -573,7 +577,7 @@ def _backtrack(system, order, antisymmetric, has, full, leaf):
 
     rec(0, 0, full)
     # rec holds itself, and so the memos, in a cycle: break it here, or
-    # they outlive the call until a collection (root_sets pauses those)
+    # they outlive the call until the collector finds the cycle
     del rec
 
 
@@ -606,8 +610,8 @@ def require_dfs(system, level):
 
 
 def level_members(system, level, cap=None):
-    """Every set of one level of the weak order, as RootSets wrapped by
-    root_sets.
+    """Every set of one level of the weak order, as RootSets over their
+    bits (a range at the all level).
 
     Closed and posets come in DFS order.  A level of more than ``cap``
     sets is refused before its sets are built; the backtracking stops as
@@ -639,7 +643,7 @@ def level_members(system, level, cap=None):
         found = []
         _closed_sets(system, range(system.num_roots),
                      level is Level.POSETS, _collect(found, cap, refusal))
-    return root_sets(system, found)
+    return RootSets(system, found)
 
 
 def level_count(system, level):

@@ -720,7 +720,11 @@ def naive_lattice_report(family, formula=None):
                     witness = (fam[i], fam[j])
     covers = sorted((j, i) for i in range(k) for j in _indices(down[i] ^ 1 << i)
                     if up[j] & down[i] == 1 << i | 1 << j)
-    graded = all(fam[i].grade() - fam[j].grade() == 1 for j, i in covers)
+
+    def grade(r):  # |R^-| - |R^+|, root by root
+        return sum(-1 if r.system.is_positive(i) else 1 for i in r)
+
+    graded = all(grade(fam[i]) - grade(fam[j]) == 1 for j, i in covers)
     return (k, is_lattice, formula_ok, graded, witness, len(covers), covers)
 
 

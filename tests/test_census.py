@@ -350,6 +350,32 @@ def test_link_memo_stays_small(label, peak_mb):
     assert peak <= 1.5 * peak_mb * 2 ** 20, peak / 2 ** 20
 
 
+@pytest.mark.parametrize("listing,bound_mb", [("B4 posets", 5.0), ("A5 WOIP", 1.8)])
+def test_listings_keep_an_int_per_set(listing, bound_mb):
+    """A listing keeps its sets as ints and builds a RootSet only when one
+    is read.  The memory traced as kept by enumerate_posets(B4), 94,313
+    sets, and by A5 WOIP's construct_family, 31,711 sets, after a count
+    built the lazy tables, is at most bound_mb MB (10^6 bytes).  With a
+    RootSet per set (Python 3.11, x86-64) they kept 8.34 and 2.81 MB."""
+    label, name = listing.split()
+    if name == "posets":
+        rs = system(label)
+        wo.level_count(rs, Level.POSETS)
+        listing = lambda: enumerate_posets(rs)
+    else:
+        g = group(label)
+        fam.family_count(g.system, FamilyId(name))
+        listing = lambda: construct_family(g, FamilyId(name))
+    tracemalloc.start()
+    try:
+        sets = listing()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sets) == {"posets": 94313, "WOIP": 31711}[name]
+    assert kept <= bound_mb * 10 ** 6, kept / 10 ** 6
+
+
 def test_tail_size_stays_small():
     """At most 16 roots, and never more than there are, up to E8's Phi^+."""
     assert all(0 <= _tail_size(n) <= min(n, 16) for n in range(121))

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from rootposets.coeff import Coeff, PSI
 from rootposets.errors import ContractViolationError, UnsupportedOperationError
 from rootposets.rootset import (
-    RootSet, classify, closure, closure_bits, closure_deletion, deletion_bits,
-    format_set_literal, is_convex, parse_set_literal, root_sets,
+    RootSet, RootSets, classify, closure, closure_bits, closure_deletion,
+    deletion_bits, format_set_literal, is_convex, parse_set_literal,
 )
-from rootposets.weakorder import weak_le
+from rootposets.weakorder import Level, level_members, weak_le
 from rootposets.census import enumerate_posets
-from rootposets.families import FamilyId, family_bits
+from rootposets.families import FamilyId, construct_family, family_bits
 
 from conftest import group, system
 from oracles import (
@@ -364,42 +364,61 @@ def test_root_sets_wrap_each_set_in_order():
     """The same RootSets, in the same order, as one wrap per set: on the
     B3 posets, the A4 WOIP bits and no bits at all."""
     b3, a4 = system("B3"), system("A4")
-    for rs, bits in ((b3, [r.bits for r in enumerate_posets(b3)]),
+    for rs, bits in ((b3, enumerate_posets(b3).bits),
                      (a4, family_bits(group("A4"), FamilyId("WOIP"))),
                      (b3, [])):
-        got = root_sets(rs, bits)
+        got = RootSets(rs, bits)
         assert got == [RootSet(rs, b) for b in bits]
         assert [r.bits for r in got] == bits
         assert all(r.system is rs for r in got)
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-def test_root_sets_leave_the_collector_as_found(collector, enabled):
-    """On or off before the call, the collector is so after it, also when
-    the bits run out with an error partway; with it off, no collection
-    runs, so every wrapped set still counts in the young generation."""
-    rs = system("A2")
-    (gc.enable if enabled else gc.disable)()
-    young = gc.get_count()[0]
-    sets = root_sets(rs, range(1000))
-    assert gc.isenabled() is enabled
-    if not enabled:
-        assert gc.get_count()[0] >= young + len(sets)
+@pytest.mark.parametrize("listing", ["A2 all", "A3 posets", "B3 WOIP", "H3 WOFP"])
+def test_root_sets_sequence_contract(listing):
+    """A listing reads as the list of its RootSets, built from its bits, on
+    a range (the all level) and on lists from the backtracking and from a
+    family construction; ``in`` matches members by system and bits."""
+    label, name = listing.split()
+    rs = system(label)
+    level = Level.named(name)
+    seq = (level_members(rs, level) if level else
+           construct_family(group(label), FamilyId(name)))
+    want = [RootSet(rs, b) for b in seq.bits]
+    n = len(want)
+    assert len(seq) == n and seq.system is rs
+    assert isinstance(seq.bits, range if name == "all" else list)
+    assert all(seq[i] == want[i] for i in range(-n, n))
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            seq[i]
+    assert seq[1:5] == want[1:5] and seq[::-3] == want[::-3]
+    assert type(seq[:]) is list and seq[:] == want
+    assert list(seq) == want and list(reversed(seq)) == want[::-1]
+    assert seq == want and seq == tuple(want) and seq == RootSets(rs, list(seq.bits))
+    assert seq != want[:-1] and seq != want[::-1] and seq != set(want)
+    assert seq.index(want[-1]) == n - 1
+    assert want[n // 2] in seq
+    have = set(seq.bits)  # every subset at the all level
+    outside = [b for b in (seq.bits[1] ^ 1 << r for r in range(rs.num_roots))
+               if b not in have][:3]
+    assert len(outside) == (0 if name == "all" else 3)
+    assert not any(RootSet(rs, b) in seq for b in outside)
+    assert RootSet(system("A3" if label != "A3" else "B3"), seq.bits[0]) not in seq
+    with pytest.raises(TypeError):
+        hash(seq)
 
-    def failing():
-        yield from range(10)
-        raise ValueError("partway")
 
-    with pytest.raises(ValueError, match="partway"):
-        root_sets(rs, failing())
-    assert gc.isenabled() is enabled
-
-
-def test_root_sets_leave_no_young_backlog(collector):
-    """With the collector on, the young-generation pass that the pause put
-    off has run by the return: the caller starts below the threshold."""
-    gc.enable()
-    threshold = gc.get_threshold()[0]
-    sets = root_sets(system("A3"), range(3 * threshold))
-    assert len(sets) == 3 * threshold
-    assert gc.get_count()[0] < threshold
+def test_level_members_allocate_no_tracked_sets(collector):
+    """A level listing keeps its sets as bits: with the collector off,
+    listing A3's 4,096 subsets raises the young-generation count by fewer
+    than 10 (a RootSet per set raised it by one each), and the collector
+    is left as found, on or off."""
+    rs = system("A3")
+    for enabled in (False, True):
+        (gc.enable if enabled else gc.disable)()
+        young = gc.get_count()[0]
+        sets = level_members(rs, Level.ALL)
+        if not enabled:
+            assert gc.get_count()[0] < young + 10
+        assert gc.isenabled() is enabled
+        assert len(sets) == 4096

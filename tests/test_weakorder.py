@@ -1,16 +1,18 @@
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootposets.errors import ContractViolationError, ResourceCapError, UnsupportedOperationError
 from rootposets.rootset import (
-    RootSet, classify, closure_bits, parse_set_literal, format_set_literal)
+    RootSet, RootSets, classify, closure_bits, parse_set_literal, format_set_literal)
 import rootposets.weakorder as wo
 from rootposets.weakorder import (
     Level, canonical_sort, covers, export_hasse, hasse_edges, lattice_op,
     lattice_op_bits, level_members as level_members_dfs, verify_lattice, weak_le,
 )
-from rootposets.census import enumerate_posets
+from rootposets.census import check_sublattice, enumerate_posets
 from rootposets.families import FamilyId, construct_family
 from rootposets.weyl import weyl_group
 
@@ -271,6 +273,70 @@ def test_canonical_sort_deterministic(a2):
         [r.bits for r in canonical_sort(posets)]
     assert canonical_sort(posets)[0] == RootSet(a2, a2.pos_mask)
     assert canonical_sort(posets)[-1] == RootSet(a2, a2.neg_mask)
+
+
+def test_mixed_system_family_refused(a2, b2):
+    """A family of sets of two systems is refused, naming both, by every
+    call that orders it; its bits alone make a three-element chain."""
+    family = [RootSet(a2, a2.pos_mask), RootSet(b2, 0), RootSet(a2, a2.neg_mask)]
+    for call in (verify_lattice, hasse_edges, canonical_sort,
+                 lambda f: check_sublattice(f, Level.POSETS)):
+        with pytest.raises(ContractViolationError, match="A2 and B2"):
+            call(family)
+
+
+@pytest.mark.parametrize("label, name, formula", [
+    ("A2", "all", Level.ALL), ("A3", "posets", Level.POSETS),
+    ("B2", "closed", Level.CLOSED), ("B3", "WOIP", Level.POSETS),
+    ("B3", "WOFP", Level.POSETS)])
+def test_listings_certify_as_their_lists(label, name, formula):
+    """verify_lattice, with and without a formula, hasse_edges and
+    check_sublattice give the same results on a RootSets listing, read as
+    its bits, and on a shuffled list of its RootSets; also on the listing
+    less its two ends, which is no lattice."""
+    rs = system(label)
+    level = Level.named(name)
+    seq = (level_members_dfs(rs, level) if level else
+           construct_family(weyl_group(rs), FamilyId(name)))
+    trimmed = RootSets(rs, canonical_sort(seq).bits[1:-1])
+    assert not verify_lattice(trimmed).is_lattice
+    for family in (seq, trimmed):
+        shuffled = list(family)
+        random.Random(name).shuffle(shuffled)
+        for f in (None, formula):
+            assert verify_lattice(family, f) == verify_lattice(shuffled, f)
+        assert hasse_edges(family) == hasse_edges(shuffled)
+        assert check_sublattice(family, formula) == check_sublattice(shuffled, formula)
+
+
+@cache
+def _listing(label, level):
+    return level_members_dfs(system(label), level)
+
+
+@pytest.mark.parametrize("level", [Level.SEMICLOSED, Level.CLOSED, Level.POSETS])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_level_lattice_laws_property(label, level, data):
+    """The level meet and join, on members drawn from the level's listing,
+    are commutative, idempotent, absorptive and associative, and bound
+    their arguments under weak_le: the meet below both, the join above."""
+    members = _listing(label, level)
+    r, s, t = (members[data.draw(st.integers(0, len(members) - 1))] for _ in range(3))
+
+    def meet(x, y):
+        return lattice_op(level, "meet", x, y)
+
+    def join(x, y):
+        return lattice_op(level, "join", x, y)
+
+    m, j = meet(r, s), join(r, s)
+    assert m == meet(s, r) and j == join(s, r)
+    assert meet(r, r) == r == join(r, r)
+    assert meet(r, j) == r == join(r, m)
+    assert meet(m, t) == meet(r, meet(s, t)) and join(j, t) == join(r, join(s, t))
+    assert weak_le(m, r) and weak_le(m, s) and weak_le(r, j) and weak_le(s, j)
 
 
 def _report_fields(rep):
