@@ -408,17 +408,30 @@ def test_root_sets_sequence_contract(listing):
         hash(seq)
 
 
-def test_level_members_allocate_no_tracked_sets(collector):
-    """A level listing keeps its sets as bits: with the collector off,
-    listing A3's 4,096 subsets raises the young-generation count by fewer
-    than 10 (a RootSet per set raised it by one each), and the collector
-    is left as found, on or off."""
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_root_sets_leave_the_collector_as_found(collector, enabled):
+    """A level listing keeps its sets as bits: on or off before the call,
+    the collector is so after it; with it off, listing A3's 4,096 subsets
+    raises the young-generation count by fewer than 10 (a RootSet per set
+    raised it by one each)."""
     rs = system("A3")
-    for enabled in (False, True):
-        (gc.enable if enabled else gc.disable)()
-        young = gc.get_count()[0]
-        sets = level_members(rs, Level.ALL)
-        if not enabled:
-            assert gc.get_count()[0] < young + 10
-        assert gc.isenabled() is enabled
-        assert len(sets) == 4096
+    (gc.enable if enabled else gc.disable)()
+    young = gc.get_count()[0]
+    sets = level_members(rs, Level.ALL)
+    assert gc.isenabled() is enabled
+    if not enabled:
+        assert gc.get_count()[0] < young + 10
+    assert len(sets) == 4096
+
+
+def test_root_sets_leave_no_young_backlog(collector):
+    """With the collector on, a listing of more than three young-generation
+    thresholds of sets leaves the caller below the threshold, and no fuller
+    than it found it plus a few objects: no tracked set is allocated."""
+    gc.enable()
+    gc.collect(0)
+    threshold = gc.get_threshold()[0]
+    young = gc.get_count()[0]
+    sets = level_members(system("A3"), Level.ALL)
+    assert len(sets) > 3 * threshold
+    assert gc.get_count()[0] < min(threshold, young + 10)
