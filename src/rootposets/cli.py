@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 reproduced-claim mismatch, 2 usage error,
 3 resource cap exceeded; a reader closing stdout early ends a command
-with 0.  All outputs are deterministic.
+with 0.  All outputs are deterministic.  Every command writes through one
+writer, `_emit`, as a sequence of text pieces; `families build` passes
+its literals a few thousand at a time, so its memory does not grow with
+its text.
 
 Each command imports the layers it runs.  Root systems, subsets and the
 weak order (rootsys, rootset, weakorder) load with this module; the
@@ -23,6 +26,9 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from . import weakorder as wo
@@ -35,21 +41,28 @@ DEFAULT_TABLE1_FAMILIES = [level.value for level in wo.Level
     "WOEP", "WOIP", "WOFP", "COEP", "COIP(lin)", "COIP(bip)", "COFP",
     "BOEP", "BOIP",
 ]
+# literals per piece of `families build`: a few hundred kB of text, so
+# neither one write per literal nor the whole document at once
+_CHUNK = 4096
 
 
-def _emit(payload, out_path=None):
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
-        except OSError as exc:
-            raise ContractViolationError(
-                f"cannot write {out_path}: {exc.strerror}") from None
-    else:
-        print(text, flush=True)  # a closed pipe raises here; main ends with 0
+def _emit(pieces, out_path=None):
+    """Write ``pieces``, an iterable of text, in order to ``out_path`` or to
+    stdout; the one writer of every command."""
+    try:
+        with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+            fh.writelines(pieces)
+            fh.flush()
+    except OSError as exc:
+        if not out_path:
+            raise  # a closed pipe; main ends with 0
+        raise ContractViolationError(
+            f"cannot write {out_path}: {exc.strerror}") from None
+
+
+def _json_text(payload):
+    """``payload`` as a JSON document at indent 2 and its newline, one piece."""
+    return [json.dumps(payload, indent=2) + "\n"]
 
 
 def _json_result(system_label, family, result):
@@ -91,7 +104,7 @@ def cmd_rootsys_info(args):
         "weyl_order": system.weyl_order(),
         "crystallographic": system.crystallographic,
     })
-    _emit(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -105,12 +118,26 @@ def _family(system, name, coxeter, cap):
     return family, fam.construct_family(weyl_group(system), family, cap)
 
 
+def _literal_pieces(label, name, members):
+    """The text of ``_json_text(_json_result(label, name, literals))`` for
+    the literals of ``members``, as pieces: the head, the literals
+    ``_CHUNK`` at a time, each string encoded as json.dumps encodes it, and
+    the closing brackets with the newline.  No piece holds the whole text."""
+    doc = json.dumps(_json_result(label, name, [""]), indent=2)
+    head, _, tail = doc.rpartition('""')  # "" holds the literals' place
+    yield head
+    literals = map(encode_basestring_ascii, map(format_set_literal, members))
+    sep = ""
+    while chunk := list(islice(literals, _CHUNK)):
+        yield sep + ",\n    ".join(chunk)
+        sep = ",\n    "
+    yield tail + "\n"
+
+
 def cmd_families_build(args):
     system = build_from_label(args.system)
     family, members = _family(system, args.family, args.coxeter, wo.BUILD_CAP)
-    payload = _json_result(system.label, str(family),
-                           [format_set_literal(r) for r in members])
-    _emit(payload, args.out)
+    _emit(_literal_pieces(system.label, str(family), members), args.out)
     return 0
 
 
@@ -123,7 +150,7 @@ def cmd_order_compare(args):
         level = wo.Level(args.level)
         result["meet"] = format_set_literal(wo.lattice_op(level, "meet", r, s))
         result["join"] = format_set_literal(wo.lattice_op(level, "join", r, s))
-    _emit(_json_result(system.label, None, result), args.out)
+    _emit(_json_text(_json_result(system.label, None, result)), args.out)
     return 0
 
 
@@ -159,7 +186,7 @@ def cmd_lattice_verify(args):
         "witness": None if report.witness is None else
         [format_set_literal(r) for r in report.witness],
     }
-    _emit(_json_result(system.label, name, result), args.out)
+    _emit(_json_text(_json_result(system.label, name, result)), args.out)
     return 0 if report.is_lattice and report.formula_matches_bruteforce in (
         None, True) else 1
 
@@ -168,7 +195,7 @@ def cmd_hasse(args):
     system = build_from_label(args.system)
     members = _members(system, args.family, args.coxeter, wo.HASSE_CAP)[0]
     doc = wo.export_hasse(members, args.format)
-    _emit(doc, args.out)
+    _emit([doc + "\n"], args.out)
     return 0
 
 
@@ -195,7 +222,7 @@ def cmd_census_table1(args):
         if row.match is False:
             mismatch = True
         writer.writerow([row.system, row.family, row.count, ref, ok])
-    _emit(buf.getvalue().rstrip("\n"), args.out)
+    _emit([buf.getvalue()], args.out)  # csv ends each row, the last too
     return 1 if mismatch else 0
 
 
@@ -210,7 +237,7 @@ def cmd_check_conjecture(args):
         "verified": report.verified,
         "detail": report.detail,
     })
-    _emit(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return 0 if report.verified else 1
 
 
@@ -223,7 +250,7 @@ def cmd_counterexample(args):
         "reproduced": report.reproduced,
         "checks": [{"claim": c, "ok": ok} for c, ok in report.details],
     }
-    _emit(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return 0 if report.reproduced else 1
 
 

@@ -30,9 +30,9 @@ from rootposets.errors import (
 )
 from rootposets.families import _boolean_bits
 from rootposets.rootset import (
-    RootSet, _indices, classify, closure_bits, deletion_bits,
+    RootSet, RootSets, _indices, classify, closure_bits, deletion_bits,
 )
-from rootposets.weakorder import Level, canonical_sort, weak_le
+from rootposets.weakorder import Level, weak_le
 from rootposets.weyl import (
     WeylElement, enumerate_cosets, interval_bits, interval_poset, make_coset,
 )
@@ -425,12 +425,18 @@ def descent_classes(group):
     return {key: (members[0], members[-1], members) for key, members in classes.items()}
 
 
+def grade(system, bits):
+    """|R^-| - |R^+| of the set ``bits``, counted root by root."""
+    return sum(-1 if system.is_positive(i) else 1
+               for i in range(system.num_roots) if bits >> i & 1)
+
+
 def family_reference(group, family):
     """A family's posets built one set at a time, each once, in canonical
-    order: element posets, interval_poset per pair, coset posets by
-    permutation, COFP as the intersection of each facial class's coset
-    posets, and the boolean posets as one closure per subset, two per
-    BOIP pair."""
+    order, sorted by (grade, bits) here: element posets, interval_poset per
+    pair, coset posets by permutation, COFP as the intersection of each
+    facial class's coset posets, and the boolean posets as one closure per
+    subset, two per BOIP pair."""
     system = group.system
     tag = family.normalized_tag()
     if tag in ("COEP", "COIP", "COFP"):
@@ -471,7 +477,7 @@ def family_reference(group, family):
     else:
         found = [(boolean(a) & system.neg_mask) | (boolean(b) & system.pos_mask)
                  for a in subsets for b in subsets if a <= b]
-    return canonical_sort(RootSet(system, bits) for bits in set(found))
+    return RootSets(system, sorted(set(found), key=lambda bits: (grade(system, bits), bits)))
 
 
 def interval_pairs_reference(group, family):
@@ -681,11 +687,11 @@ def naive_lattice_report(family, formula=None):
     strictly between.  Bounds are read from each member's down-set and
     up-set, as index bitmasks built from weak_le, and the formula is
     evaluated once per distinct input it reads of a pair.  Pairs are
-    visited in canonical order, which fixes the witness.  Returns
-    (family_size, is_lattice, formula_matches_bruteforce, graded,
-    witness, cover_count, covers).
+    visited in canonical order, sorted by (grade, bits) here, which fixes
+    the witness.  Returns (family_size, is_lattice,
+    formula_matches_bruteforce, graded, witness, cover_count, covers).
     """
-    fam = canonical_sort(family)
+    fam = sorted(family, key=lambda r: (grade(r.system, r.bits), r.bits))
     k = len(fam)
     le = [[weak_le(a, b) for b in fam] for a in fam]
     down = [sum(1 << x for x in range(k) if le[x][i]) for i in range(k)]
@@ -720,11 +726,8 @@ def naive_lattice_report(family, formula=None):
                     witness = (fam[i], fam[j])
     covers = sorted((j, i) for i in range(k) for j in _indices(down[i] ^ 1 << i)
                     if up[j] & down[i] == 1 << i | 1 << j)
-
-    def grade(r):  # |R^-| - |R^+|, root by root
-        return sum(-1 if r.system.is_positive(i) else 1 for i in r)
-
-    graded = all(grade(fam[i]) - grade(fam[j]) == 1 for j, i in covers)
+    graded = all(grade(fam[i].system, fam[i].bits) - grade(fam[j].system, fam[j].bits)
+                 == 1 for j, i in covers)
     return (k, is_lattice, formula_ok, graded, witness, len(covers), covers)
 
 
